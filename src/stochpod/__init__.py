@@ -7,9 +7,8 @@ concentration parameter so prediction intervals track model error.
 
 __version__ = "0.1.0"
 
-from .ensemble import (CoverageReport, EnsemblePrediction, PredictionSummary,
-                       QoiExtractor, SubspaceSampler, coverage, run_srom,
-                       summarize, summarize_matrix)
+from .ensemble import (CoverageReport, PredictionSummary, coverage,
+                       summarize_matrix)
 from .errors import ConvergenceError, GapError
 from .rom import (FactoredBasis, LinearDynamicSystem, LinearStaticSystem,
                   NonlinearCubicSystem, Trajectory, galerkin_reduce,
@@ -17,8 +16,7 @@ from .rom import (FactoredBasis, LinearDynamicSystem, LinearStaticSystem,
                   solve_linear_static, solve_nonlinear_cubic,
                   solve_rom_nonlinear, two_stage_reduce)
 from .sampling import (RandomStream, StochasticSubspaceModel,
-                       batch_fractional_draws, sample_ambient,
-                       sample_ensemble, sample_fractional, sample_reduced)
+                       batch_fractional_draws, sample_fractional)
 from .subspace import (CovarianceModel, PodDecomposition, SnapshotSet,
                        SubspaceBasis, center, compact_svd,
                        gaussian_log_likelihood, macg_log_pdf,

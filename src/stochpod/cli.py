@@ -19,13 +19,14 @@ import numpy as np
 
 from . import __version__, pipeline
 from .config import ConfigError, load_config
-from .ensemble import EnsembleFailure
 from .errors import ConvergenceError, GapError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERICAL = 4
+
+THREADS_HELP = "accepted for compatibility; has no effect"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -46,15 +47,14 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the full workflow")
     add_common(run)
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the ensemble (results identical)")
+    run.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
 
     train = sub.add_parser("train", help="snapshots, POD, and beta training")
     add_common(train)
 
     sample = sub.add_parser("sample", help="draw the prediction ensemble")
     add_common(sample)
-    sample.add_argument("--threads", type=int, default=1)
+    sample.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sample.add_argument("--count", type=int, default=None,
                         help="override the ensemble sample count")
 
@@ -118,8 +118,7 @@ def main(argv=None) -> int:
     except pipeline.MissingArtifactError as exc:
         print(f"error: {exc} (run the upstream stage first)", file=sys.stderr)
         return EXIT_MISSING
-    except (ConvergenceError, GapError, EnsembleFailure,
-            np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, GapError, np.linalg.LinAlgError) as exc:
         _record_failure(config, outdir, exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

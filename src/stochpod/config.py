@@ -11,7 +11,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .training import RefinementConfig, TrainingConfig
+from .training import (DEFAULT_PARAMETRIC_AGGREGATION, RefinementConfig,
+                       TrainingConfig)
 
 
 class ConfigError(ValueError):
@@ -61,6 +62,11 @@ class RunConfig:
         canon = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
+    @property
+    def parametric_aggregation(self) -> str:
+        return self.training.get("parametric_aggregation",
+                                 DEFAULT_PARAMETRIC_AGGREGATION)
+
     def training_config(self, k: int, rank: int) -> TrainingConfig:
         t = self.training
         beta_max = t.get("beta_max")
@@ -79,7 +85,7 @@ class RunConfig:
                 tolerance=float(ref.get("tolerance", 1e-10)),
                 max_iter=int(ref.get("max_iter", 100)),
             ),
-            parametric_aggregation=t.get("parametric_aggregation", "per-parameter"),
+            parametric_aggregation=self.parametric_aggregation,
         )
 
 
@@ -147,7 +153,7 @@ def parse_config(document: dict, seed_override: int | None = None,
     _require(isinstance(seed, int), "ensemble.seed", "a mandatory integer seed")
 
     training = dict(document.get("training", {}))
-    agg = training.get("parametric_aggregation", "per-parameter")
+    agg = training.get("parametric_aggregation", DEFAULT_PARAMETRIC_AGGREGATION)
     _require(agg in ("per-parameter", "pooled"), "training.parametric_aggregation",
              "must be 'per-parameter' or 'pooled'")
 

@@ -1,109 +1,18 @@
-"""Stochastic-ROM ensembles and their prediction statistics.
+"""Prediction statistics of stochastic-ROM ensembles.
 
-``run_srom`` drives the Monte-Carlo loop: draw a random basis, project,
-solve, extract the quantity of interest.  Linear systems go through the
-two-stage reduction so no full-space operator products happen inside the
-loop.  ``summarize`` and ``coverage`` turn the sample matrix into
-pointwise prediction intervals and consistency numbers.
+The ensembles themselves are drawn by the batched Monte-Carlo kernels of
+``stochpod.pipeline``.  ``summarize_matrix`` turns a (count, grid) sample
+matrix into pointwise prediction intervals, and ``coverage`` measures how
+many truth points those intervals contain.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import rom
-from .sampling import RandomStream, StochasticSubspaceModel, sample_fractional
-from .subspace import SubspaceBasis
-
 Array = np.ndarray
-
-DERIVATIVE_FIELDS = {0: "states", 1: "velocities", 2: "accelerations"}
-
-
-@dataclass(frozen=True)
-class QoiExtractor:
-    """Selects which part of a solution is the quantity of interest.
-
-    kind:
-      - "full-state": the whole state vector (grid = node coordinates)
-      - "sparse": the state at ``indices`` (grid = sensor coordinates)
-      - "dof": one degree of freedom over time (grid = time stamps);
-        ``derivative`` picks displacement (0), velocity (1), or
-        acceleration (2)
-    """
-
-    kind: str
-    grid: Array
-    indices: Array | None = None
-    dof: int | None = None
-    derivative: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        if self.kind not in ("full-state", "sparse", "dof"):
-            raise ValueError(f"unknown QoI kind {self.kind!r}")
-        if self.kind == "sparse":
-            idx = np.asarray(self.indices, dtype=int)
-            object.__setattr__(self, "indices", idx)
-            if idx.shape[0] != self.grid.shape[0]:
-                raise ValueError("sparse QoI needs one grid point per index")
-        if self.kind == "dof" and self.dof is None:
-            raise ValueError("dof QoI needs a dof index")
-        if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if self.derivative not in DERIVATIVE_FIELDS:
-            raise ValueError("derivative must be 0, 1, or 2")
-
-    def from_state(self, x: Array) -> Array:
-        if self.kind == "full-state":
-            return np.asarray(x, dtype=float)
-        if self.kind == "sparse":
-            return np.asarray(x, dtype=float)[self.indices]
-        raise ValueError("dof QoI applies to trajectories")
-
-    def from_trajectory(self, traj: rom.Trajectory) -> Array:
-        if self.kind != "dof":
-            raise ValueError("state QoI applies to static solutions")
-        series = getattr(traj, DERIVATIVE_FIELDS[self.derivative])[self.dof]
-        if series.shape[0] != self.grid.shape[0]:
-            raise ValueError("trajectory length does not match QoI grid")
-        return series
-
-
-@dataclass(frozen=True)
-class SubspaceSampler:
-    """Bundles the rank-r modes with a reduced-draw rule.
-
-    ``draw(stream)`` returns an r-by-k matrix with orthonormal columns;
-    the ambient basis of sample i is modes @ draw(stream_i).
-    """
-
-    modes: Array
-    draw: Callable[[RandomStream], Array]
-
-    @classmethod
-    def from_model(cls, model: StochasticSubspaceModel, modes) -> "SubspaceSampler":
-        v = modes.matrix if isinstance(modes, SubspaceBasis) else np.asarray(modes, dtype=float)
-        return cls(modes=v, draw=lambda stream: sample_fractional(model, stream).matrix)
-
-    @classmethod
-    def degenerate(cls, modes, k: int) -> "SubspaceSampler":
-        """Always returns the principal subspace (the deterministic ROM)."""
-        v = modes.matrix if isinstance(modes, SubspaceBasis) else np.asarray(modes, dtype=float)
-        fixed = np.eye(v.shape[1], k)
-        return cls(modes=v, draw=lambda stream: fixed)
-
-
-@dataclass(frozen=True)
-class EnsemblePrediction:
-    samples: Array          # (count, grid_len), row i from stream index i
-    qoi: QoiExtractor
-    master_seed: int
-    dropped: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -124,138 +33,12 @@ class CoverageReport:
     points_inside: int
 
 
-class EnsembleFailure(RuntimeError):
-    def __init__(self, index, cause):
-        super().__init__(f"ensemble sample {index} failed: {cause}")
-        self.index = index
-        self.cause = cause
-
-
-def run_srom(sampler: SubspaceSampler, system, qoi: QoiExtractor, count: int,
-             master_seed: int, *, mu=None, dt=None, t_end=None,
-             gamma: float = 0.5, beta_nm: float = 0.25,
-             initial_guess_full=None, newton_tol: float = 1e-10,
-             newton_max_iter: int = 50, use_staged: bool = True,
-             failure_policy: str = "abort", threads: int = 1) -> EnsemblePrediction:
-    """Monte-Carlo SROM prediction ensemble.
-
-    Sample i draws from stream index i, so the result is reproducible for
-    any thread count.  ``failure_policy`` is "abort" (default; failed
-    samples raise, annotated with their index) or "drop" (failed rows are
-    recorded in ``dropped`` and excluded, which biases quantiles).
-    """
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    if failure_policy not in ("abort", "drop"):
-        raise ValueError("failure_policy must be 'abort' or 'drop'")
-    worker = _make_worker(sampler, system, qoi, master_seed, mu=mu, dt=dt,
-                          t_end=t_end, gamma=gamma, beta_nm=beta_nm,
-                          initial_guess_full=initial_guess_full,
-                          newton_tol=newton_tol, newton_max_iter=newton_max_iter,
-                          use_staged=use_staged)
-    rows: list = [None] * count
-    dropped: list[int] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(_guarded(worker, failure_policy), range(count))
-            for i, value in enumerate(results):
-                rows[i] = value
-    else:
-        guarded = _guarded(worker, failure_policy)
-        for i in range(count):
-            rows[i] = guarded(i)
-    kept = []
-    for i, value in enumerate(rows):
-        if value is None:
-            dropped.append(i)
-        else:
-            kept.append(value)
-    if not kept:
-        raise EnsembleFailure(-1, "all samples failed")
-    return EnsemblePrediction(samples=np.vstack(kept), qoi=qoi,
-                              master_seed=master_seed, dropped=tuple(dropped))
-
-
-def _guarded(worker, failure_policy):
-    def call(i):
-        try:
-            return worker(i)
-        except Exception as exc:  # noqa: BLE001 - annotated and rethrown
-            if failure_policy == "drop":
-                return None
-            raise EnsembleFailure(i, exc) from exc
-    return call
-
-
-def _make_worker(sampler, system, qoi, master_seed, *, mu, dt, t_end, gamma,
-                 beta_nm, initial_guess_full, newton_tol, newton_max_iter,
-                 use_staged):
-    modes = sampler.modes
-
-    if isinstance(system, rom.LinearStaticSystem):
-        if use_staged:
-            staged = rom.two_stage_reduce(system, modes)
-
-            def worker(i):
-                u = sampler.draw(RandomStream(master_seed, i))
-                red = rom.inner_reduce(staged, u)
-                q = rom.solve_linear_static(red)
-                return _static_values(qoi, modes, u, q)
-        else:
-            def worker(i):
-                u = sampler.draw(RandomStream(master_seed, i))
-                w = modes @ u
-                red = rom.galerkin_reduce(system, w)
-                q = rom.solve_linear_static(red)
-                return qoi.from_state(w @ q)
-        return worker
-
-    if isinstance(system, rom.NonlinearCubicSystem):
-        def worker(i):
-            u = sampler.draw(RandomStream(master_seed, i))
-            w = modes @ u
-            guess = None if initial_guess_full is None else w.T @ initial_guess_full
-            q = rom.solve_rom_nonlinear(w, system, mu, guess=guess,
-                                        tol=newton_tol, max_iter=newton_max_iter)
-            return qoi.from_state(w @ q)
-        return worker
-
-    if isinstance(system, rom.LinearDynamicSystem):
-        if dt is None or t_end is None:
-            raise ValueError("dynamic ensembles need dt and t_end")
-        staged = rom.two_stage_reduce(system, modes)
-
-        def worker(i):
-            u = sampler.draw(RandomStream(master_seed, i))
-            red = rom.inner_reduce(staged, u)
-            traj = rom.newmark_integrate(red, dt, t_end, gamma=gamma, beta_nm=beta_nm)
-            row = modes[qoi.dof] @ u
-            series = row @ getattr(traj, DERIVATIVE_FIELDS[qoi.derivative])
-            if series.shape[0] != qoi.grid.shape[0]:
-                raise ValueError("trajectory length does not match QoI grid")
-            return series
-        return worker
-
-    raise TypeError(f"unsupported system type {type(system).__name__}")
-
-
-def _static_values(qoi, modes, u, q):
-    if qoi.kind == "sparse":
-        return (modes[qoi.indices] @ u) @ q
-    return modes @ (u @ q)
-
-
-def summarize(ensemble: EnsemblePrediction, level: float) -> PredictionSummary:
+def summarize_matrix(samples, grid, level: float) -> PredictionSummary:
     """Pointwise mean, sample std, and empirical quantile band.
 
-    Quantiles at (1 - level)/2 and 1 - (1 - level)/2 with linear
-    interpolation between order statistics.
+    ``samples`` is a (count, grid) matrix.  Quantiles at (1 - level)/2 and
+    1 - (1 - level)/2 with linear interpolation between order statistics.
     """
-    return summarize_matrix(ensemble.samples, ensemble.qoi.grid, level)
-
-
-def summarize_matrix(samples, grid, level: float) -> PredictionSummary:
-    """``summarize`` for a bare (count, grid) sample matrix."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     samples = np.asarray(samples, dtype=float)

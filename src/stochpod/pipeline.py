@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__, rom
 from .config import RunConfig
-from .ensemble import (PredictionSummary, QoiExtractor, SubspaceSampler,
-                       coverage, run_srom, summarize_matrix)
+from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
 from .matrixio import (load_matrix, read_csv, read_json, save_matrix,
                        write_csv, write_json)
@@ -78,6 +77,28 @@ class RunReport:
 # batched Monte-Carlo kernels shared by training and prediction
 
 
+def _draw_chunks(model, seed, count, chunk):
+    """Draws for stream indices 0..count-1 in consecutive batches.
+
+    Yields (indices, draws); a batch holds at most ``chunk`` draws, which
+    bounds the kernels' temporaries without changing any draw.
+    """
+    for start in range(0, count, chunk):
+        indices = range(start, min(start + chunk, count))
+        yield indices, batch_fractional_draws(model, seed, indices)
+
+
+def _accumulate(total, values):
+    """``total`` plus ``values`` added one at a time, in order.
+
+    Unlike a pairwise ``np.sum`` per batch, the result does not depend on
+    how the values were split into batches.
+    """
+    for value in values:
+        total += value
+    return total
+
+
 def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
     """Reduced static solves for stacked draws; returns (count, grid) values."""
     ut = draws.transpose(0, 2, 1)
@@ -88,30 +109,37 @@ def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
     return np.matmul(rows_w, q)[:, :, 0]
 
 
-def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter):
-    """Newton over a batch of right-hand sides sharing one basis.
+def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indices):
+    """Newton over a batch of draws, each with a batch of right-hand sides.
 
-    Residual rows: K_r q + alpha W^T (W q)^3 - f_r.  Returns (P, k).
+    Draw d has basis w[d] (n, k) and residual rows
+    K_r q + alpha W^T (W q)^3 - f_r, one per row of forces_r[d] (P, k).
+    A row stops updating once its residual is within ``tol``.  Returns q
+    of shape (D, P, k).  ``indices`` name the draws (stream indices) in
+    the error raised when some of them stall.
     """
     q = np.array(q0, dtype=float)
-    for _ in range(max_iter):
-        lifted = w @ q.T                                   # (n, P)
-        res = q @ stiffness_r.T + alpha * (lifted**3).T @ w - forces_r
-        norms = np.max(np.abs(res), axis=1)
-        active = norms > tol
+    wt = np.ascontiguousarray(w.transpose(0, 2, 1))                      # (D, k, n)
+    for iteration in range(max_iter + 1):
+        lifted = np.matmul(w, q.transpose(0, 2, 1))                     # (D, n, P)
+        res = (np.matmul(q, stiffness_r.transpose(0, 2, 1))
+               + np.matmul(alpha * (lifted**3).transpose(0, 2, 1), w) - forces_r)
+        active = np.max(np.abs(res), axis=2) > tol                       # (D, P)
         if not np.any(active):
             return q
-        jac = stiffness_r[None] + 3.0 * alpha * np.einsum(
-            "np,nk,nl->pkl", (lifted**2)[:, active], w, w)
-        q[active] -= np.linalg.solve(jac, res[active][:, :, None])[:, :, 0]
-    lifted = w @ q.T
-    res = q @ stiffness_r.T + alpha * (lifted**3).T @ w - forces_r
+        if iteration == max_iter:
+            break
+        d, p = np.nonzero(active)
+        # contract along contiguous rows of n: the same sums, in less time
+        sq = np.square(lifted.transpose(0, 2, 1), order="C")              # (D, P, n)
+        jac = stiffness_r[d] + 3.0 * alpha * np.einsum(
+            "dpn,dkn,dln->dpkl", sq, wt, wt)[d, p]
+        q[d, p] -= np.linalg.solve(jac, res[d, p][:, :, None])[:, :, 0]
+    stalled = [indices[j] for j in np.flatnonzero(np.any(active, axis=1))]
     worst = float(np.max(np.abs(res)))
-    if worst > tol:
-        raise ConvergenceError(
-            f"batched Newton stalled at residual {worst:.3e}", residual=worst,
-            iterations=max_iter)
-    return q
+    raise ConvergenceError(
+        f"batched Newton stalled at residual {worst:.3e} in draw(s) {stalled}",
+        residual=worst, iterations=max_iter)
 
 
 def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series_spec,
@@ -131,15 +159,7 @@ def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series_spec,
     x = np.matmul(ut, red.initial_state[0])
     v = np.matmul(ut, red.initial_state[1])
 
-    c0 = 1.0 / (beta_nm * dt**2)
-    c1 = gamma / (beta_nm * dt)
-    c2 = 1.0 / (beta_nm * dt)
-    c3 = 1.0 / (2.0 * beta_nm) - 1.0
-    c4 = gamma / beta_nm - 1.0
-    c5 = dt * (gamma / (2.0 * beta_nm) - 1.0)
-    c6 = dt * (1.0 - gamma)
-    c7 = gamma * dt
-
+    c0, c1, c2, c3, c4, c5, c6, c7 = rom.newmark_coefficients(dt, gamma, beta_nm)
     inv_eff = np.linalg.inv(k_w + c0 * m_w + c1 * c_w)
     f0 = np.matmul(load_r[0], draws)
     rhs0 = f0 - _mv(c_w, v) - _mv(k_w, x)
@@ -170,6 +190,12 @@ def _mv(mats, vecs):
 
 # ---------------------------------------------------------------------------
 # problem drivers
+#
+# Each driver's ``integer_evaluator`` returns the Monte-Carlo objective
+# f(beta), valid at real beta (integer training and refinement both use
+# it), and its ``draw_ensembles`` returns one (count, grid) sample matrix
+# per named beta.  Both run the driver's batched kernel over
+# ``_draw_chunks``.
 
 
 class CubicDriver:
@@ -186,15 +212,12 @@ class CubicDriver:
         self.newton_tol = float(p.get("newton_tol", 1e-10))
         self.newton_max_iter = int(p.get("newton_max_iter", 50))
         # pooled: one stacked observation vector across training parameters
-        self.aggregation = config.training.get("parametric_aggregation", "pooled")
+        self.aggregation = config.parametric_aggregation
         self.system = build_cubic_problem(self.n, self.alpha)
         self.seed = config.seed
         self.grid = np.arange(self.n) / (self.n - 1)
         self.params = lhs_sample(5, self.snapshot_count,
                                  RandomStream(derive_seed(self.seed, _SEED_SNAPSHOTS)))
-
-    def qoi(self) -> QoiExtractor:
-        return QoiExtractor(kind="full-state", grid=self.grid)
 
     def snapshots(self) -> np.ndarray:
         x = np.empty((self.n, self.snapshot_count))
@@ -234,54 +257,53 @@ class CubicDriver:
             "train_rom": rom_train,
         }
 
-    def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed):
-        params = refs["train_params"]
+    def _solve_draws(self, modes, draws, forces, guesses, indices):
+        """Reduced Newton solves on the bases modes @ draws.
+
+        ``forces`` and ``guesses`` are (P, n): one right-hand side per row,
+        each warm-started from the projection of its guess.  Returns the
+        lifted solutions, shape (D, n, P).
+        """
+        w = np.matmul(modes, draws)
+        stiffness_r = np.matmul(w.transpose(0, 2, 1),
+                                np.matmul(self.system.stiffness, w))
+        q = _cubic_newton_batch(w, stiffness_r, self.alpha, np.matmul(forces, w),
+                                np.matmul(guesses, w), self.newton_tol,
+                                self.newton_max_iter, indices)
+        return np.matmul(w, q.transpose(0, 2, 1))
+
+    def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=32):
         rom_train = refs["train_rom"]
         truth = refs["train_truth"]
-        forces = np.stack([self.system.force_map(mu) for mu in params])   # (P, n)
-        d_truth = np.linalg.norm(truth - rom_train, axis=0)               # (P,)
+        forces = np.stack([self.system.force_map(mu) for mu in refs["train_params"]])
         pooled = self.aggregation == "pooled"
-        if pooled:
-            d_truth_pool = float(np.linalg.norm(truth - rom_train))
+        # pooled: one distance over all parameters; else one per parameter
+        d_truth = np.linalg.norm(truth - rom_train, axis=None if pooled else 0)
 
         def evaluate(beta):
             model = StochasticSubspaceModel(scales, k, float(beta))
-            draws = batch_fractional_draws(model, seed, range(mc_samples))
             acc = 0.0
-            for i in range(mc_samples):
-                w = modes @ draws[i]
-                forces_r = forces @ w
-                q0 = rom_train.T @ w                       # warm start per parameter
-                q = _cubic_newton_batch(w, w.T @ (self.system.stiffness @ w),
-                                        self.alpha, forces_r, q0,
-                                        self.newton_tol, self.newton_max_iter)
-                pred = w @ q.T                             # (n, P)
+            for indices, draws in _draw_chunks(model, seed, mc_samples, chunk):
+                pred = self._solve_draws(modes, draws, forces, rom_train.T, indices)
                 if pooled:
-                    gap = np.linalg.norm(pred - rom_train) - d_truth_pool
-                    acc += gap**2
+                    gaps = [(np.linalg.norm(x - rom_train) - d_truth)**2 for x in pred]
                 else:
-                    d_pred = np.linalg.norm(pred - rom_train, axis=0)
-                    acc += float(np.mean((d_pred - d_truth)**2))
+                    d_pred = np.linalg.norm(pred - rom_train, axis=1)    # (D, P)
+                    gaps = np.mean((d_pred - d_truth)**2, axis=1)
+                acc = _accumulate(acc, gaps)
             return acc / mc_samples
 
         return evaluate
 
-    def real_objective(self, scales, k, modes, refs, mc_samples, seed):
-        evaluator = self.integer_evaluator(scales, k, modes, refs, mc_samples, seed)
-        return lambda beta: evaluator(float(beta))
-
-    def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, threads):
+    def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
+        force = self.system.force_map(self.mu_test)[None]
+        guess = refs["rom"][None]
         out = {}
         for name, beta in betas.items():
-            sampler = SubspaceSampler.from_model(
-                StochasticSubspaceModel(scales, k, beta), modes)
-            prediction = run_srom(sampler, self.system, self.qoi(), count, seed,
-                                  mu=self.mu_test,
-                                  initial_guess_full=refs["rom"],
-                                  newton_tol=self.newton_tol,
-                                  newton_max_iter=self.newton_max_iter,
-                                  threads=threads)
-            out[name] = prediction.samples
+            model = StochasticSubspaceModel(scales, k, beta)
+            out[name] = np.vstack([
+                self._solve_draws(modes, draws, force, guess, indices)[:, :, 0]
+                for indices, draws in _draw_chunks(model, seed, count, chunk)])
         return out
 
 
@@ -317,9 +339,6 @@ class ExperimentDriver:
             clean, self.noise_level, RandomStream(derive_seed(self.seed, _SEED_NOISE)))
         self.observed_noisy = noisy
 
-    def qoi(self) -> QoiExtractor:
-        return QoiExtractor(kind="full-state", grid=self.grid)
-
     def snapshots(self) -> np.ndarray:
         snap_seed = derive_seed(self.seed, _SEED_SNAPSHOTS)
         force_seed = derive_seed(self.seed, _SEED_FORCES)
@@ -349,14 +368,10 @@ class ExperimentDriver:
             "noise_sigma": self.noise_sigma,
         }
 
-    def _observables(self, refs) -> DistanceObservables:
+    def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=8192):
         idx = refs["sensor_indices"]
-        return DistanceObservables(reference=refs["rom"][idx],
-                                   truth=refs["observed_noisy"])
-
-    def _objective(self, scales, k, modes, refs, mc_samples, seed, chunk=8192):
-        obs = self._observables(refs)
-        idx = refs["sensor_indices"]
+        obs = DistanceObservables(reference=refs["rom"][idx],
+                                  truth=refs["observed_noisy"])
         staged = rom.two_stage_reduce(self.system, modes)
         stiffness_r = staged.reduced.stiffness
         force_r = staged.reduced.force
@@ -366,9 +381,7 @@ class ExperimentDriver:
         def evaluate(beta):
             model = StochasticSubspaceModel(scales, k, float(beta))
             acc = 0.0
-            for start in range(0, mc_samples, chunk):
-                stop = min(start + chunk, mc_samples)
-                draws = batch_fractional_draws(model, seed, range(start, stop))
+            for _, draws in _draw_chunks(model, seed, mc_samples, chunk):
                 preds = _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows)
                 d_pred = np.linalg.norm(preds - obs.reference, axis=1)
                 acc += float(np.sum((d_pred - d_truth)**2))
@@ -376,20 +389,15 @@ class ExperimentDriver:
 
         return evaluate
 
-    integer_evaluator = _objective
-
-    def real_objective(self, scales, k, modes, refs, mc_samples, seed):
-        evaluate = self._objective(scales, k, modes, refs, mc_samples, seed)
-        return lambda beta: evaluate(float(beta))
-
-    def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, threads):
+    def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
+        staged = rom.two_stage_reduce(self.system, modes)
         out = {}
         for name, beta in betas.items():
-            sampler = SubspaceSampler.from_model(
-                StochasticSubspaceModel(scales, k, beta), modes)
-            prediction = run_srom(sampler, self.system, self.qoi(), count, seed,
-                                  threads=threads)
-            out[name] = prediction.samples
+            model = StochasticSubspaceModel(scales, k, beta)
+            out[name] = np.vstack([
+                _linear_qoi_predictions(draws, staged.reduced.stiffness,
+                                        staged.reduced.force, modes)
+                for _, draws in _draw_chunks(model, seed, count, chunk)])
         return out
 
 
@@ -421,10 +429,6 @@ class SurrogateDriver:
         self.steps = int(np.floor(self.t_end / self.dt + 1e-12))
         self.times = np.arange(self.steps + 1) * self.dt
         self._hdm = None
-
-    def qoi(self) -> QoiExtractor:
-        return QoiExtractor(kind="dof", grid=self.times, dof=self.qoi_dof,
-                            derivative=1)
 
     def _hdm_trajectory(self) -> rom.Trajectory:
         if self._hdm is None:
@@ -479,9 +483,7 @@ class SurrogateDriver:
         def evaluate(beta):
             model = StochasticSubspaceModel(scales, k, float(beta))
             acc = 0.0
-            for start in range(0, mc_samples, chunk):
-                stop = min(start + chunk, mc_samples)
-                draws = batch_fractional_draws(model, seed, range(start, stop))
+            for _, draws in _draw_chunks(model, seed, mc_samples, chunk):
                 series = _dynamic_qoi_predictions(draws, staged, modes, self.dt,
                                                   self.steps, spec)
                 d_pred = np.linalg.norm(series["velocity"] - obs.reference, axis=1)
@@ -490,21 +492,14 @@ class SurrogateDriver:
 
         return evaluate
 
-    def real_objective(self, scales, k, modes, refs, mc_samples, seed):
-        evaluate = self.integer_evaluator(scales, k, modes, refs, mc_samples, seed)
-        return lambda beta: evaluate(float(beta))
-
-    def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, threads,
-                       chunk=512):
+    def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
         staged = rom.two_stage_reduce(self._sampled_system(), modes)
         spec = self.series_spec()
         out = {}
         for name, beta in betas.items():
             model = StochasticSubspaceModel(scales, k, beta)
             parts = {q: [] for q in spec}
-            for start in range(0, count, chunk):
-                stop = min(start + chunk, count)
-                draws = batch_fractional_draws(model, seed, range(start, stop))
+            for _, draws in _draw_chunks(model, seed, count, chunk):
                 series = _dynamic_qoi_predictions(draws, staged, modes, self.dt,
                                                   self.steps, spec)
                 for q in spec:
@@ -593,8 +588,8 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     objective_refined = None
     refined_converged = None
     if tcfg.refinement.enabled:
-        objective = driver.real_objective(scales, k, modes, refs,
-                                          tcfg.refinement.mc_samples, train_seed)
+        objective = driver.integer_evaluator(scales, k, modes, refs,
+                                             tcfg.refinement.mc_samples, train_seed)
         refined = refine_beta_real(integer_result.beta, tcfg, objective)
         beta_star = float(refined.beta)
         objective_refined = float(refined.value)
@@ -651,7 +646,11 @@ def _write_observations(out: Path, driver, refs: dict, chash: str) -> None:
 
 def stage_sample(config: RunConfig, outdir=None, threads: int = 1,
                  count: int | None = None) -> dict:
-    """Step 5: draw the SROM prediction ensemble(s) at the trained beta."""
+    """Step 5: draw the SROM prediction ensemble(s) at the trained beta.
+
+    ``threads`` is accepted for compatibility and has no effect: the
+    ensembles are drawn in batches on the calling thread.
+    """
     out = _outdir(config, outdir)
     chash = config.config_hash()
     model_doc = read_json(_need(out / MODEL_FILE))
@@ -669,8 +668,7 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1,
         betas["integer"] = float(model_doc["beta_integer"])
     scales = np.asarray(model_doc["scales"])
     ensembles = driver.draw_ensembles(scales, model_doc["k"], modes, refs, betas,
-                                      n_draws, derive_seed(config.seed, _SEED_ENSEMBLE),
-                                      threads)
+                                      n_draws, derive_seed(config.seed, _SEED_ENSEMBLE))
     save_matrix(out / ENSEMBLE_FILE, ensembles["primary"], chash)
     if two_step:
         save_matrix(out / ENSEMBLE_INTEGER_FILE, ensembles["integer"], chash)
@@ -789,13 +787,16 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
 
 
 def run_pipeline(config: RunConfig, outdir=None, threads: int = 1) -> RunReport:
-    """Execute all stages in order; identical artifacts to stage-wise runs."""
+    """Execute all stages in order; identical artifacts to stage-wise runs.
+
+    ``threads`` has no effect (see ``stage_sample``).
+    """
     times = {}
     t0 = time.perf_counter()
     stage_train(config, outdir)
     times["train_s"] = time.perf_counter() - t0
     t1 = time.perf_counter()
-    stage_sample(config, outdir, threads=threads)
+    stage_sample(config, outdir)
     times["sample_s"] = time.perf_counter() - t1
     t2 = time.perf_counter()
     stage_predict(config, outdir)

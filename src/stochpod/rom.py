@@ -71,20 +71,13 @@ class LinearDynamicSystem:
 
 @dataclass(frozen=True)
 class FactoredBasis:
-    """Ambient basis W = outer @ inner kept in factored form.
-
-    Materializing W costs an n-dimensional product, so staged ensemble
-    paths extract only the rows they need.
-    """
+    """Ambient basis W = outer @ inner kept in factored form."""
 
     outer: Array   # (n, r)
     inner: Array   # (r, k)
 
     def matrix(self) -> Array:
         return self.outer @ self.inner
-
-    def rows(self, indices) -> Array:
-        return self.outer[indices] @ self.inner
 
 
 def basis_matrix(basis) -> Array:
@@ -352,6 +345,24 @@ def _load_at(load, step: int, t: float) -> Array:
     return load[step]
 
 
+def newmark_coefficients(dt: float, gamma: float = 0.5,
+                         beta_nm: float = 0.25) -> tuple[float, ...]:
+    """The constants c0..c7 of one Newmark step in displacement form.
+
+    The effective stiffness is K + c0 M + c1 C; the step's right-hand side
+    is f + M (c0 x + c2 v + c3 a) + C (c1 x + c4 v + c5 a); then
+    a' = c0 (x' - x) - c2 v - c3 a and v' = v + c6 a + c7 a'.
+    """
+    return (1.0 / (beta_nm * dt**2),
+            gamma / (beta_nm * dt),
+            1.0 / (beta_nm * dt),
+            1.0 / (2.0 * beta_nm) - 1.0,
+            gamma / beta_nm - 1.0,
+            dt * (gamma / (2.0 * beta_nm) - 1.0),
+            dt * (1.0 - gamma),
+            gamma * dt)
+
+
 def newmark_integrate(system, dt: float, t_end: float,
                       gamma: float = 0.5, beta_nm: float = 0.25) -> Trajectory:
     """Implicit Newmark integration of M x'' + C x' + K x = f(t).
@@ -383,15 +394,7 @@ def newmark_integrate(system, dt: float, t_end: float,
     f0 = _load_at(load, 0, 0.0)
     a[:, 0] = _sym_solve(m, f0 - c @ v0 - k @ x0)
 
-    c0 = 1.0 / (beta_nm * dt**2)
-    c1 = gamma / (beta_nm * dt)
-    c2 = 1.0 / (beta_nm * dt)
-    c3 = 1.0 / (2.0 * beta_nm) - 1.0
-    c4 = gamma / beta_nm - 1.0
-    c5 = dt * (gamma / (2.0 * beta_nm) - 1.0)
-    c6 = dt * (1.0 - gamma)
-    c7 = gamma * dt
-
+    c0, c1, c2, c3, c4, c5, c6, c7 = newmark_coefficients(dt, gamma, beta_nm)
     k_eff = k + c0 * m + c1 * c
     try:
         factor = scipy.linalg.cho_factor(k_eff, lower=True)

@@ -10,8 +10,9 @@ subspace.  Real-valued beta is supported by weighting the last Gaussian
 column by the fractional part.
 
 Draws are deterministic functions of (master_seed, stream_index) through
-a counter-based generator, so ensembles replay identically under any
-degree of concurrency.
+a counter-based generator, so draw i of an ensemble is the same however
+the ensemble is split into batches.  ``batch_fractional_draws`` is the
+one sampler; ``sample_fractional`` is its one-row view.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapError
-from .subspace import SubspaceBasis, principal_subspace_map
+from .subspace import DEFAULT_GAP_TOLERANCE, SubspaceBasis, _check_gap, _fix_signs
 
 __all__ = [
     "StochasticSubspaceModel",
     "RandomStream",
-    "sample_reduced",
     "sample_fractional",
-    "sample_ambient",
-    "sample_ensemble",
+    "batch_fractional_draws",
 ]
 
 
@@ -94,77 +92,26 @@ class RandomStream:
         return flat.reshape(cols, rows).T
 
 
-def sample_reduced(model: StochasticSubspaceModel, stream: RandomStream) -> SubspaceBasis:
-    """One draw in the r-dimensional spectral coordinates (integer beta).
-
-    Returns the top-k left singular factor of diag(scales) Z with Z an
-    r-by-beta standard normal matrix.
-    """
-    if not float(model.beta).is_integer():
-        raise ValueError("sample_reduced requires integer beta; use sample_fractional")
-    z = stream.normal_matrix(model.rank, int(model.beta))
-    return principal_subspace_map(model.scales[:, None] * z, model.k)
-
-
 def sample_fractional(model: StochasticSubspaceModel, stream: RandomStream) -> SubspaceBasis:
-    """One draw with real-valued beta.
+    """One draw: the one-row view of ``batch_fractional_draws``.
 
-    Z gets ceil(beta) columns and the final column is weighted by
-    beta - floor(beta).  Integer beta appends no zero-weight column, so
-    the draw coincides exactly with ``sample_reduced``.
+    The r-by-k basis in spectral coordinates; lift it with ``modes @`` to
+    the ambient space, where it inherits every linear constraint the
+    modes satisfy.
     """
-    z = _fractional_gaussian(model, stream)
-    return principal_subspace_map(model.scales[:, None] * z, model.k)
-
-
-def _fractional_gaussian(model: StochasticSubspaceModel, stream: RandomStream) -> np.ndarray:
-    beta = model.beta
-    if float(beta).is_integer():
-        return stream.normal_matrix(model.rank, int(beta))
-    cols = int(np.ceil(beta))
-    z = stream.normal_matrix(model.rank, cols)
-    z[:, -1] *= beta - np.floor(beta)
-    return z
-
-
-def sample_ambient(model: StochasticSubspaceModel, modes, stream: RandomStream) -> SubspaceBasis:
-    """One draw lifted to the ambient space: W = V_r U_k.
-
-    ``modes`` must have orthonormal columns (the rank-r spectral basis);
-    the draw then lies inside range(modes), so any linear constraint the
-    modes satisfy is inherited exactly.
-    """
-    v = modes.matrix if isinstance(modes, SubspaceBasis) else np.asarray(modes, dtype=float)
-    if v.shape[1] != model.rank:
-        raise ValueError("modes column count must equal the model rank")
-    if not np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-9):
-        raise ValueError("modes must have orthonormal columns")
-    u = sample_fractional(model, stream)
-    return SubspaceBasis(v @ u.matrix)
-
-
-def sample_ensemble(model: StochasticSubspaceModel, modes, count: int,
-                    master_seed: int) -> list[SubspaceBasis]:
-    """Independent ambient draws; draw i uses stream index i.
-
-    Output order is by index, identical for any degree of concurrent
-    execution by construction.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return [
-        sample_ambient(model, modes, RandomStream(master_seed, i))
-        for i in range(count)
-    ]
+    return SubspaceBasis(batch_fractional_draws(
+        model, stream.master_seed, [stream.stream_index])[0])
 
 
 def batch_fractional_draws(model: StochasticSubspaceModel, master_seed: int,
                            indices) -> np.ndarray:
     """Stacked reduced draws, one per stream index, shape (len, r, k).
 
-    Uses the same per-index streams, truncation, spectral-gap check, and
-    sign convention as ``sample_fractional``, but runs the SVDs batched;
-    the Monte-Carlo loops in training and prediction live on this path.
+    Draw i is the top-k left singular factor of diag(scales) Z, with Z the
+    r-by-ceil(beta) standard normal matrix of stream i whose last column
+    is weighted by beta - floor(beta) (integer beta appends no column).
+    The SVDs run batched, with the spectral-gap check and sign convention
+    of ``principal_subspace_map``.
     """
     indices = list(indices)
     r, k, beta = model.rank, model.k, model.beta
@@ -176,13 +123,5 @@ def batch_fractional_draws(model: StochasticSubspaceModel, master_seed: int,
     if not integer:
         z[:, :, -1] *= beta - np.floor(beta)
     u, s, _ = np.linalg.svd(model.scales[None, :, None] * z, full_matrices=False)
-    trailing = s[:, k] if k < s.shape[1] else np.zeros(s.shape[0])
-    bad = s[:, k - 1] - trailing <= 1e-12 * s[:, 0]
-    if np.any(bad):
-        raise GapError(f"tied singular values in draw(s) "
-                       f"{[indices[j] for j in np.flatnonzero(bad)]}")
-    u = u[:, :, :k]
-    lead = np.argmax(np.abs(u), axis=1)                       # (len, k)
-    signs = np.sign(np.take_along_axis(u, lead[:, None, :], axis=1)[:, 0, :])
-    signs[signs == 0] = 1.0
-    return u * signs[:, None, :]
+    _check_gap(s, k, DEFAULT_GAP_TOLERANCE, labels=indices)
+    return _fix_signs(u[:, :, :k])

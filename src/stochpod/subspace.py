@@ -162,14 +162,17 @@ def compact_svd(centered, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> Pod
 
 
 def _fix_signs(u, vt=None):
-    """Make the largest-magnitude entry of each left vector positive."""
-    lead = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[lead, np.arange(u.shape[1])])
+    """Make the largest-magnitude entry of each left vector positive.
+
+    ``u`` may carry leading batch axes; its columns are the vectors.
+    """
+    lead = np.argmax(np.abs(u), axis=-2)
+    signs = np.sign(np.take_along_axis(u, lead[..., None, :], axis=-2))[..., 0, :]
     signs[signs == 0] = 1.0
-    u = u * signs
+    u = u * signs[..., None, :]
     if vt is None:
         return u
-    return u, vt * signs[:, None]
+    return u, vt * signs[..., :, None]
 
 
 def select_rank(singular_values, energy_threshold: float) -> int:
@@ -210,13 +213,18 @@ def principal_subspace_map(m, k: int, gap_tolerance: float = DEFAULT_GAP_TOLERAN
     return SubspaceBasis(_fix_signs(u[:, :k]))
 
 
-def _check_gap(s, k, gap_tolerance):
-    trailing = s[k] if k < s.shape[0] else 0.0
-    if s[k - 1] - trailing <= gap_tolerance * s[0]:
-        raise GapError(
-            f"singular values {k} and {k + 1} are not separated "
-            f"(sigma_k={s[k - 1]:.3e}, next={trailing:.3e})"
-        )
+def _check_gap(s, k, gap_tolerance, labels=None):
+    """Raise GapError unless sigma_k - sigma_{k+1} > gap_tolerance * sigma_1.
+
+    ``s`` holds singular values along its last axis.  With a leading batch
+    axis every row is checked, and the message names the failing rows by
+    their ``labels``.
+    """
+    trailing = s[..., k] if k < s.shape[-1] else np.zeros(s.shape[:-1])
+    bad = s[..., k - 1] - trailing <= gap_tolerance * s[..., 0]
+    if np.any(bad):
+        where = "" if s.ndim == 1 else f" in draw(s) {[labels[j] for j in np.flatnonzero(bad)]}"
+        raise GapError(f"singular values {k} and {k + 1} are not separated{where}")
 
 
 def ppca_mle(eigvals, k: int, eigvecs=None) -> CovarianceModel:

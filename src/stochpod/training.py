@@ -126,6 +126,12 @@ class RefinementConfig:
     max_iter: int = 100
 
 
+#: How the cubic objective combines its training parameters when the
+#: config does not say: "pooled" (one distance over all of them) or
+#: "per-parameter" (the mean of per-parameter distance gaps).
+DEFAULT_PARAMETRIC_AGGREGATION = "pooled"
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     beta_bounds: tuple[float, float]
@@ -133,7 +139,7 @@ class TrainingConfig:
     tolerance: float = 1e-3
     max_iter: int = 100
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
-    parametric_aggregation: str = "per-parameter"   # or "pooled"
+    parametric_aggregation: str = DEFAULT_PARAMETRIC_AGGREGATION
 
     def __post_init__(self):
         lo, hi = self.beta_bounds

@@ -140,7 +140,7 @@ def test_criterion_5_sampler_correctness():
     worst = 0.0
     for i in range(50):
         stream = sp.RandomStream(2024, i)
-        draw = sp.sample_reduced(model, stream)
+        draw = sp.sample_fractional(model, stream)
         polar = sp.polar_orthonormalize(scales[:, None] * stream.normal_matrix(4, 2))
         worst = max(worst, sp.projector_distance(draw, polar))
     a_ok = worst <= 1e-10
@@ -149,7 +149,7 @@ def test_criterion_5_sampler_correctness():
     acg = sp.StochasticSubspaceModel(np.array([2.0, 1.0]), 1, 1)
     angles = np.empty(10_000)
     for i in range(angles.shape[0]):
-        u = sp.sample_reduced(acg, sp.RandomStream(31415, i)).matrix.ravel()
+        u = sp.sample_fractional(acg, sp.RandomStream(31415, i)).matrix.ravel()
         angles[i] = np.arctan2(u[1], u[0]) % np.pi
     edges = np.linspace(0.0, np.pi, 21)
     observed, _ = np.histogram(angles, bins=edges)
@@ -172,7 +172,7 @@ def test_criterion_5_sampler_correctness():
     v_k = modes[:, :k]
     fast = np.empty(2000)
     for i in range(2000):
-        w = sp.sample_ambient(low_rank_model, modes, sp.RandomStream(97, i)).matrix
+        w = modes @ sp.sample_fractional(low_rank_model, sp.RandomStream(97, i)).matrix
         fast[i] = np.max(scipy.linalg.subspace_angles(w, v_k))
     sigma = (modes * lam) @ modes.T
     w_eig, v_eig = np.linalg.eigh(sigma)
@@ -218,7 +218,7 @@ def test_criterion_6_constraint_preservation(ex1_desk):
                                        model_doc["k"], model_doc["beta_star"])
     worst = 0.0
     for i in range(1000):
-        w = sp.sample_ambient(model, modes, sp.RandomStream(777, i)).matrix
+        w = modes @ sp.sample_fractional(model, sp.RandomStream(777, i)).matrix
         worst = max(worst, float(np.linalg.norm(b.T @ w)))
     ok = worst <= 1e-10
     announce("6", ok, f"max ||B^T W||_F = {worst:.2e} <= 1e-10 over 1000 draws")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import stochpod as sp
-from stochpod import rom
-from stochpod.ensemble import EnsembleFailure, QoiExtractor, SubspaceSampler
+from stochpod import pipeline, rom
+from stochpod.errors import ConvergenceError
 
 
 def spd(n, seed=0):
@@ -27,96 +27,37 @@ def linear_setup(n=40, r=6, k=3, seed=3):
 
 
 # ---------------------------------------------------------------------------
-# run_srom
+# batched kernels on fixed draws
 
 
 def test_degenerate_sampler_reproduces_rom():
     system, modes, model = linear_setup()
     k = model.k
-    qoi = QoiExtractor(kind="full-state", grid=np.arange(40.0))
-    sampler = SubspaceSampler.degenerate(modes, k)
-    pred = sp.run_srom(sampler, system, qoi, 2, master_seed=9)
+    staged = rom.two_stage_reduce(system, modes)
+    draws = np.stack([np.eye(modes.shape[1], k)] * 2)   # the principal subspace
+    pred = pipeline._linear_qoi_predictions(draws, staged.reduced.stiffness,
+                                            staged.reduced.force, modes)
     basis = modes[:, :k]
     red = sp.galerkin_reduce(system, basis)
     expected = basis @ sp.solve_linear_static(red)
-    assert np.allclose(pred.samples[0], expected, atol=1e-12)
-    assert np.array_equal(pred.samples[0], pred.samples[1])
+    assert np.allclose(pred[0], expected, atol=1e-12)
+    assert np.array_equal(pred[0], pred[1])
 
 
 def test_full_basis_sampler_reproduces_hdm():
     n = 12
     system = rom.LinearStaticSystem(spd(n, 5), np.random.default_rng(6).normal(size=n))
     modes = orthonormal(n, n, 7)
-    qoi = QoiExtractor(kind="full-state", grid=np.arange(float(n)))
-    sampler = SubspaceSampler.degenerate(modes, n)
-    pred = sp.run_srom(sampler, system, qoi, 3, master_seed=1)
+    staged = rom.two_stage_reduce(system, modes)
+    pred = pipeline._linear_qoi_predictions(np.stack([np.eye(n)] * 3),
+                                            staged.reduced.stiffness,
+                                            staged.reduced.force, modes)
     hdm = sp.solve_linear_static(system)
-    for row in pred.samples:
+    for row in pred:
         assert np.linalg.norm(row - hdm) <= 1e-8 * np.linalg.norm(hdm)
 
 
-def test_staged_matches_naive_path():
-    system, modes, model = linear_setup()
-    qoi = QoiExtractor(kind="sparse", grid=np.array([3.0, 17.0, 29.0]),
-                       indices=np.array([3, 17, 29]))
-    sampler = SubspaceSampler.from_model(model, modes)
-    staged = sp.run_srom(sampler, system, qoi, 50, master_seed=13)
-    naive = sp.run_srom(sampler, system, qoi, 50, master_seed=13, use_staged=False)
-    scale = np.max(np.abs(naive.samples))
-    assert np.max(np.abs(staged.samples - naive.samples)) <= 1e-12 * scale
-
-
-def test_run_srom_deterministic_across_threads():
-    system, modes, model = linear_setup(seed=11)
-    qoi = QoiExtractor(kind="full-state", grid=np.arange(40.0))
-    sampler = SubspaceSampler.from_model(model, modes)
-    serial = sp.run_srom(sampler, system, qoi, 64, master_seed=21, threads=1)
-    threaded = sp.run_srom(sampler, system, qoi, 64, master_seed=21, threads=4)
-    assert np.array_equal(serial.samples, threaded.samples)
-
-
-def test_run_srom_abort_annotates_index():
-    system, modes, model = linear_setup()
-    qoi = QoiExtractor(kind="full-state", grid=np.arange(40.0))
-
-    calls = {"n": 0}
-
-    def draw(stream):
-        if stream.stream_index == 3:
-            raise np.linalg.LinAlgError("boom")
-        calls["n"] += 1
-        return np.eye(6, 3)
-
-    sampler = SubspaceSampler(modes=modes, draw=draw)
-    with pytest.raises(EnsembleFailure) as err:
-        sp.run_srom(sampler, system, qoi, 8, master_seed=2)
-    assert err.value.index == 3
-
-
-def test_run_srom_drop_policy_records_indices():
-    system, modes, model = linear_setup()
-    qoi = QoiExtractor(kind="full-state", grid=np.arange(40.0))
-
-    def draw(stream):
-        if stream.stream_index in (1, 4):
-            raise np.linalg.LinAlgError("boom")
-        return np.eye(6, 3)
-
-    sampler = SubspaceSampler(modes=modes, draw=draw)
-    pred = sp.run_srom(sampler, system, qoi, 6, master_seed=2,
-                       failure_policy="drop")
-    assert pred.dropped == (1, 4)
-    assert pred.samples.shape[0] == 4
-
-
-def test_run_srom_validates_count():
-    system, modes, model = linear_setup()
-    qoi = QoiExtractor(kind="full-state", grid=np.arange(40.0))
-    with pytest.raises(ValueError):
-        sp.run_srom(SubspaceSampler.degenerate(modes, 2), system, qoi, 1, 0)
-
-
-def test_run_srom_dynamic_dof_qoi():
+def test_dynamic_kernel_dof_series_matches_newmark():
     n, r, k = 10, 4, 2
     gen = np.random.default_rng(31)
     mass = np.diag(gen.uniform(1.0, 2.0, n))
@@ -128,29 +69,42 @@ def test_run_srom_dynamic_dof_qoi():
     system = rom.LinearDynamicSystem(mass, 1e-3 * stiff, stiff, load,
                                      (np.zeros(n), np.zeros(n)))
     modes = orthonormal(n, r, 33)
-    qoi = QoiExtractor(kind="dof", grid=times, dof=4, derivative=1)
-    sampler = SubspaceSampler.degenerate(modes, k)
-    pred = sp.run_srom(sampler, system, qoi, 2, master_seed=3, dt=dt, t_end=t_end)
+    series = pipeline._dynamic_qoi_predictions(
+        np.eye(r, k)[None], rom.two_stage_reduce(system, modes), modes, dt, steps,
+        {"velocity": (4, 1)})
     # oracle: deterministic ROM trajectory at the same basis
     red = sp.galerkin_reduce(system, modes[:, :k])
     traj = sp.newmark_integrate(red, dt, t_end)
     expected = modes[4, :k] @ traj.velocities
-    assert np.allclose(pred.samples[0], expected, atol=1e-10)
+    assert np.allclose(series["velocity"][0], expected, atol=1e-10)
+
+
+def test_cubic_newton_error_names_stalled_draws():
+    n, k = 30, 3
+    stiffness = spd(n, 41)
+    w = np.stack([orthonormal(n, k, seed) for seed in (1, 2, 3)])
+    stiffness_r = np.matmul(w.transpose(0, 2, 1), np.matmul(stiffness, w))
+    force = np.ones(n)
+    # draws 0 and 2 start at their solution q = 0 of a zero load; draw 1
+    # carries a load too large to solve in two Newton steps
+    forces_r = np.matmul(force[None], w) * np.array([0.0, 1e4, 0.0])[:, None, None]
+    with pytest.raises(ConvergenceError, match=r"in draw\(s\) \[41\]$"):
+        pipeline._cubic_newton_batch(w, stiffness_r, 1e3, forces_r,
+                                     np.zeros((3, 1, k)), 1e-10, 2,
+                                     range(40, 43))
 
 
 # ---------------------------------------------------------------------------
 # summarize
 
 
-def make_prediction(samples):
-    grid = np.arange(float(samples.shape[1]))
-    qoi = QoiExtractor(kind="full-state", grid=grid)
-    return sp.EnsemblePrediction(samples=samples, qoi=qoi, master_seed=0)
+def summarize(samples, level):
+    return sp.summarize_matrix(samples, np.arange(float(samples.shape[1])), level)
 
 
 def test_summarize_constant_ensemble():
-    pred = make_prediction(np.full((5, 3), 2.5))
-    summary = sp.summarize(pred, 0.95)
+    samples = np.full((5, 3), 2.5)
+    summary = summarize(samples, 0.95)
     assert np.allclose(summary.lower, 2.5)
     assert np.allclose(summary.upper, 2.5)
     assert np.allclose(summary.mean, 2.5)
@@ -158,7 +112,7 @@ def test_summarize_constant_ensemble():
 
 def test_summarize_order_statistics_interpolation():
     samples = np.arange(1.0, 101.0)[:, None]
-    summary = sp.summarize(make_prediction(samples), 0.5)
+    summary = summarize(samples, 0.5)
     # hand computation under the linear interpolation rule
     assert summary.lower[0] == pytest.approx(25.75)
     assert summary.upper[0] == pytest.approx(75.25)
@@ -167,22 +121,22 @@ def test_summarize_order_statistics_interpolation():
 def test_summarize_gaussian_quantiles():
     gen = np.random.default_rng(71)
     samples = gen.standard_normal((100_000, 1))
-    summary = sp.summarize(make_prediction(samples), 0.95)
+    summary = summarize(samples, 0.95)
     assert summary.lower[0] == pytest.approx(-1.96, abs=0.03)
     assert summary.upper[0] == pytest.approx(1.96, abs=0.03)
 
 
 def test_summarize_width_monotone_in_level():
     gen = np.random.default_rng(72)
-    pred = make_prediction(gen.normal(size=(400, 20)))
-    narrow = sp.summarize(pred, 0.5)
-    wide = sp.summarize(pred, 0.95)
+    samples = gen.normal(size=(400, 20))
+    narrow = summarize(samples, 0.5)
+    wide = summarize(samples, 0.95)
     assert np.all(wide.upper - wide.lower >= narrow.upper - narrow.lower)
 
 
 def test_summarize_level_validation():
     with pytest.raises(ValueError):
-        sp.summarize(make_prediction(np.zeros((3, 2))), 1.0)
+        summarize(np.zeros((3, 2)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +144,8 @@ def test_summarize_level_validation():
 
 
 def test_coverage_of_mean_is_total():
-    pred = make_prediction(np.random.default_rng(73).normal(size=(50, 6)))
-    summary = sp.summarize(pred, 0.9)
+    samples = np.random.default_rng(73).normal(size=(50, 6))
+    summary = summarize(samples, 0.9)
     report = sp.coverage(summary, summary.mean)
     assert report.coverage == 1.0
     assert report.points_inside == 6
@@ -215,8 +169,8 @@ def test_coverage_boundary_is_inside():
 
 
 def test_coverage_grid_mismatch():
-    pred = make_prediction(np.zeros((4, 3)))
-    summary = sp.summarize(pred, 0.9)
+    samples = np.zeros((4, 3))
+    summary = summarize(samples, 0.9)
     with pytest.raises(ValueError):
         sp.coverage(summary, np.zeros(5))
 
@@ -225,8 +179,8 @@ def test_coverage_nominal_self_consistency():
     gen = np.random.default_rng(74)
     level = 0.9
     points = 600
-    pred = make_prediction(gen.normal(size=(2000, points)))
-    summary = sp.summarize(pred, level)
+    samples = gen.normal(size=(2000, points))
+    summary = summarize(samples, level)
     truth = gen.normal(size=points)
     report = sp.coverage(summary, truth)
     tol = 4.0 * np.sqrt(level * (1 - level) / points)

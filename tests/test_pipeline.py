@@ -6,7 +6,6 @@ import pytest
 import stochpod as sp
 from stochpod import pipeline, rom
 from stochpod.config import parse_config
-from stochpod.ensemble import QoiExtractor, SubspaceSampler
 from stochpod.matrixio import read_csv
 
 
@@ -154,49 +153,96 @@ def test_two_step_pipeline_reports_both_betas(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# batched kernels against the public per-sample path
+# batched kernels against the per-draw rom reference
 
 
-def test_batched_linear_kernel_matches_run_srom():
-    cfg = tiny_ex2_config()
+def ensemble_inputs(cfg, k):
+    """Driver, spectrum scales, modes and references of a tiny config."""
     driver = pipeline.make_driver(cfg)
-    X = driver.snapshots()
-    pod = sp.compact_svd(sp.center(X).centered)
-    modes = pod.modes
-    scales = pod.singular_values / np.sqrt(X.shape[1])
+    snapshots = driver.snapshots()
+    pod = sp.compact_svd(sp.center(snapshots).centered)
+    scales = pod.singular_values / np.sqrt(snapshots.shape[1])
+    return driver, scales, pod.modes, driver.references(pod.modes, k, snapshots)
+
+
+def test_batched_linear_kernel_matches_rom():
+    driver, scales, modes, _ = ensemble_inputs(tiny_ex2_config(), 3)
     model = sp.StochasticSubspaceModel(scales, 3, 7)
     draws = sp.batch_fractional_draws(model, 123, range(32))
     staged = rom.two_stage_reduce(driver.system, modes)
     idx = np.array([10, 40, 77])
     batched = pipeline._linear_qoi_predictions(
         draws, staged.reduced.stiffness, staged.reduced.force, modes[idx])
-    qoi = QoiExtractor(kind="sparse", grid=idx.astype(float), indices=idx)
-    looped = sp.run_srom(SubspaceSampler.from_model(model, modes),
-                         driver.system, qoi, 32, master_seed=123)
-    scale = np.max(np.abs(looped.samples))
-    assert np.max(np.abs(batched - looped.samples)) <= 1e-11 * scale
+    looped = np.stack([
+        (modes[idx] @ u) @ rom.solve_linear_static(rom.inner_reduce(staged, u))
+        for u in draws])
+    scale = np.max(np.abs(looped))
+    assert np.max(np.abs(batched - looped)) <= 1e-11 * scale
 
 
-def test_batched_dynamic_kernel_matches_run_srom():
-    cfg = tiny_ex3_config()
-    driver = pipeline.make_driver(cfg)
-    X = driver.snapshots()
-    pod = sp.compact_svd(sp.center(X).centered)
-    modes = pod.modes
-    scales = pod.singular_values / np.sqrt(X.shape[1])
-    k = 5
-    model = sp.StochasticSubspaceModel(scales, k, 8)
+def test_batched_dynamic_kernel_matches_rom():
+    driver, scales, modes, _ = ensemble_inputs(tiny_ex3_config(), 5)
+    model = sp.StochasticSubspaceModel(scales, 5, 8)
     draws = sp.batch_fractional_draws(model, 55, range(12))
-    system = driver._sampled_system()
-    staged = rom.two_stage_reduce(system, modes)
+    staged = rom.two_stage_reduce(driver._sampled_system(), modes)
     series = pipeline._dynamic_qoi_predictions(
         draws, staged, modes, driver.dt, driver.steps,
         {"vel": (driver.qoi_dof, 1)})
-    qoi = driver.qoi()
-    looped = sp.run_srom(SubspaceSampler.from_model(model, modes), system, qoi,
-                         12, master_seed=55, dt=driver.dt, t_end=driver.t_end)
-    scale = np.max(np.abs(looped.samples))
-    assert np.max(np.abs(series["vel"] - looped.samples)) <= 1e-9 * scale
+    looped = np.stack([
+        (modes[driver.qoi_dof] @ u)
+        @ rom.newmark_integrate(rom.inner_reduce(staged, u), driver.dt,
+                                driver.t_end).velocities
+        for u in draws])
+    scale = np.max(np.abs(looped))
+    assert np.max(np.abs(series["vel"] - looped)) <= 1e-9 * scale
+
+
+def test_cubic_ensemble_matches_rom_newton():
+    k = 4
+    driver, scales, modes, refs = ensemble_inputs(tiny_ex1_config(), k)
+    beta = 6.5
+    got = driver.draw_ensembles(scales, k, modes, refs, {"primary": beta}, 20, 31)
+    draws = sp.batch_fractional_draws(sp.StochasticSubspaceModel(scales, k, beta),
+                                      31, range(20))
+    for row, u in zip(got["primary"], draws):
+        w = modes @ u
+        q = rom.solve_rom_nonlinear(w, driver.system, driver.mu_test,
+                                    guess=w.T @ refs["rom"], tol=driver.newton_tol,
+                                    max_iter=driver.newton_max_iter)
+        expected = w @ q
+        assert np.max(np.abs(row - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("make_config,k", [(tiny_ex1_config, 4), (tiny_ex2_config, 3),
+                                           (tiny_ex3_config, 6)])
+def test_ensemble_independent_of_chunking(make_config, k):
+    driver, scales, modes, refs = ensemble_inputs(make_config(), k)
+    betas = {"primary": k + 2.5, "integer": float(k + 1)}
+    whole = driver.draw_ensembles(scales, k, modes, refs, betas, 10, 77, chunk=10)
+    split = driver.draw_ensembles(scales, k, modes, refs, betas, 10, 77, chunk=3)
+    assert whole.keys() == split.keys()
+    for name in whole:
+        assert np.array_equal(whole[name], split[name]), name
+
+
+@pytest.mark.parametrize("make_config,k", [(tiny_ex1_config, 4), (tiny_ex2_config, 3),
+                                           (tiny_ex3_config, 6)])
+def test_ensemble_is_prefix_of_larger_count(make_config, k):
+    driver, scales, modes, refs = ensemble_inputs(make_config(), k)
+    betas = {"primary": k + 2.5}
+    shorter = driver.draw_ensembles(scales, k, modes, refs, betas, 9, 77)
+    longer = driver.draw_ensembles(scales, k, modes, refs, betas, 10, 77)
+    for name in shorter:
+        assert np.array_equal(shorter[name], longer[name][:9]), name
+
+
+def test_parametric_aggregation_default_agrees():
+    cfg = tiny_ex1_config()
+    assert "parametric_aggregation" not in cfg.training
+    tcfg = cfg.training_config(4, 16)
+    assert tcfg.parametric_aggregation == pipeline.make_driver(cfg).aggregation
+    assert tcfg.parametric_aggregation == sp.TrainingConfig(
+        beta_bounds=(4.0, 8.0)).parametric_aggregation
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ def random_modes(n, r, seed=5):
 
 def test_full_dimensional_draw_is_orthogonal():
     model = sp.StochasticSubspaceModel(np.array([3.0, 2.0, 1.0]), 3, 3)
-    basis = sp.sample_reduced(model, sp.RandomStream(11, 0))
+    basis = sp.sample_fractional(model, sp.RandomStream(11, 0))
     assert np.allclose(basis.projector(), np.eye(3), atol=1e-10)
 
 
@@ -27,16 +27,10 @@ def test_beta_equals_k_matches_polar():
     scales = np.array([4.0, 2.0, 1.0, 0.5])
     model = sp.StochasticSubspaceModel(scales, 2, 2)
     stream = sp.RandomStream(21, 7)
-    basis = sp.sample_reduced(model, stream)
+    basis = sp.sample_fractional(model, stream)
     z = stream.normal_matrix(4, 2)
     oracle = sp.polar_orthonormalize(scales[:, None] * z)
     assert sp.projector_distance(basis, oracle) <= 1e-10
-
-
-def test_reduced_requires_integer_beta():
-    model = sp.StochasticSubspaceModel(np.array([2.0, 1.0]), 1, 1.5)
-    with pytest.raises(ValueError):
-        sp.sample_reduced(model, sp.RandomStream(0))
 
 
 def test_model_validation():
@@ -58,7 +52,7 @@ def test_angle_density_matches_analytic_acg():
     n_samples = 10_000
     angles = np.empty(n_samples)
     for i in range(n_samples):
-        u = sp.sample_reduced(model, sp.RandomStream(314, i)).matrix.ravel()
+        u = sp.sample_fractional(model, sp.RandomStream(314, i)).matrix.ravel()
         angles[i] = np.arctan2(u[1], u[0]) % np.pi
 
     bins = 20
@@ -79,9 +73,11 @@ def test_angle_density_matches_analytic_acg():
 
 
 def test_fractional_integer_beta_is_bitwise_reduced():
-    model = sp.StochasticSubspaceModel(np.array([3.0, 2.0, 1.0]), 2, 4)
+    # integer beta appends no zero-weight column: exactly beta Gaussian columns
+    scales = np.array([3.0, 2.0, 1.0])
+    model = sp.StochasticSubspaceModel(scales, 2, 4)
     stream = sp.RandomStream(99, 3)
-    a = sp.sample_reduced(model, stream).matrix
+    a = sp.principal_subspace_map(scales[:, None] * stream.normal_matrix(3, 4), 2).matrix
     b = sp.sample_fractional(model, stream).matrix
     assert np.array_equal(a, b)
 
@@ -125,8 +121,8 @@ def test_ambient_canonical_embedding():
     model = sp.StochasticSubspaceModel(np.array([2.0, 1.0]), 1, 3)
     modes = np.eye(6, 2)
     stream = sp.RandomStream(4, 0)
-    w = sp.sample_ambient(model, modes, stream).matrix
     u = sp.sample_fractional(model, stream).matrix
+    w = modes @ u
     assert np.allclose(w[:2], u)
     assert np.allclose(w[2:], 0.0)
 
@@ -139,15 +135,9 @@ def test_ambient_preserves_constraints():
     b = proj @ np.random.default_rng(3).normal(size=(n, 3))
     model = sp.StochasticSubspaceModel(np.array([3.0, 2.0, 1.0, 0.5]), k, 6)
     for i in range(50):
-        w = sp.sample_ambient(model, modes, sp.RandomStream(8, i)).matrix
+        w = modes @ sp.sample_fractional(model, sp.RandomStream(8, i)).matrix
         assert np.linalg.norm(b.T @ w) <= 1e-10
         assert np.linalg.norm(w.T @ w - np.eye(k)) <= 1e-10
-
-
-def test_ambient_rejects_non_orthonormal_modes():
-    model = sp.StochasticSubspaceModel(np.array([2.0, 1.0]), 1, 2)
-    with pytest.raises(ValueError):
-        sp.sample_ambient(model, np.ones((5, 2)), sp.RandomStream(0))
 
 
 def test_ambient_matches_direct_definition():
@@ -167,7 +157,7 @@ def test_ambient_matches_direct_definition():
 
     fast = np.empty(count)
     for i in range(count):
-        w = sp.sample_ambient(model, modes, sp.RandomStream(2468, i)).matrix
+        w = modes @ sp.sample_fractional(model, sp.RandomStream(2468, i)).matrix
         fast[i] = np.max(scipy.linalg.subspace_angles(w, v_k))
 
     sigma = (modes * lam) @ modes.T
@@ -188,26 +178,18 @@ def test_ambient_matches_direct_definition():
 
 
 def test_ensemble_singleton_matches_ambient():
-    model = sp.StochasticSubspaceModel(np.array([2.0, 1.0]), 1, 2)
-    modes = random_modes(5, 2)
-    only = sp.sample_ensemble(model, modes, 1, 42)[0]
-    direct = sp.sample_ambient(model, modes, sp.RandomStream(42, 0))
-    assert np.array_equal(only.matrix, direct.matrix)
+    # a draw depends on its stream index only, not on the batch around it
+    model = sp.StochasticSubspaceModel(np.array([3.0, 1.0, 0.5]), 2, 4.5)
+    only = sp.batch_fractional_draws(model, 42, [6])
+    batch = sp.batch_fractional_draws(model, 42, range(10))
+    assert np.array_equal(only[0], batch[6])
 
 
 def test_ensemble_is_deterministic():
     model = sp.StochasticSubspaceModel(np.array([3.0, 1.0, 0.5]), 2, 5)
-    modes = random_modes(7, 3)
-    a = sp.sample_ensemble(model, modes, 20, 7)
-    b = sp.sample_ensemble(model, modes, 20, 7)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.matrix, y.matrix)
-
-
-def test_ensemble_validates_count():
-    model = sp.StochasticSubspaceModel(np.array([2.0, 1.0]), 1, 1)
-    with pytest.raises(ValueError):
-        sp.sample_ensemble(model, np.eye(4, 2), 0, 1)
+    a = sp.batch_fractional_draws(model, 7, range(20))
+    b = sp.batch_fractional_draws(model, 7, range(20))
+    assert np.array_equal(a, b)
 
 
 def test_concentration_monotone_in_beta():
@@ -220,7 +202,7 @@ def test_concentration_monotone_in_beta():
         model = sp.StochasticSubspaceModel(scales, k, float(beta))
         angles = [
             np.max(scipy.linalg.subspace_angles(
-                sp.sample_ambient(model, modes, sp.RandomStream(31, i)).matrix, v_k))
+                modes @ sp.sample_fractional(model, sp.RandomStream(31, i)).matrix, v_k))
             for i in range(500)
         ]
         means.append(np.mean(angles))
@@ -264,9 +246,14 @@ def test_batched_draws_match_sequential():
     for beta in (3, 4.62):
         model = sp.StochasticSubspaceModel(scales, 3, beta)
         batch = sp.batch_fractional_draws(model, 101, range(40))
+        cols = int(np.ceil(beta))
         for i in range(40):
-            single = sp.sample_fractional(model, sp.RandomStream(101, i)).matrix
+            z = sp.RandomStream(101, i).normal_matrix(5, cols)
+            if beta != cols:
+                z[:, -1] *= beta - np.floor(beta)
+            single = sp.principal_subspace_map(scales[:, None] * z, 3).matrix
             assert np.array_equal(batch[i], single)
+
 
 
 def test_tied_spectrum_raises_gap_error():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochpod as sp
+from stochpod import subspace
 from stochpod.errors import GapError
 
 from conftest import covariance_from_dense, sample_macg_subspace
@@ -173,6 +174,20 @@ def test_principal_map_sign_convention(rng):
     for j in range(2):
         lead = np.argmax(np.abs(basis[:, j]))
         assert basis[lead, j] > 0
+
+
+def test_gap_check_over_batch_names_failing_rows():
+    spectra = np.array([[2.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
+    subspace._check_gap(spectra[:1], 1, 1e-12)
+    with pytest.raises(GapError, match=r"in draw\(s\) \[11, 12\]$"):
+        subspace._check_gap(spectra, 1, 1e-12, labels=[10, 11, 12])
+
+
+def test_sign_convention_over_batch_matches_single(rng):
+    stacked = rng.normal(size=(6, 9, 3))
+    batched = subspace._fix_signs(stacked)
+    for one, many in zip(stacked, batched):
+        assert np.array_equal(subspace._fix_signs(one), many)
 
 
 # ---------------------------------------------------------------------------
