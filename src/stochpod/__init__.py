@@ -3,6 +3,7 @@
 Random principal subspaces sampled around a POD basis, stochastic
 reduced-order models built from them, and training of the single
 concentration parameter so prediction intervals track model error.
+Training and sampling share one Monte-Carlo loop in ``stochpod.pipeline``.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +25,7 @@ from .subspace import (CovarianceModel, PodDecomposition, SnapshotSet,
                        principal_subspace_map, projector_distance,
                        select_rank)
 from .training import (BetaSearchResult, DistanceObservables, ObjectiveCache,
-                       RefinementConfig, TrainingConfig, estimate_objective,
+                       RefinementConfig, TrainingConfig,
                        interpolated_objective, optimize_beta,
                        refine_beta_real, reference_distance,
                        train_integer_beta, trapezoid_weights)

@@ -11,8 +11,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .training import (DEFAULT_PARAMETRIC_AGGREGATION, RefinementConfig,
-                       TrainingConfig)
+from .training import RefinementConfig, TrainingConfig
 
 
 class ConfigError(ValueError):
@@ -22,6 +21,24 @@ class ConfigError(ValueError):
 
 
 PROBLEM_KINDS = ("cubic-parametric", "linear-static-experiment", "surrogate-dynamics")
+
+#: Defaults of the optional ``problem`` fields, per problem kind, read by
+#: ``parse_config`` and by the pipeline's drivers.  They are never written
+#: into a config, whose hash covers only what the document says.  The
+#: surrogate's structure defaults are those of ``problems.SurrogateSpec``.
+PROBLEM_DEFAULTS = {
+    "cubic-parametric": {"newton_tol": 1e-10, "newton_max_iter": 50},
+    "linear-static-experiment": {
+        "perturbation_ratio": 0.15, "noise_level": 0.05, "sensor_count": 19,
+        "snapshot_count": 100, "snapshot_force": "nominal",
+        "force_weights": (0.5, 0.5, 0.5, 0.5, 1.0)},
+    "surrogate-dynamics": {"snapshot_stride": 4},
+}
+
+#: How the cubic objective combines its training parameters when the
+#: config does not say: "pooled" (one distance over all of them) or
+#: "per-parameter" (the mean of per-parameter distance gaps).
+DEFAULT_PARAMETRIC_AGGREGATION = "pooled"
 
 
 @dataclass(frozen=True)
@@ -85,7 +102,6 @@ class RunConfig:
                 tolerance=float(ref.get("tolerance", 1e-10)),
                 max_iter=int(ref.get("max_iter", 100)),
             ),
-            parametric_aggregation=self.parametric_aggregation,
         )
 
 
@@ -106,6 +122,7 @@ def parse_config(document: dict, seed_override: int | None = None,
              f"must be one of {', '.join(PROBLEM_KINDS)}")
     _require(isinstance(problem.get("n"), int) and problem["n"] >= 8,
              "problem.n", "must be an integer >= 8")
+    p = {**PROBLEM_DEFAULTS[kind], **problem}
     if kind == "cubic-parametric":
         _require(problem.get("alpha", 0) > 0, "problem.alpha", "must be positive")
         _require(int(problem.get("snapshot_count", 0)) >= 2,
@@ -114,22 +131,22 @@ def parse_config(document: dict, seed_override: int | None = None,
         _require(isinstance(mu, list) and len(mu) == 5,
                  "problem.mu_test", "must be a list of 5 numbers")
     elif kind == "linear-static-experiment":
-        _require(0 <= problem.get("perturbation_ratio", 0.15),
+        _require(0 <= p["perturbation_ratio"],
                  "problem.perturbation_ratio", "must be nonnegative")
-        _require(0 <= problem.get("noise_level", 0.05),
+        _require(0 <= p["noise_level"],
                  "problem.noise_level", "must be nonnegative")
-        _require(int(problem.get("sensor_count", 19)) >= 1,
+        _require(int(p["sensor_count"]) >= 1,
                  "problem.sensor_count", "must be >= 1")
-        _require(int(problem.get("snapshot_count", 100)) >= 2,
+        _require(int(p["snapshot_count"]) >= 2,
                  "problem.snapshot_count", "must be >= 2")
-        _require(problem.get("snapshot_force", "nominal") in ("nominal", "perturbed"),
+        _require(p["snapshot_force"] in ("nominal", "perturbed"),
                  "problem.snapshot_force", "must be 'nominal' or 'perturbed'")
     else:  # surrogate-dynamics
         _require(problem.get("dt", 0) > 0, "problem.dt", "must be positive")
         _require(problem.get("t_end", 0) > 0, "problem.t_end", "must be positive")
         _require(isinstance(problem.get("qoi_dof"), int),
                  "problem.qoi_dof", "must be an integer DoF index")
-        _require(int(problem.get("snapshot_stride", 1)) >= 1,
+        _require(int(p["snapshot_stride"]) >= 1,
                  "problem.snapshot_stride", "must be >= 1")
 
     pod_doc = document["pod"]

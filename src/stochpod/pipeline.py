@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rom
-from .config import RunConfig
+from .config import PROBLEM_DEFAULTS, RunConfig
 from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
 from .matrixio import (load_matrix, read_csv, read_json, save_matrix,
@@ -27,8 +27,7 @@ from .problems import (SpectralStiffness, SurrogateSpec, add_noise,
                        perturb_stiffness, surrogate_dynamics)
 from .sampling import RandomStream, StochasticSubspaceModel, batch_fractional_draws
 from .subspace import center, compact_svd, select_rank
-from .training import (DistanceObservables, refine_beta_real,
-                       reference_distance, train_integer_beta)
+from .training import refine_beta_real, train_integer_beta
 
 # fixed purposes for deriving independent sub-seeds from the config seed
 _SEED_SNAPSHOTS = 11
@@ -88,15 +87,33 @@ def _draw_chunks(model, seed, count, chunk):
         yield indices, batch_fractional_draws(model, seed, indices)
 
 
-def _accumulate(total, values):
-    """``total`` plus ``values`` added one at a time, in order.
+def _mc_objective(scales, k, seed, count, chunk, gaps):
+    """The Monte-Carlo objective f(beta) over stream indices 0..count-1.
 
-    Unlike a pairwise ``np.sum`` per batch, the result does not depend on
-    how the values were split into batches.
+    ``gaps(draws, indices)`` returns one squared distance gap per draw.
+    f is one sum over the gaps of all draws, divided by ``count``, so its
+    value does not depend on ``chunk``.
     """
-    for value in values:
-        total += value
-    return total
+    def evaluate(beta):
+        model = StochasticSubspaceModel(scales, k, float(beta))
+        values = np.concatenate([gaps(draws, indices) for indices, draws
+                                 in _draw_chunks(model, seed, count, chunk)])
+        return float(np.sum(values)) / count
+
+    return evaluate
+
+
+def _mc_ensembles(scales, k, betas, seed, count, chunk, predict):
+    """name -> (count, ...) predictions, one ensemble per named beta.
+
+    ``predict(draws, indices)`` returns the predictions of a batch of draws.
+    """
+    out = {}
+    for name, beta in betas.items():
+        model = StochasticSubspaceModel(scales, k, beta)
+        out[name] = np.concatenate([predict(draws, indices) for indices, draws
+                                    in _draw_chunks(model, seed, count, chunk)])
+    return out
 
 
 def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
@@ -142,13 +159,13 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
         residual=worst, iterations=max_iter)
 
 
-def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series_spec,
+def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series,
                              gamma=0.5, beta_nm=0.25):
-    """Batched reduced Newmark integration extracting named QoI series.
+    """Batched reduced Newmark integration extracting QoI series.
 
     ``staged`` is the rank-r reduced dynamic system with a precomputed
-    load matrix (steps+1, r).  ``series_spec`` maps name -> (dof,
-    derivative order).  Returns name -> (count, steps+1) arrays.
+    load matrix (steps+1, r).  ``series`` lists (dof, derivative order)
+    pairs.  Returns a (count, len(series), steps+1) array.
     """
     red = staged.reduced
     load_r = red.load
@@ -165,12 +182,13 @@ def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series_spec,
     rhs0 = f0 - _mv(c_w, v) - _mv(k_w, x)
     a = np.linalg.solve(m_w, rhs0[:, :, None])[:, :, 0]
 
-    rows = {name: np.matmul(modes[dof], draws) for name, (dof, _) in series_spec.items()}
-    out = {name: np.empty((draws.shape[0], steps + 1)) for name in series_spec}
-    state = {0: x, 1: v, 2: a}
-    for name, (dof, order) in series_spec.items():
-        out[name][:, 0] = np.einsum("ck,ck->c", rows[name], state[order])
-    for i in range(steps):
+    rows = [np.matmul(modes[dof], draws) for dof, _ in series]
+    out = np.empty((draws.shape[0], len(series), steps + 1))
+    for i in range(steps + 1):
+        for j, (_, order) in enumerate(series):
+            out[:, j, i] = np.einsum("ck,ck->c", rows[j], (x, v, a)[order])
+        if i == steps:
+            break
         f_next = np.matmul(load_r[i + 1], draws)
         rhs = (f_next + _mv(m_w, c0 * x + c2 * v + c3 * a)
                + _mv(c_w, c1 * x + c4 * v + c5 * a))
@@ -178,9 +196,6 @@ def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series_spec,
         a_new = c0 * (x_new - x) - c2 * v - c3 * a
         v = v + c6 * a + c7 * a_new
         x, a = x_new, a_new
-        state = {0: x, 1: v, 2: a}
-        for name, (dof, order) in series_spec.items():
-            out[name][:, i + 1] = np.einsum("ck,ck->c", rows[name], state[order])
     return out
 
 
@@ -191,11 +206,12 @@ def _mv(mats, vecs):
 # ---------------------------------------------------------------------------
 # problem drivers
 #
-# Each driver's ``integer_evaluator`` returns the Monte-Carlo objective
-# f(beta), valid at real beta (integer training and refinement both use
-# it), and its ``draw_ensembles`` returns one (count, grid) sample matrix
-# per named beta.  Both run the driver's batched kernel over
-# ``_draw_chunks``.
+# Each driver sets up its batched kernel and hands one closure to the
+# shared Monte-Carlo loop: ``integer_evaluator`` returns ``_mc_objective``
+# of its ``gaps``, f(beta) at real beta (integer training and refinement
+# both use it); ``draw_ensembles`` returns ``_mc_ensembles`` of its
+# ``predict``, one (count, grid) sample matrix per named beta.  Only the
+# train stage calls ``references``; sampling gets observations.csv.
 
 
 class CubicDriver:
@@ -204,13 +220,13 @@ class CubicDriver:
     kind = "cubic-parametric"
 
     def __init__(self, config: RunConfig):
-        p = config.problem
+        p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
         self.n = p["n"]
         self.alpha = float(p["alpha"])
         self.snapshot_count = int(p["snapshot_count"])
         self.mu_test = np.asarray(p["mu_test"], dtype=float)
-        self.newton_tol = float(p.get("newton_tol", 1e-10))
-        self.newton_max_iter = int(p.get("newton_max_iter", 50))
+        self.newton_tol = float(p["newton_tol"])
+        self.newton_max_iter = int(p["newton_max_iter"])
         # pooled: one stacked observation vector across training parameters
         self.aggregation = config.parametric_aggregation
         self.system = build_cubic_problem(self.n, self.alpha)
@@ -252,7 +268,6 @@ class CubicDriver:
             "grid": self.grid,
             "rom": rom_test,
             "truth": hdm_test,
-            "train_params": self.params,
             "train_truth": snapshots,      # HDM states at training parameters
             "train_rom": rom_train,
         }
@@ -275,36 +290,28 @@ class CubicDriver:
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=32):
         rom_train = refs["train_rom"]
         truth = refs["train_truth"]
-        forces = np.stack([self.system.force_map(mu) for mu in refs["train_params"]])
+        forces = np.stack([self.system.force_map(mu) for mu in self.params])
         pooled = self.aggregation == "pooled"
         # pooled: one distance over all parameters; else one per parameter
         d_truth = np.linalg.norm(truth - rom_train, axis=None if pooled else 0)
 
-        def evaluate(beta):
-            model = StochasticSubspaceModel(scales, k, float(beta))
-            acc = 0.0
-            for indices, draws in _draw_chunks(model, seed, mc_samples, chunk):
-                pred = self._solve_draws(modes, draws, forces, rom_train.T, indices)
-                if pooled:
-                    gaps = [(np.linalg.norm(x - rom_train) - d_truth)**2 for x in pred]
-                else:
-                    d_pred = np.linalg.norm(pred - rom_train, axis=1)    # (D, P)
-                    gaps = np.mean((d_pred - d_truth)**2, axis=1)
-                acc = _accumulate(acc, gaps)
-            return acc / mc_samples
+        def gaps(draws, indices):
+            pred = self._solve_draws(modes, draws, forces, rom_train.T, indices)
+            if pooled:
+                return np.array([(np.linalg.norm(x - rom_train) - d_truth)**2
+                                 for x in pred])
+            d_pred = np.linalg.norm(pred - rom_train, axis=1)        # (D, P)
+            return np.mean((d_pred - d_truth)**2, axis=1)
 
-        return evaluate
+        return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
         force = self.system.force_map(self.mu_test)[None]
         guess = refs["rom"][None]
-        out = {}
-        for name, beta in betas.items():
-            model = StochasticSubspaceModel(scales, k, beta)
-            out[name] = np.vstack([
-                self._solve_draws(modes, draws, force, guess, indices)[:, :, 0]
-                for indices, draws in _draw_chunks(model, seed, count, chunk)])
-        return out
+        return _mc_ensembles(
+            scales, k, betas, seed, count, chunk,
+            lambda draws, indices: self._solve_draws(modes, draws, force, guess,
+                                                     indices)[:, :, 0])
 
 
 class ExperimentDriver:
@@ -313,15 +320,14 @@ class ExperimentDriver:
     kind = "linear-static-experiment"
 
     def __init__(self, config: RunConfig):
-        p = config.problem
+        p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
         self.n = p["n"]
-        self.ratio = float(p.get("perturbation_ratio", 0.15))
-        self.noise_level = float(p.get("noise_level", 0.05))
-        self.sensor_count = int(p.get("sensor_count", 19))
-        self.snapshot_count = int(p.get("snapshot_count", 100))
-        self.force_weights = np.asarray(
-            p.get("force_weights", [0.5, 0.5, 0.5, 0.5, 1.0]), dtype=float)
-        self.snapshot_force = p.get("snapshot_force", "nominal")
+        self.ratio = float(p["perturbation_ratio"])
+        self.noise_level = float(p["noise_level"])
+        self.sensor_count = int(p["sensor_count"])
+        self.snapshot_count = int(p["snapshot_count"])
+        self.force_weights = np.asarray(p["force_weights"], dtype=float)
+        self.snapshot_force = p["snapshot_force"]
         self.seed = config.seed
         self.stiff = SpectralStiffness.sine_basis(self.n)
         self.force = self.stiff.mode_combination_force(self.force_weights)
@@ -335,9 +341,8 @@ class ExperimentDriver:
         self.truth_response = truth_stiff.solve(self.force)
         self.sensor_indices, clean = observe_sparse(self.truth_response,
                                                     self.sensor_count)
-        noisy, self.noise_sigma = add_noise(
+        self.observed_noisy, _ = add_noise(
             clean, self.noise_level, RandomStream(derive_seed(self.seed, _SEED_NOISE)))
-        self.observed_noisy = noisy
 
     def snapshots(self) -> np.ndarray:
         snap_seed = derive_seed(self.seed, _SEED_SNAPSHOTS)
@@ -365,40 +370,36 @@ class ExperimentDriver:
             "truth": self.truth_response,
             "sensor_indices": self.sensor_indices,
             "observed_noisy": self.observed_noisy,
-            "noise_sigma": self.noise_sigma,
         }
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=8192):
         idx = refs["sensor_indices"]
-        obs = DistanceObservables(reference=refs["rom"][idx],
-                                  truth=refs["observed_noisy"])
-        staged = rom.two_stage_reduce(self.system, modes)
-        stiffness_r = staged.reduced.stiffness
-        force_r = staged.reduced.force
+        reference = refs["rom"][idx]
+        d_truth = np.linalg.norm(refs["observed_noisy"] - reference)
+        red = rom.two_stage_reduce(self.system, modes).reduced
         qoi_rows = modes[idx]
-        d_truth = reference_distance(obs.truth, obs)
 
-        def evaluate(beta):
-            model = StochasticSubspaceModel(scales, k, float(beta))
-            acc = 0.0
-            for _, draws in _draw_chunks(model, seed, mc_samples, chunk):
-                preds = _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows)
-                d_pred = np.linalg.norm(preds - obs.reference, axis=1)
-                acc += float(np.sum((d_pred - d_truth)**2))
-            return acc / mc_samples
+        def gaps(draws, indices):
+            preds = _linear_qoi_predictions(draws, red.stiffness, red.force, qoi_rows)
+            return (np.linalg.norm(preds - reference, axis=1) - d_truth)**2
 
-        return evaluate
+        return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
-        staged = rom.two_stage_reduce(self.system, modes)
-        out = {}
-        for name, beta in betas.items():
-            model = StochasticSubspaceModel(scales, k, beta)
-            out[name] = np.vstack([
-                _linear_qoi_predictions(draws, staged.reduced.stiffness,
-                                        staged.reduced.force, modes)
-                for _, draws in _draw_chunks(model, seed, count, chunk)])
-        return out
+        red = rom.two_stage_reduce(self.system, modes).reduced
+        return _mc_ensembles(
+            scales, k, betas, seed, count, chunk,
+            lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
+                                                           red.force, modes))
+
+
+#: config ``problem`` key -> SurrogateSpec field
+_SURROGATE_SPEC_FIELDS = {
+    "heavy_dof": "heavy_dof", "mass_ratio": "mass_ratio",
+    "stiffness_scale": "stiffness_scale", "rayleigh_beta": "rayleigh_beta",
+    "impulse_amplitude": "impulse_amplitude",
+    "impulse_duration": "impulse_duration", "structure_seed": "seed",
+}
 
 
 class SurrogateDriver:
@@ -407,23 +408,16 @@ class SurrogateDriver:
     kind = "surrogate-dynamics"
 
     def __init__(self, config: RunConfig):
-        p = config.problem
+        p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
         self.n = p["n"]
         self.dt = float(p["dt"])
         self.t_end = float(p["t_end"])
         self.qoi_dof = int(p["qoi_dof"])
         self.alt_dof = int(p.get("alt_dof", (self.qoi_dof + self.n // 3) % self.n))
-        self.stride = int(p.get("snapshot_stride", 4))
-        self.spec = SurrogateSpec(
-            n=self.n,
-            heavy_dof=p.get("heavy_dof"),
-            mass_ratio=float(p.get("mass_ratio", 100.0)),
-            stiffness_scale=float(p.get("stiffness_scale", 1.0e4)),
-            rayleigh_beta=float(p.get("rayleigh_beta", 2.0e-4)),
-            impulse_amplitude=float(p.get("impulse_amplitude", 1.0)),
-            impulse_duration=float(p.get("impulse_duration", 0.05)),
-            seed=int(p.get("structure_seed", 60301)),
-        )
+        self.stride = int(p["snapshot_stride"])
+        # the SurrogateSpec defaults stand for every field the config omits
+        self.spec = SurrogateSpec(n=self.n, **{
+            field: p[key] for key, field in _SURROGATE_SPEC_FIELDS.items() if key in p})
         self.seed = config.seed
         self.system = surrogate_dynamics(self.spec)
         self.steps = int(np.floor(self.t_end / self.dt + 1e-12))
@@ -443,8 +437,7 @@ class SurrogateDriver:
         return rom.LinearDynamicSystem(
             mass=self.system.mass, damping=self.system.damping,
             stiffness=self.system.stiffness, load=self._load_matrix(),
-            initial_state=self.system.initial_state,
-            rayleigh_beta=self.system.rayleigh_beta)
+            initial_state=self.system.initial_state)
 
     def snapshots(self) -> np.ndarray:
         traj = self._hdm_trajectory()
@@ -475,42 +468,27 @@ class SurrogateDriver:
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
                           chunk=512):
         staged = rom.two_stage_reduce(self._sampled_system(), modes)
-        obs = DistanceObservables(reference=refs["rom_velocity"],
-                                  truth=refs["truth_velocity"])
-        d_truth = reference_distance(obs.truth, obs)
-        spec = {"velocity": (self.qoi_dof, 1)}
+        reference = refs["rom_velocity"]
+        d_truth = np.linalg.norm(refs["truth_velocity"] - reference)
+        velocity = [(self.qoi_dof, 1)]
 
-        def evaluate(beta):
-            model = StochasticSubspaceModel(scales, k, float(beta))
-            acc = 0.0
-            for _, draws in _draw_chunks(model, seed, mc_samples, chunk):
-                series = _dynamic_qoi_predictions(draws, staged, modes, self.dt,
-                                                  self.steps, spec)
-                d_pred = np.linalg.norm(series["velocity"] - obs.reference, axis=1)
-                acc += float(np.sum((d_pred - d_truth)**2))
-            return acc / mc_samples
+        def gaps(draws, indices):
+            series = _dynamic_qoi_predictions(draws, staged, modes, self.dt,
+                                              self.steps, velocity)[:, 0]
+            return (np.linalg.norm(series - reference, axis=1) - d_truth)**2
 
-        return evaluate
+        return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
         staged = rom.two_stage_reduce(self._sampled_system(), modes)
-        spec = self.series_spec()
-        out = {}
-        for name, beta in betas.items():
-            model = StochasticSubspaceModel(scales, k, beta)
-            parts = {q: [] for q in spec}
-            for _, draws in _draw_chunks(model, seed, count, chunk):
-                series = _dynamic_qoi_predictions(draws, staged, modes, self.dt,
-                                                  self.steps, spec)
-                for q in spec:
-                    parts[q].append(series[q])
-            stacked = {q: np.vstack(parts[q]) for q in spec}
-            if name == "primary":
-                out["primary"] = stacked["velocity"]
-                for q in EXTRA_QOI_NAMES:
-                    out[q] = stacked[q]
-            else:
-                out[name] = stacked["velocity"]
+        series = list(self.series_spec().values())     # velocity, then the extras
+        stacked = _mc_ensembles(
+            scales, k, betas, seed, count, chunk,
+            lambda draws, indices: _dynamic_qoi_predictions(draws, staged, modes,
+                                                            self.dt, self.steps, series))
+        out = {name: values[:, 0] for name, values in stacked.items()}
+        for j, name in enumerate(EXTRA_QOI_NAMES, 1):
+            out[name] = stacked["primary"][:, j]
         return out
 
 
@@ -655,26 +633,23 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1,
     chash = config.config_hash()
     model_doc = read_json(_need(out / MODEL_FILE))
     modes = load_matrix(_need(out / POD_MODES_FILE))
-    snapshots = load_matrix(_need(out / SNAPSHOTS_FILE))
+    # the references solved by the train stage (its rom is the cubic warm start)
+    refs = read_csv(_need(out / OBSERVATIONS_FILE))
     driver = make_driver(config)
-    refs = driver.references(modes, model_doc["k"], snapshots)
 
     n_draws = config.ensemble.count if count is None else count
     if n_draws < 2:
         raise ValueError("ensemble count must be >= 2")
     betas = {"primary": float(model_doc["beta_star"])}
-    two_step = model_doc["objective_refined"] is not None
-    if two_step:
+    if model_doc["objective_refined"] is not None:
         betas["integer"] = float(model_doc["beta_integer"])
     scales = np.asarray(model_doc["scales"])
     ensembles = driver.draw_ensembles(scales, model_doc["k"], modes, refs, betas,
                                       n_draws, derive_seed(config.seed, _SEED_ENSEMBLE))
-    save_matrix(out / ENSEMBLE_FILE, ensembles["primary"], chash)
-    if two_step:
-        save_matrix(out / ENSEMBLE_INTEGER_FILE, ensembles["integer"], chash)
-    if driver.kind == "surrogate-dynamics":
-        for name in EXTRA_QOI_NAMES:
-            save_matrix(out / f"ensemble_{name}.bin", ensembles[name], chash)
+    # ensemble.bin, then ensemble_<name>.bin: "integer" and the extra QoIs
+    for name, values in ensembles.items():
+        path = ENSEMBLE_FILE if name == "primary" else f"ensemble_{name}.bin"
+        save_matrix(out / path, values, chash)
     return {name: arr.shape for name, arr in ensembles.items()}
 
 

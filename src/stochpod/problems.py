@@ -243,5 +243,4 @@ def surrogate_dynamics(spec: SurrogateSpec) -> LinearDynamicSystem:
         return f
 
     return LinearDynamicSystem(mass=mass, damping=damping, stiffness=k,
-                               load=load, initial_state=(np.zeros(n), np.zeros(n)),
-                               rayleigh_beta=spec.rayleigh_beta)
+                               load=load, initial_state=(np.zeros(n), np.zeros(n)))

@@ -66,7 +66,6 @@ class LinearDynamicSystem:
     stiffness: Array
     load: Union[Callable[[float], Array], Array]   # callable, or (steps+1, n) samples
     initial_state: tuple[Array, Array]             # (x0, v0)
-    rayleigh_beta: float | None = None
 
 
 @dataclass(frozen=True)

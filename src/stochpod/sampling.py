@@ -62,9 +62,6 @@ class StochasticSubspaceModel:
     def rank(self) -> int:
         return self.scales.shape[0]
 
-    def with_beta(self, beta: float) -> "StochasticSubspaceModel":
-        return StochasticSubspaceModel(self.scales, self.k, beta)
-
 
 @dataclass(frozen=True)
 class RandomStream:

@@ -54,10 +54,6 @@ class PodDecomposition:
     rank: int
     right_factors: np.ndarray    # (m, r)
 
-    def covariance_eigenvalues(self, sample_count: int) -> np.ndarray:
-        """Eigenvalues of the sample covariance (divisor ``sample_count``)."""
-        return self.singular_values**2 / sample_count
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -75,10 +71,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
 
     def projector(self) -> np.ndarray:
         return self.matrix @ self.matrix.T

@@ -3,11 +3,11 @@
 The objective is the mean squared gap between the ensemble's distance
 statistic and the truth's: f(beta) = E[ |d(u) - d(u_truth)|^2 ], with
 d(u) the weighted L2 distance to the deterministic reduced-order
-prediction.  f is estimated by Monte Carlo at integer beta (memoized,
-common random numbers across beta), linearly interpolated in between,
-and minimized with a bounded golden-section/parabolic scalar search.
-An optional refinement stage re-optimizes over real-valued beta with a
-larger sample budget.
+prediction.  Its Monte-Carlo estimate (common random numbers across
+beta) is ``pipeline._mc_objective``; here it is memoized at integer beta,
+linearly interpolated in between, and minimized with a bounded
+golden-section/parabolic scalar search.  An optional refinement stage
+re-optimizes over real-valued beta with a larger sample budget.
 """
 
 from __future__ import annotations
@@ -64,19 +64,6 @@ def trapezoid_weights(grid) -> np.ndarray:
     return w
 
 
-def estimate_objective(beta: float, predictor, observables: DistanceObservables,
-                       mc_samples: int, seed: int) -> float:
-    """Monte-Carlo estimate of E[|d(u) - d(u_truth)|^2] at one beta.
-
-    ``predictor(beta, count, seed)`` returns a (count, grid) matrix of
-    stochastic predictions.
-    """
-    samples = np.asarray(predictor(beta, mc_samples, seed), dtype=float)
-    d_truth = reference_distance(observables.truth, observables)
-    gaps = np.array([reference_distance(row, observables) - d_truth for row in samples])
-    return float(np.mean(gaps**2))
-
-
 @dataclass
 class CacheEntry:
     value: float
@@ -126,12 +113,6 @@ class RefinementConfig:
     max_iter: int = 100
 
 
-#: How the cubic objective combines its training parameters when the
-#: config does not say: "pooled" (one distance over all of them) or
-#: "per-parameter" (the mean of per-parameter distance gaps).
-DEFAULT_PARAMETRIC_AGGREGATION = "pooled"
-
-
 @dataclass(frozen=True)
 class TrainingConfig:
     beta_bounds: tuple[float, float]
@@ -139,7 +120,6 @@ class TrainingConfig:
     tolerance: float = 1e-3
     max_iter: int = 100
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
-    parametric_aggregation: str = DEFAULT_PARAMETRIC_AGGREGATION
 
     def __post_init__(self):
         lo, hi = self.beta_bounds
@@ -147,8 +127,6 @@ class TrainingConfig:
             raise ValueError("beta bounds must be ordered")
         if self.mc_samples < 2 or self.refinement.mc_samples < 2:
             raise ValueError("Monte-Carlo sample counts must be >= 2")
-        if self.parametric_aggregation not in ("per-parameter", "pooled"):
-            raise ValueError("parametric_aggregation must be 'per-parameter' or 'pooled'")
 
 
 def interpolated_objective(beta: float, cache: ObjectiveCache,

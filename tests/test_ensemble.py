@@ -71,12 +71,12 @@ def test_dynamic_kernel_dof_series_matches_newmark():
     modes = orthonormal(n, r, 33)
     series = pipeline._dynamic_qoi_predictions(
         np.eye(r, k)[None], rom.two_stage_reduce(system, modes), modes, dt, steps,
-        {"velocity": (4, 1)})
+        [(4, 1)])
     # oracle: deterministic ROM trajectory at the same basis
     red = sp.galerkin_reduce(system, modes[:, :k])
     traj = sp.newmark_integrate(red, dt, t_end)
     expected = modes[4, :k] @ traj.velocities
-    assert np.allclose(series["velocity"][0], expected, atol=1e-10)
+    assert np.allclose(series[0, 0], expected, atol=1e-10)
 
 
 def test_cubic_newton_error_names_stalled_draws():

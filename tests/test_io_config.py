@@ -138,6 +138,12 @@ def test_bad_problem_kind_rejected():
     assert "problem.kind" in str(err.value)
 
 
+def test_bad_parametric_aggregation_rejected():
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_document(training={"parametric_aggregation": "mixed"}))
+    assert err.value.field_path == "training.parametric_aggregation"
+
+
 def test_seed_is_mandatory():
     doc = base_document()
     del doc["ensemble"]["seed"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stochpod as sp
+from stochpod.pipeline import _mc_objective
 from stochpod.training import ObjectiveCache, RefinementConfig, TrainingConfig
 
 
@@ -43,7 +44,21 @@ def test_trapezoid_weights_match_integral():
 
 
 # ---------------------------------------------------------------------------
-# estimate_objective
+# the Monte-Carlo objective (pipeline._mc_objective)
+
+SCALES = np.array([3.0, 2.0, 1.0, 0.5])
+
+
+def gaps_of(predict, obs):
+    """Per-draw squared distance gaps of the predictions ``predict(draws)``."""
+    d_truth = sp.reference_distance(obs.truth, obs)
+
+    def gaps(draws, indices):
+        preds = predict(draws)
+        assert preds.shape[0] == len(indices)
+        return np.array([(sp.reference_distance(p, obs) - d_truth)**2 for p in preds])
+
+    return gaps
 
 
 def test_objective_degenerate_expectation():
@@ -51,8 +66,8 @@ def test_objective_degenerate_expectation():
     truth = np.array([1.5, 2.0, 2.5])
     fixed = np.array([0.5, 2.5, 3.5])
     obs = sp.DistanceObservables(reference=ref, truth=truth)
-    predictor = lambda beta, count, seed: np.tile(fixed, (count, 1))
-    value = sp.estimate_objective(3, predictor, obs, 10, 0)
+    gaps = gaps_of(lambda draws: np.tile(fixed, (draws.shape[0], 1)), obs)
+    value = _mc_objective(SCALES, 2, 0, 10, 4, gaps)(3)
     expected = (sp.reference_distance(fixed, obs)
                 - sp.reference_distance(truth, obs))**2
     assert value == pytest.approx(expected, rel=1e-14)
@@ -61,24 +76,21 @@ def test_objective_degenerate_expectation():
 def test_objective_zero_when_stub_reproduces_truth():
     ref = np.array([1.0, 2.0])
     obs = sp.DistanceObservables(reference=ref, truth=ref)
-    predictor = lambda beta, count, seed: np.tile(ref, (count, 1))
-    assert sp.estimate_objective(2, predictor, obs, 5, 0) == 0.0
+    gaps = gaps_of(lambda draws: np.tile(ref, (draws.shape[0], 1)), obs)
+    assert _mc_objective(SCALES, 2, 0, 5, 2, gaps)(2) == 0.0
 
 
 def test_objective_seed_stability_within_mc_error():
     obs = sp.DistanceObservables(reference=np.zeros(4), truth=0.5 * np.ones(4))
-
-    def predictor(beta, count, seed):
-        return np.random.default_rng(seed).normal(size=(count, 4))
-
+    # first column of each draw, stretched so its norm varies between draws
+    gaps = gaps_of(lambda draws: draws[:, :, 0] * np.array([2.0, 1.0, 0.5, 0.25]), obs)
     n = 1000
-    a = sp.estimate_objective(3, predictor, obs, n, seed=1)
-    b = sp.estimate_objective(3, predictor, obs, n, seed=2)
+    a = _mc_objective(SCALES, 2, 1, n, 256, gaps)(3)
+    b = _mc_objective(SCALES, 2, 2, n, 256, gaps)(3)
     # standard-error oracle from one sample set
-    rows = predictor(3, n, 1)
-    d_truth = sp.reference_distance(obs.truth, obs)
-    gaps = np.array([(sp.reference_distance(r, obs) - d_truth)**2 for r in rows])
-    se = gaps.std(ddof=1) / np.sqrt(n)
+    model = sp.StochasticSubspaceModel(SCALES, 2, 3)
+    values = gaps(sp.batch_fractional_draws(model, 1, range(n)), range(n))
+    se = values.std(ddof=1) / np.sqrt(n)
     assert abs(a - b) <= 5.0 * np.sqrt(2.0) * se
 
 
@@ -215,5 +227,3 @@ def test_training_config_validation():
         TrainingConfig(beta_bounds=(5.0, 4.0))
     with pytest.raises(ValueError):
         TrainingConfig(beta_bounds=(4.0, 8.0), mc_samples=1)
-    with pytest.raises(ValueError):
-        TrainingConfig(beta_bounds=(4.0, 8.0), parametric_aggregation="mixed")
