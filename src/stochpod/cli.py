@@ -4,8 +4,8 @@ Subcommands mirror the pipeline stages: ``run`` executes everything,
 ``train``/``sample``/``predict``/``report`` reproduce the corresponding
 slice given the upstream artifacts on disk.
 
-Exit codes: 0 success, 2 config/usage error, 3 missing artifact,
-4 numerical failure.
+Exit codes: 0 success, 2 config/usage error, 3 missing artifact or one
+made from a different config, 4 numerical failure.
 """
 
 from __future__ import annotations

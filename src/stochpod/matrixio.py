@@ -79,6 +79,23 @@ def read_csv(path) -> dict:
     return {name: np.asarray(vals) for name, vals in zip(names, values)}
 
 
+def artifact_hash(path) -> str | None:
+    """The config hash an artifact was written with, or None if it has none.
+
+    A ``.bin`` matrix carries it in its JSON sidecar, a CSV table on its
+    first line, and a JSON document as its ``config_hash`` field.
+    """
+    path = Path(path)
+    if path.suffix == ".bin":
+        return json.loads(path.with_suffix(".json").read_text()).get("config_hash")
+    if path.suffix == ".csv":
+        with path.open() as fh:
+            first = fh.readline().rstrip("\n")
+        prefix = "# config_hash="
+        return first[len(prefix):] if first.startswith(prefix) else None
+    return json.loads(path.read_text()).get("config_hash")
+
+
 def write_json(path, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", newline="\n")

@@ -20,12 +20,13 @@ from . import __version__, rom
 from .config import PROBLEM_DEFAULTS, RunConfig
 from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
-from .matrixio import (load_matrix, read_csv, read_json, save_matrix,
-                       write_csv, write_json)
+from .matrixio import (artifact_hash, load_matrix, read_csv, read_json,
+                       save_matrix, write_csv, write_json)
 from .problems import (SpectralStiffness, SurrogateSpec, add_noise,
                        build_cubic_problem, lhs_sample, observe_sparse,
                        perturb_stiffness, surrogate_dynamics)
-from .sampling import RandomStream, StochasticSubspaceModel, batch_fractional_draws
+from .sampling import (RandomStream, StochasticSubspaceModel, StreamCache,
+                       batch_fractional_draws)
 from .subspace import center, compact_svd, select_rank
 from .training import refine_beta_real, train_integer_beta
 
@@ -57,6 +58,10 @@ class MissingArtifactError(FileNotFoundError):
     """A stage was invoked before its upstream artifacts exist."""
 
 
+class StaleArtifactError(MissingArtifactError):
+    """An upstream artifact was made from a different config."""
+
+
 def derive_seed(master: int, purpose: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=(purpose,)).generate_state(1)[0])
 
@@ -76,15 +81,17 @@ class RunReport:
 # batched Monte-Carlo kernels shared by training and prediction
 
 
-def _draw_chunks(model, seed, count, chunk):
+def _draw_chunks(model, cache, count, chunk):
     """Draws for stream indices 0..count-1 in consecutive batches.
 
     Yields (indices, draws); a batch holds at most ``chunk`` draws, which
-    bounds the kernels' temporaries without changing any draw.
+    bounds the kernels' temporaries without changing any draw.  ``cache``
+    is the loop's ``StreamCache``, so a stream's Gaussians are generated
+    once for every beta the loop draws at.
     """
     for start in range(0, count, chunk):
         indices = range(start, min(start + chunk, count))
-        yield indices, batch_fractional_draws(model, seed, indices)
+        yield indices, batch_fractional_draws(model, cache, indices)
 
 
 def _mc_objective(scales, k, seed, count, chunk, gaps):
@@ -92,12 +99,16 @@ def _mc_objective(scales, k, seed, count, chunk, gaps):
 
     ``gaps(draws, indices)`` returns one squared distance gap per draw.
     f is one sum over the gaps of all draws, divided by ``count``, so its
-    value does not depend on ``chunk``.
+    value does not depend on ``chunk``.  Every beta draws from the same
+    streams (common random numbers), held in one cache that lives as long
+    as the returned function.
     """
+    cache = StreamCache(seed, range(count))
+
     def evaluate(beta):
         model = StochasticSubspaceModel(scales, k, float(beta))
         values = np.concatenate([gaps(draws, indices) for indices, draws
-                                 in _draw_chunks(model, seed, count, chunk)])
+                                 in _draw_chunks(model, cache, count, chunk)])
         return float(np.sum(values)) / count
 
     return evaluate
@@ -107,12 +118,14 @@ def _mc_ensembles(scales, k, betas, seed, count, chunk, predict):
     """name -> (count, ...) predictions, one ensemble per named beta.
 
     ``predict(draws, indices)`` returns the predictions of a batch of draws.
+    The named betas share one stream cache.
     """
+    cache = StreamCache(seed, range(count))
     out = {}
     for name, beta in betas.items():
         model = StochasticSubspaceModel(scales, k, beta)
         out[name] = np.concatenate([predict(draws, indices) for indices, draws
-                                    in _draw_chunks(model, seed, count, chunk)])
+                                    in _draw_chunks(model, cache, count, chunk)])
     return out
 
 
@@ -513,9 +526,14 @@ def _outdir(config: RunConfig, outdir) -> Path:
     return path
 
 
-def _need(path: Path) -> Path:
+def _need(path: Path, chash: str) -> Path:
+    """``path``, if it exists and was made from the config with hash ``chash``."""
     if not path.exists():
         raise MissingArtifactError(f"missing artifact: {path}")
+    found = artifact_hash(path)
+    if found != chash:
+        raise StaleArtifactError(
+            f"stale artifact: {path} has config_hash {found}, this config is {chash}")
     return path
 
 
@@ -631,10 +649,10 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1,
     """
     out = _outdir(config, outdir)
     chash = config.config_hash()
-    model_doc = read_json(_need(out / MODEL_FILE))
-    modes = load_matrix(_need(out / POD_MODES_FILE))
+    model_doc = read_json(_need(out / MODEL_FILE, chash))
+    modes = load_matrix(_need(out / POD_MODES_FILE, chash))
     # the references solved by the train stage (its rom is the cubic warm start)
-    refs = read_csv(_need(out / OBSERVATIONS_FILE))
+    refs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
     driver = make_driver(config)
 
     n_draws = config.ensemble.count if count is None else count
@@ -665,24 +683,25 @@ def stage_predict(config: RunConfig, outdir=None) -> dict:
     """Summarize ensembles into pointwise prediction intervals."""
     out = _outdir(config, outdir)
     chash = config.config_hash()
-    obs = read_csv(_need(out / OBSERVATIONS_FILE))
+    obs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
+    refined = read_json(_need(out / MODEL_FILE, chash))["objective_refined"] is not None
     level = config.ensemble.level
     driver_kind = config.problem["kind"]
 
-    samples = load_matrix(_need(out / ENSEMBLE_FILE))
+    samples = load_matrix(_need(out / ENSEMBLE_FILE, chash))
     summary = summarize_matrix(samples, obs["grid"], level)
     _write_summary(out / SUMMARY_FILE, summary, obs["rom"], obs["truth"], chash)
     produced = {"summary": SUMMARY_FILE}
 
-    if (out / ENSEMBLE_INTEGER_FILE).exists():
-        samples_int = load_matrix(out / ENSEMBLE_INTEGER_FILE)
+    if refined:
+        samples_int = load_matrix(_need(out / ENSEMBLE_INTEGER_FILE, chash))
         summary_int = summarize_matrix(samples_int, obs["grid"], level)
         _write_summary(out / SUMMARY_INTEGER_FILE, summary_int, obs["rom"],
                        obs["truth"], chash)
         produced["summary_integer"] = SUMMARY_INTEGER_FILE
     if driver_kind == "surrogate-dynamics":
         for name in EXTRA_QOI_NAMES:
-            extra = load_matrix(_need(out / f"ensemble_{name}.bin"))
+            extra = load_matrix(_need(out / f"ensemble_{name}.bin", chash))
             s = summarize_matrix(extra, obs["grid"], level)
             _write_summary(out / f"summary_{name}.csv", s,
                            obs[f"rom_{name}"], obs[f"truth_{name}"], chash)
@@ -702,15 +721,16 @@ def _summary_from_csv(table: dict, level: float,
 def stage_report(config: RunConfig, outdir=None) -> dict:
     """Coverage and sharpness of the prediction intervals; write report.json."""
     out = _outdir(config, outdir)
-    model_doc = read_json(_need(out / MODEL_FILE))
+    chash = config.config_hash()
+    model_doc = read_json(_need(out / MODEL_FILE, chash))
     level = config.ensemble.level
-    table = read_csv(_need(out / SUMMARY_FILE))
+    table = read_csv(_need(out / SUMMARY_FILE, chash))
     summary, _, truth = _summary_from_csv(table, level)
     report_cov = coverage(summary, truth)
 
     report = {
         "schema_version": 1,
-        "config_hash": config.config_hash(),
+        "config_hash": chash,
         "config": config.canonical_dict(),
         "library_version": __version__,
         "problem_kind": model_doc["problem_kind"],
@@ -726,14 +746,14 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     }
 
     if model_doc["problem_kind"] == "linear-static-experiment":
-        sensors = read_csv(_need(out / SENSORS_FILE))
+        sensors = read_csv(_need(out / SENSORS_FILE, chash))
         idx = sensors["index"].astype(int)
         noisy_summary, _, _ = _summary_from_csv(table, level, subset=idx)
         noisy_cov = coverage(noisy_summary, sensors["observed_noisy"])
         report["coverage_noisy"] = noisy_cov.coverage
         report["mean_pi_width_sensors"] = noisy_cov.mean_pi_width
-        if (out / SUMMARY_INTEGER_FILE).exists():
-            table_int = read_csv(out / SUMMARY_INTEGER_FILE)
+        if model_doc["objective_refined"] is not None:
+            table_int = read_csv(_need(out / SUMMARY_INTEGER_FILE, chash))
             s_int, _, truth_int = _summary_from_csv(table_int, level)
             cov_int = coverage(s_int, truth_int)
             report["coverage_integer"] = cov_int.coverage
@@ -745,7 +765,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     if model_doc["problem_kind"] == "surrogate-dynamics":
         extras = {}
         for name in EXTRA_QOI_NAMES:
-            t = read_csv(_need(out / f"summary_{name}.csv"))
+            t = read_csv(_need(out / f"summary_{name}.csv", chash))
             s, _, tr = _summary_from_csv(t, level)
             cov = coverage(s, tr)
             widths = s.upper - s.lower

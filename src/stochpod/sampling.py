@@ -13,6 +13,11 @@ Draws are deterministic functions of (master_seed, stream_index) through
 a counter-based generator, so draw i of an ensemble is the same however
 the ensemble is split into batches.  ``batch_fractional_draws`` is the
 one sampler; ``sample_fractional`` is its one-row view.
+
+Each stream's Gaussian matrix is filled column by column, so the matrix
+of a smaller beta is a prefix of the matrix of a larger one.  This is
+load-bearing: a ``StreamCache`` generates each stream once, at the widest
+beta asked for so far, and every narrower beta slices it, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .subspace import DEFAULT_GAP_TOLERANCE, SubspaceBasis, _check_gap, _fix_sig
 __all__ = [
     "StochasticSubspaceModel",
     "RandomStream",
+    "StreamCache",
     "sample_fractional",
     "batch_fractional_draws",
 ]
@@ -82,11 +88,62 @@ class RandomStream:
         """Standard normal matrix filled column by column.
 
         Column-major fill means widening the matrix extends the draw
-        instead of permuting it, which keeps paired-seed comparisons
-        across nearby beta values meaningful.
+        instead of permuting it: the first c columns of
+        ``normal_matrix(rows, c + m)`` are ``normal_matrix(rows, c)``, bit
+        for bit.  Paired-seed comparisons across nearby beta values rely
+        on it, and ``StreamCache`` slices narrower draws out of wider ones.
         """
         flat = self.generator().standard_normal(rows * cols)
         return flat.reshape(cols, rows).T
+
+
+class StreamCache:
+    """The Gaussian matrices of the given streams of one master seed.
+
+    The matrices of the stream indices ``streams`` (sorted, duplicates
+    dropped) are held in that order in one (len(streams), rank, width)
+    array.  A stream is generated the first time it is asked for, at the
+    current width; asking for more columns regenerates every held stream
+    at the new width, and fewer columns slice the held ones (the
+    column-major prefix of ``normal_matrix``).  Only the array is kept, no
+    generator objects.  It takes len(streams) * rank * width * 8 bytes of
+    address space, of which only the rows of streams already generated
+    are written.
+    """
+
+    def __init__(self, master_seed: int, streams):
+        self.master_seed = int(master_seed)
+        self.streams = np.unique(np.asarray(streams, dtype=np.int64))
+        self._held = np.zeros(self.streams.size, dtype=bool)
+        self._z = None
+
+    def normals(self, rank: int, cols: int, indices) -> np.ndarray:
+        """The first ``cols`` columns of each stream's matrix, (len, rank, cols).
+
+        A run of consecutive held streams gets a view of the held array.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        pos = np.searchsorted(self.streams, indices)
+        if np.any(self.streams.take(pos, mode="clip") != indices):
+            raise IndexError("stream indices outside the cache")
+        if self._z is not None and self._z.shape[1] != rank:
+            raise ValueError(f"cache holds {self._z.shape[1]}-row matrices, not {rank}")
+        if self._z is None or cols > self._z.shape[2]:
+            self._z = None                      # free the narrower block first
+            self._z = np.empty((len(self.streams), rank, cols))
+            self._generate(np.flatnonzero(self._held))
+        self._generate(np.unique(pos[~self._held[pos]]))
+        if pos.size and np.all(np.diff(pos) == 1):
+            return self._z[pos[0]:pos[-1] + 1, :, :cols]
+        return self._z[pos, :, :cols]
+
+    def _generate(self, positions) -> None:
+        z = self._z
+        rank, width = z.shape[1:]
+        for p in positions:
+            z[p] = RandomStream(self.master_seed, int(self.streams[p])).normal_matrix(
+                rank, width)
+        self._held[positions] = True
 
 
 def sample_fractional(model: StochasticSubspaceModel, stream: RandomStream) -> SubspaceBasis:
@@ -100,7 +157,7 @@ def sample_fractional(model: StochasticSubspaceModel, stream: RandomStream) -> S
         model, stream.master_seed, [stream.stream_index])[0])
 
 
-def batch_fractional_draws(model: StochasticSubspaceModel, master_seed: int,
+def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
                            indices) -> np.ndarray:
     """Stacked reduced draws, one per stream index, shape (len, r, k).
 
@@ -109,16 +166,23 @@ def batch_fractional_draws(model: StochasticSubspaceModel, master_seed: int,
     is weighted by beta - floor(beta) (integer beta appends no column).
     The SVDs run batched, with the spectral-gap check and sign convention
     of ``principal_subspace_map``.
+
+    ``seed_or_cache`` is a master seed or a ``StreamCache`` of one.  A
+    seed gets a fresh cache of exactly these streams; a cache passed in
+    keeps its streams for the next call, and the draws are the same
+    either way.
     """
     indices = list(indices)
+    cache = seed_or_cache
+    if not isinstance(cache, StreamCache):
+        cache = StreamCache(seed_or_cache, indices)
     r, k, beta = model.rank, model.k, model.beta
-    integer = float(beta).is_integer()
-    cols = int(beta) if integer else int(np.ceil(beta))
-    z = np.empty((len(indices), r, cols))
-    for slot, i in enumerate(indices):
-        z[slot] = RandomStream(master_seed, int(i)).normal_matrix(r, cols)
-    if not integer:
-        z[:, :, -1] *= beta - np.floor(beta)
-    u, s, _ = np.linalg.svd(model.scales[None, :, None] * z, full_matrices=False)
+    cols = int(np.ceil(beta))
+    weights = np.ones(cols)
+    weights[-1] = beta - (cols - 1)     # the fractional part; 1 at integer beta
+    # two products on the cached block, in the order of a fresh draw's
+    scaled = cache.normals(r, cols, indices) * weights
+    scaled *= model.scales[:, None]
+    u, s, _ = np.linalg.svd(scaled, full_matrices=False)
     _check_gap(s, k, DEFAULT_GAP_TOLERANCE, labels=indices)
     return _fix_signs(u[:, :, :k])

@@ -66,6 +66,20 @@ def test_sample_before_train_exit_code_3(tiny_config, capsys):
     assert "upstream" in capsys.readouterr().err
 
 
+def test_stale_upstream_artifact_exit_code_3(tiny_config, tmp_path, capsys):
+    # stages run with --seed 99 (another config hash) on artifacts made
+    # without it refuse them and name the first stale file they read
+    for command in ("train", "sample", "predict"):
+        assert run_cli(command, "--config", tiny_config) == 0
+    capsys.readouterr()
+    for command, stale in (("sample", "model.json"), ("predict", "observations.csv"),
+                           ("report", "model.json")):
+        assert run_cli(command, "--config", tiny_config, "--seed", 99) == 3, command
+        err = capsys.readouterr().err
+        assert "stale" in err and str(tmp_path / "out" / stale) in err, command
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_sample_count_zero_usage_error(tiny_config, capsys):
     assert run_cli("sample", "--config", tiny_config, "--count", 0) == 2
     assert "usage" in capsys.readouterr().err

@@ -90,6 +90,37 @@ def test_stage_sample_requires_train(tmp_path):
         pipeline.stage_sample(tiny_ex2_config(), tmp_path)
 
 
+@pytest.mark.parametrize("stale", ["model.json", "pod_modes.bin", "observations.csv"])
+def test_stage_sample_refuses_artifacts_of_another_config(stale, tmp_path):
+    ours, theirs = tiny_ex2_config(), tiny_ex2_config(seed=99)
+    pipeline.stage_train(ours, tmp_path / "ours")
+    pipeline.stage_train(theirs, tmp_path / "theirs")
+    for name in (stale, stale.replace(".bin", ".json")):
+        (tmp_path / "ours" / name).write_bytes((tmp_path / "theirs" / name).read_bytes())
+    with pytest.raises(pipeline.StaleArtifactError, match=stale):
+        pipeline.stage_sample(ours, tmp_path / "ours")
+    assert not (tmp_path / "ours" / "ensemble.bin").exists()
+
+
+def test_integer_ensemble_follows_the_model_not_leftover_files(tmp_path):
+    # a run without refinement in a directory left by a refined run makes
+    # and reads no integer-beta artifacts; the leftovers are not summarized
+    refined = parse_config({
+        "problem": {"kind": "linear-static-experiment", "n": 100,
+                    "snapshot_count": 20, "sensor_count": 9},
+        "pod": {"k": 3},
+        "training": {"mc_samples": 60,
+                     "refinement": {"enabled": True, "mc_samples": 200,
+                                    "max_iter": 4}},
+        "ensemble": {"count": 80, "level": 0.95, "seed": 5},
+    })
+    pipeline.run_pipeline(refined, tmp_path)
+    leftover = (tmp_path / "summary_integer.csv").read_bytes()
+    report = pipeline.run_pipeline(tiny_ex2_config(), tmp_path).details
+    assert "coverage_integer" not in report
+    assert (tmp_path / "summary_integer.csv").read_bytes() == leftover
+
+
 def test_stage_predict_requires_sample(tmp_path):
     cfg = tiny_ex2_config()
     pipeline.stage_train(cfg, tmp_path)
@@ -248,6 +279,61 @@ def test_ensemble_is_prefix_of_larger_count(make_config, k):
         assert np.array_equal(shorter[name], longer[name][:9]), name
 
 
+# ---------------------------------------------------------------------------
+# one stream cache per Monte-Carlo loop
+
+# widening, narrowing, repeated, integer and fractional
+CACHE_WALK = (4, 7.5, 3.25, 9, 9, 5.5, 11.75, 2, 6)
+CACHE_SCALES = np.array([3.0, 2.0, 1.2, 0.7, 0.4, 0.2])
+
+
+def fresh_draws(beta, seed, count):
+    model = sp.StochasticSubspaceModel(CACHE_SCALES, 2, float(beta))
+    return sp.batch_fractional_draws(model, seed, range(count))
+
+
+def test_cached_objective_matches_fresh_draws():
+    count, chunk, seed = 23, 5, 17       # the chunk does not divide the count
+    weights = np.arange(1.0, 13.0).reshape(6, 2)
+
+    def gaps(draws, indices):
+        return np.sum(draws * weights, axis=(1, 2))**2
+
+    objective = pipeline._mc_objective(CACHE_SCALES, 2, seed, count, chunk, gaps)
+    for beta in CACHE_WALK:
+        expected = float(np.sum(gaps(fresh_draws(beta, seed, count), None))) / count
+        assert objective(beta) == expected, beta
+
+
+def test_cached_ensembles_match_fresh_draws():
+    count, chunk, seed = 23, 5, 29
+    betas = {f"b{j}": float(beta) for j, beta in enumerate(CACHE_WALK)}
+    got = pipeline._mc_ensembles(CACHE_SCALES, 2, betas, seed, count, chunk,
+                                 lambda draws, indices: draws.copy())
+    for name, beta in betas.items():
+        assert np.array_equal(got[name], fresh_draws(beta, seed, count)), name
+
+
+def test_objective_generates_each_stream_once(monkeypatch):
+    calls = []
+    normal_matrix = sp.RandomStream.normal_matrix
+
+    def counted(stream, rows, cols):
+        calls.append(stream.stream_index)
+        return normal_matrix(stream, rows, cols)
+
+    monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted)
+    count = 23
+    objective = pipeline._mc_objective(CACHE_SCALES, 2, 3, count, 5,
+                                       lambda draws, indices: draws[:, 0, 0])
+    for beta in (9.5, 10, 9, 7.25, 5, 5, 2):     # widths 10, 10, 9, 8, 5, 5, 2
+        objective(beta)
+    assert sorted(calls) == list(range(count))
+    # a wider beta regenerates every held stream once more
+    objective(12)
+    assert sorted(calls[count:]) == list(range(count))
+
+
 def test_parametric_aggregation_default_agrees():
     cfg = tiny_ex1_config()
     assert "parametric_aggregation" not in cfg.training
@@ -305,7 +391,7 @@ def test_problem_defaults_fill_omitted_fields():
     assert [(cfg.config_hash(), cfg.problem) for cfg in configs] == before
 
 
-def test_tracing_entry_points_stay_looked_up_by_name():
+def test_tracing_entry_points_stay_looked_up_by_name(monkeypatch):
     # the benchmark's tracer wraps these by name on each driver class and
     # on the pipeline module; a method moved to a base class or a kernel
     # renamed would silently read zero in its per-layer metrics
@@ -315,6 +401,29 @@ def test_tracing_entry_points_stay_looked_up_by_name():
     for name in ("_cubic_newton_batch", "_linear_qoi_predictions",
                  "_dynamic_qoi_predictions", "batch_fractional_draws"):
         assert callable(vars(pipeline).get(name)), name
+    # sampling.streams and sampling.stream_s wrap the class attribute
+    # RandomStream.normal_matrix, and sampling.draws the module global
+    # pipeline.batch_fractional_draws: both must be looked up at call time
+    seen = {"streams": 0, "batches": 0}
+    normal_matrix = sp.RandomStream.normal_matrix
+    batch = pipeline.batch_fractional_draws
+
+    def counted_streams(stream, *args):
+        seen["streams"] += 1
+        return normal_matrix(stream, *args)
+
+    def counted_batches(*args):
+        seen["batches"] += 1
+        return batch(*args)
+
+    monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted_streams)
+    monkeypatch.setattr(pipeline, "batch_fractional_draws", counted_batches)
+    pipeline._mc_objective(CACHE_SCALES, 2, 5, 7, 3,
+                           lambda draws, indices: draws[:, 0, 0])(4.5)
+    assert seen == {"streams": 7, "batches": 3}
+    pipeline._mc_ensembles(CACHE_SCALES, 2, {"primary": 4.5}, 5, 7, 4,
+                           lambda draws, indices: draws)
+    assert seen == {"streams": 14, "batches": 5}
 
 
 # ---------------------------------------------------------------------------

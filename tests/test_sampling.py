@@ -5,6 +5,7 @@ import scipy.stats
 
 import stochpod as sp
 from stochpod.errors import GapError
+from stochpod.sampling import StreamCache
 
 
 def random_modes(n, r, seed=5):
@@ -254,6 +255,30 @@ def test_batched_draws_match_sequential():
             single = sp.principal_subspace_map(scales[:, None] * z, 3).matrix
             assert np.array_equal(batch[i], single)
 
+
+
+@pytest.mark.parametrize("rows,cols,more", [(1, 1, 1), (5, 3, 9), (44, 11, 250)])
+def test_normal_matrix_narrower_is_prefix_of_wider(rows, cols, more):
+    # the stream cache slices narrower draws out of wider ones
+    for index in (0, 3, 12345):
+        stream = sp.RandomStream(2718, index)
+        narrow = stream.normal_matrix(rows, cols)
+        wide = stream.normal_matrix(rows, cols + more)
+        assert np.array_equal(narrow, wide[:, :cols])
+
+
+def test_cache_serves_any_index_set_like_fresh_draws():
+    model = sp.StochasticSubspaceModel(np.array([3.0, 1.0, 0.5, 0.2]), 2, 6.5)
+    cache = StreamCache(42, [*range(3, 30), 10**12])
+    for indices in ([7], range(3, 11), [29, 4, 17], range(20, 30), [5, 5],
+                    [10**12, 6]):
+        assert np.array_equal(sp.batch_fractional_draws(model, cache, indices),
+                              sp.batch_fractional_draws(model, 42, indices))
+    for outside in ([2], [31], [10**12 + 1]):
+        with pytest.raises(IndexError):
+            cache.normals(4, 3, outside)
+    with pytest.raises(ValueError):
+        cache.normals(5, 3, [3])
 
 
 def test_tied_spectrum_raises_gap_error():
