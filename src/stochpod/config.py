@@ -85,24 +85,28 @@ class RunConfig:
                                  DEFAULT_PARAMETRIC_AGGREGATION)
 
     def training_config(self, k: int, rank: int) -> TrainingConfig:
+        """The training settings; a field the document omits keeps the
+        ``TrainingConfig`` or ``RefinementConfig`` default."""
         t = self.training
         beta_max = t.get("beta_max")
         if beta_max is None:
             beta_max = 10.0 * rank
-        ref = t.get("refinement", {})
         return TrainingConfig(
             beta_bounds=(float(k), float(beta_max)),
-            mc_samples=int(t.get("mc_samples", 1000)),
-            tolerance=float(t.get("tolerance", 1e-3)),
-            max_iter=int(t.get("max_iter", 100)),
-            refinement=RefinementConfig(
-                enabled=bool(ref.get("enabled", False)),
-                window=float(ref.get("window", 1.0)),
-                mc_samples=int(ref.get("mc_samples", 100_000)),
-                tolerance=float(ref.get("tolerance", 1e-10)),
-                max_iter=int(ref.get("max_iter", 100)),
-            ),
+            refinement=RefinementConfig(**_given(t.get("refinement", {}),
+                                                 _REFINEMENT_FIELDS)),
+            **_given(t, _TRAINING_FIELDS),
         )
+
+
+_TRAINING_FIELDS = {"mc_samples": int, "tolerance": float, "max_iter": int}
+_REFINEMENT_FIELDS = {"enabled": bool, "window": float, "mc_samples": int,
+                      "tolerance": float, "max_iter": int}
+
+
+def _given(document: dict, fields: dict) -> dict:
+    """The fields the document sets, each converted to its type."""
+    return {key: kind(document[key]) for key, kind in fields.items() if key in document}
 
 
 def _require(condition: bool, field_path: str, message: str) -> None:
@@ -142,10 +146,18 @@ def parse_config(document: dict, seed_override: int | None = None,
         _require(p["snapshot_force"] in ("nominal", "perturbed"),
                  "problem.snapshot_force", "must be 'nominal' or 'perturbed'")
     else:  # surrogate-dynamics
+        n = problem["n"]
+        _require(n >= 10, "problem.n", "must be an integer >= 10 for surrogate-dynamics")
         _require(problem.get("dt", 0) > 0, "problem.dt", "must be positive")
         _require(problem.get("t_end", 0) > 0, "problem.t_end", "must be positive")
-        _require(isinstance(problem.get("qoi_dof"), int),
-                 "problem.qoi_dof", "must be an integer DoF index")
+        for key in ("qoi_dof", "alt_dof", "heavy_dof"):
+            dof = problem.get(key)
+            # alt_dof may be omitted; heavy_dof omitted or null is the centre node
+            if (key == "alt_dof" and key not in problem
+                    or key == "heavy_dof" and dof is None):
+                continue
+            _require(type(dof) is int and 0 <= dof < n, f"problem.{key}",
+                     f"must be an integer DoF index in [0, {n})")
         _require(int(p["snapshot_stride"]) >= 1,
                  "problem.snapshot_stride", "must be >= 1")
 

@@ -57,6 +57,22 @@ def test_invalid_field_exit_code_2(tmp_path, capsys):
     assert "pod" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("qoi_dof", 400), ("alt_dof", 400),
+                                         ("qoi_dof", -1), ("n", 9)])
+def test_surrogate_index_out_of_range_exit_code_2(tmp_path, capsys, field, value):
+    problem = {"kind": "surrogate-dynamics", "n": 40, "dt": 0.005, "t_end": 0.1,
+               "qoi_dof": 10, field: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "problem": problem, "pod": {"k": 3},
+        "ensemble": {"count": 10, "level": 0.95, "seed": 1},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert run_cli("run", "--config", bad) == 2
+    assert f"problem.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exit_code_2(tmp_path):
     assert run_cli("run", "--config", tmp_path / "nope.json") == 2
 

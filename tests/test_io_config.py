@@ -6,6 +6,7 @@ import pytest
 from stochpod.config import ConfigError, load_config, parse_config
 from stochpod.matrixio import (load_matrix, read_csv, read_json, save_matrix,
                                write_csv, write_json)
+from stochpod.training import RefinementConfig, TrainingConfig
 
 
 def base_document(**overrides):
@@ -167,3 +168,35 @@ def test_training_config_defaults():
     assert tcfg.mc_samples == 50
     assert tcfg.refinement.enabled is False
     assert tcfg.refinement.mc_samples == 100_000
+    # every field the document omits takes the dataclass default
+    tcfg = parse_config(base_document(training={})).training_config(k=3, rank=12)
+    assert tcfg == TrainingConfig(beta_bounds=(3.0, 120.0))
+    doc = base_document(training={"max_iter": 7, "refinement": {"window": 2.0}})
+    tcfg = parse_config(doc).training_config(k=3, rank=12)
+    assert tcfg == TrainingConfig(beta_bounds=(3.0, 120.0), max_iter=7,
+                                  refinement=RefinementConfig(window=2.0))
+
+
+def surrogate_document(**problem):
+    return base_document(problem={"kind": "surrogate-dynamics", "n": 40,
+                                  "dt": 0.005, "t_end": 0.1, "qoi_dof": 10,
+                                  **problem})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("qoi_dof", 400), ("qoi_dof", -1), ("qoi_dof", 40), ("qoi_dof", 2.0),
+    ("alt_dof", 400), ("alt_dof", -1), ("alt_dof", None),
+    ("heavy_dof", 40), ("heavy_dof", -3), ("n", 9)])
+def test_surrogate_indices_must_lie_in_the_chain(field, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(surrogate_document(**{field: value}))
+    assert err.value.field_path == f"problem.{field}"
+
+
+def test_surrogate_valid_indices_keep_their_hash():
+    # the end points of the chain and a null heavy_dof (the centre node) are
+    # valid, and the checks leave the hash as it was before they existed
+    doc = surrogate_document(qoi_dof=0, alt_dof=39, heavy_dof=None)
+    assert parse_config(doc).config_hash() == "7e609593a4e275de"
+    doc["problem"]["heavy_dof"] = 39
+    assert parse_config(doc).config_hash() == "4e725128c20a0e34"

@@ -7,7 +7,7 @@ import stochpod as sp
 from stochpod import pipeline, rom
 from stochpod.config import DEFAULT_PARAMETRIC_AGGREGATION, parse_config
 from stochpod.matrixio import read_csv
-from stochpod.problems import SurrogateSpec
+from stochpod.problems import SurrogateSpec, surrogate_dynamics
 
 
 def tiny_ex2_config(seed=5, **problem):
@@ -212,21 +212,81 @@ def test_batched_linear_kernel_matches_rom():
     assert np.max(np.abs(batched - looped)) <= 1e-11 * scale
 
 
+def looped_series(staged, draws, modes, series, dt, t_end):
+    """The kernel's outputs, one ``rom.newmark_integrate`` run per draw."""
+    fields = ("states", "velocities", "accelerations")
+    out = []
+    for u in draws:
+        traj = rom.newmark_integrate(rom.inner_reduce(staged, u), dt, t_end)
+        out.append([(modes[dof] @ u) @ getattr(traj, fields[order])
+                    for dof, order in series])
+    return np.array(out)
+
+
 def test_batched_dynamic_kernel_matches_rom():
     driver, scales, modes, _ = ensemble_inputs(tiny_ex3_config(), 5)
     model = sp.StochasticSubspaceModel(scales, 5, 8)
     draws = sp.batch_fractional_draws(model, 55, range(12))
     staged = rom.two_stage_reduce(driver._sampled_system(), modes)
+    velocity = [(driver.qoi_dof, 1)]
     series = pipeline._dynamic_qoi_predictions(
-        draws, staged, modes, driver.dt, driver.steps, [(driver.qoi_dof, 1)])
-    looped = np.stack([
-        (modes[driver.qoi_dof] @ u)
-        @ rom.newmark_integrate(rom.inner_reduce(staged, u), driver.dt,
-                                driver.t_end).velocities
-        for u in draws])
+        draws, staged, modes, driver.dt, driver.steps, velocity)
+    looped = looped_series(staged, draws, modes, velocity, driver.dt, driver.t_end)[:, 0]
     scale = np.max(np.abs(looped))
     assert series.shape == (12, 1, driver.steps + 1)
     assert np.max(np.abs(series[:, 0] - looped)) <= 1e-9 * scale
+
+
+# the load acts on steps 1..37 (37 is no multiple of the block length of
+# four series, 16), on every step, or on none (all steps are free phase)
+@pytest.mark.parametrize("loaded_steps", [37, 300, 0])
+def test_dynamic_kernel_free_phase_matches_rom(loaded_steps):
+    n, r, k, count, steps, dt = 12, 8, 5, 6, 300, 0.002
+    chain = surrogate_dynamics(SurrogateSpec(n=n, rayleigh_beta=1e-3))
+    gen = np.random.default_rng(loaded_steps)
+    times = np.arange(steps + 1) * dt
+    load = np.zeros((steps + 1, n))
+    if loaded_steps:
+        load[:loaded_steps + 1, n // 2] = 2.0 + np.sin(40.0 * times[:loaded_steps + 1])
+    # a rigid-body velocity: the free-free chain drifts
+    v0 = 0.1 + 0.01 * gen.normal(size=n)
+    system = rom.LinearDynamicSystem(chain.mass, chain.damping, chain.stiffness,
+                                     load, (0.01 * gen.normal(size=n), v0))
+    # the rigid-body translation, the kernel of K, lies in every draw's span
+    modes = np.linalg.qr(np.column_stack([np.ones(n), gen.normal(size=(n, r - 1))]))[0]
+    first = np.broadcast_to(np.eye(r)[:, :1], (count, r, 1))
+    draws = np.linalg.qr(np.concatenate(
+        [first, gen.normal(size=(count, r, k - 1))], axis=2))[0]
+    staged = rom.two_stage_reduce(system, modes)
+    series = [(3, 0), (5, 1), (8, 2), (0, 1)]
+    got = pipeline._dynamic_qoi_predictions(draws, staged, modes, dt, steps, series)
+    expected = looped_series(staged, draws, modes, series, dt, steps * dt)
+    assert got.shape == (count, len(series), steps + 1)
+    assert np.ptp(expected[:, 0], axis=1).min() > 1e-3       # displacement drifts
+    for j in range(len(series)):
+        scale = np.max(np.abs(expected[:, j]))
+        assert np.max(np.abs(got[:, j] - expected[:, j])) <= 1e-9 * scale, j
+
+
+def test_dynamic_kernel_conserves_energy():
+    # the kernel-level form of acceptance criterion 8: undamped and unloaded,
+    # so every step is a power of the one-step map
+    n, steps, dt = 4, 1000, 0.01
+    gen = np.random.default_rng(8)
+    a = gen.normal(size=(n, n))
+    stiff = a @ a.T + n * np.eye(n)
+    mass = np.diag(gen.uniform(1.0, 2.0, n))
+    system = rom.LinearDynamicSystem(mass, np.zeros((n, n)), stiff,
+                                     np.zeros((steps + 1, n)),
+                                     (gen.normal(size=n), gen.normal(size=n)))
+    staged = rom.two_stage_reduce(system, np.eye(n))
+    series = [(dof, 0) for dof in range(n)] + [(dof, 1) for dof in range(n)]
+    out = pipeline._dynamic_qoi_predictions(np.eye(n)[None], staged, np.eye(n),
+                                            dt, steps, series)[0]
+    x, v = out[:n], out[n:]
+    energy = 0.5 * np.einsum("it,ij,jt->t", v, mass, v) \
+        + 0.5 * np.einsum("it,ij,jt->t", x, stiff, x)
+    assert np.max(np.abs(energy - energy[0])) / energy[0] <= 1e-8
 
 
 def test_cubic_ensemble_matches_rom_newton():
