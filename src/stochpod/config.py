@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -91,6 +92,7 @@ class RunConfig:
         beta_max = t.get("beta_max")
         if beta_max is None:
             beta_max = 10.0 * rank
+        _require(beta_max > k, "training.beta_max", f"must exceed k = {k}")
         return TrainingConfig(
             beta_bounds=(float(k), float(beta_max)),
             refinement=RefinementConfig(**_given(t.get("refinement", {}),
@@ -99,19 +101,49 @@ class RunConfig:
         )
 
 
-_TRAINING_FIELDS = {"mc_samples": int, "tolerance": float, "max_iter": int}
-_REFINEMENT_FIELDS = {"enabled": bool, "window": float, "mc_samples": int,
-                      "tolerance": float, "max_iter": int}
+#: The fields of ``training`` and of ``training.refinement`` that become
+#: ``TrainingConfig`` and ``RefinementConfig`` fields: name -> (type, test
+#: of the value, what the test asks for).
+_TRAINING_FIELDS = {
+    "mc_samples": (int, lambda v: v >= 2, "an integer >= 2"),
+    "tolerance": (float, lambda v: v > 0, "a positive number"),
+    "max_iter": (int, lambda v: v >= 1, "an integer >= 1"),
+}
+_REFINEMENT_FIELDS = {
+    **_TRAINING_FIELDS,
+    "enabled": (bool, lambda v: True, "true or false"),
+    "window": (float, lambda v: v >= 0, "a number >= 0"),
+}
 
 
 def _given(document: dict, fields: dict) -> dict:
     """The fields the document sets, each converted to its type."""
-    return {key: kind(document[key]) for key, kind in fields.items() if key in document}
+    return {key: kind(document[key]) for key, (kind, _, _) in fields.items()
+            if key in document}
 
 
 def _require(condition: bool, field_path: str, message: str) -> None:
     if not condition:
         raise ConfigError(field_path, message)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; a string or a bool is none."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_fields(section, fields: dict, path: str, others=()) -> None:
+    """Refuse a key of ``section`` that is neither in ``fields`` nor in
+    ``others``, and a value of ``fields`` of the wrong type or range.  An
+    ``int`` field refuses a float, and no number field takes a bool."""
+    _require(isinstance(section, dict), path, "must be an object")
+    for key, value in section.items():
+        _require(key in fields or key in others, f"{path}.{key}", "unknown field")
+        if key in fields:
+            kind, test, wanted = fields[key]
+            typed = _is_number(value) if kind is float else type(value) is kind
+            _require(typed and test(value), f"{path}.{key}", f"must be {wanted}")
 
 
 def parse_config(document: dict, seed_override: int | None = None,
@@ -128,17 +160,17 @@ def parse_config(document: dict, seed_override: int | None = None,
              "problem.n", "must be an integer >= 8")
     p = {**PROBLEM_DEFAULTS[kind], **problem}
     if kind == "cubic-parametric":
-        _require(problem.get("alpha", 0) > 0, "problem.alpha", "must be positive")
+        alpha = problem.get("alpha")
+        _require(_is_number(alpha) and alpha > 0, "problem.alpha", "must be positive")
         _require(int(problem.get("snapshot_count", 0)) >= 2,
                  "problem.snapshot_count", "must be >= 2")
         mu = problem.get("mu_test")
         _require(isinstance(mu, list) and len(mu) == 5,
                  "problem.mu_test", "must be a list of 5 numbers")
     elif kind == "linear-static-experiment":
-        _require(0 <= p["perturbation_ratio"],
-                 "problem.perturbation_ratio", "must be nonnegative")
-        _require(0 <= p["noise_level"],
-                 "problem.noise_level", "must be nonnegative")
+        for key in ("perturbation_ratio", "noise_level"):
+            _require(_is_number(p[key]) and p[key] >= 0,
+                     f"problem.{key}", "must be a nonnegative number")
         _require(int(p["sensor_count"]) >= 1,
                  "problem.sensor_count", "must be >= 1")
         _require(int(p["snapshot_count"]) >= 2,
@@ -148,8 +180,9 @@ def parse_config(document: dict, seed_override: int | None = None,
     else:  # surrogate-dynamics
         n = problem["n"]
         _require(n >= 10, "problem.n", "must be an integer >= 10 for surrogate-dynamics")
-        _require(problem.get("dt", 0) > 0, "problem.dt", "must be positive")
-        _require(problem.get("t_end", 0) > 0, "problem.t_end", "must be positive")
+        for key in ("dt", "t_end"):
+            _require(_is_number(problem.get(key)) and problem[key] > 0,
+                     f"problem.{key}", "must be positive")
         for key in ("qoi_dof", "alt_dof", "heavy_dof"):
             dof = problem.get(key)
             # alt_dof may be omitted; heavy_dof omitted or null is the centre node
@@ -167,9 +200,10 @@ def parse_config(document: dict, seed_override: int | None = None,
     _require((k is None) != (tau is None), "pod",
              "exactly one of 'k' or 'energy_threshold' must be set")
     if k is not None:
-        _require(isinstance(k, int) and k >= 1, "pod.k", "must be an integer >= 1")
+        _require(type(k) is int and k >= 1, "pod.k", "must be an integer >= 1")
     if tau is not None:
-        _require(0.0 < tau < 1.0, "pod.energy_threshold", "must lie in (0, 1)")
+        _require(_is_number(tau) and 0.0 < tau < 1.0, "pod.energy_threshold",
+                 "must lie in (0, 1)")
     source = pod_doc.get("source")
     _require(source in (None, "centered", "raw"), "pod.source",
              "must be 'centered' or 'raw'")
@@ -177,11 +211,20 @@ def parse_config(document: dict, seed_override: int | None = None,
     ens = document["ensemble"]
     _require(isinstance(ens.get("count"), int) and ens["count"] >= 2,
              "ensemble.count", "must be an integer >= 2")
-    _require(0.0 < ens.get("level", 0.95) < 1.0, "ensemble.level", "must lie in (0, 1)")
+    level = ens.get("level", 0.95)
+    _require(_is_number(level) and 0.0 < level < 1.0, "ensemble.level",
+             "must lie in (0, 1)")
     seed = seed_override if seed_override is not None else ens.get("seed")
-    _require(isinstance(seed, int), "ensemble.seed", "a mandatory integer seed")
+    _require(type(seed) is int, "ensemble.seed", "a mandatory integer seed")
 
-    training = dict(document.get("training", {}))
+    training = document.get("training", {})
+    _check_fields(training, _TRAINING_FIELDS, "training",
+                  others=("beta_max", "parametric_aggregation", "refinement"))
+    _check_fields(training.get("refinement", {}), _REFINEMENT_FIELDS,
+                  "training.refinement")
+    beta_max = training.get("beta_max")
+    _require(beta_max is None or _is_number(beta_max) and beta_max > 0,
+             "training.beta_max", "must be a positive number or null")
     agg = training.get("parametric_aggregation", DEFAULT_PARAMETRIC_AGGREGATION)
     _require(agg in ("per-parameter", "pooled"), "training.parametric_aggregation",
              "must be 'per-parameter' or 'pooled'")
@@ -190,9 +233,9 @@ def parse_config(document: dict, seed_override: int | None = None,
     return RunConfig(
         problem=problem,
         pod=PodConfig(k=k, energy_threshold=tau, source=source),
-        training=training,
+        training=dict(training),
         ensemble=EnsembleConfig(count=int(ens["count"]),
-                                level=float(ens.get("level", 0.95)),
+                                level=float(level),
                                 seed=int(seed)),
         output_dir=output_dir,
     )

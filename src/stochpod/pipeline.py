@@ -45,13 +45,8 @@ MODEL_FILE = "model.json"
 TRACE_FILE = "training_trace.csv"
 OBSERVATIONS_FILE = "observations.csv"
 SENSORS_FILE = "sensors.csv"
-ENSEMBLE_FILE = "ensemble.bin"
-ENSEMBLE_INTEGER_FILE = "ensemble_integer.bin"
-SUMMARY_FILE = "summary.csv"
-SUMMARY_INTEGER_FILE = "summary_integer.csv"
 REPORT_FILE = "report.json"
 TIMINGS_FILE = "timings.json"
-EXTRA_QOI_NAMES = ("acceleration", "displacement", "velocity_alt")
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -258,12 +253,19 @@ def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series):
 # both use it); ``draw_ensembles`` returns ``_mc_ensembles`` of its
 # ``predict``, one (count, grid) sample matrix per named beta.  Only the
 # train stage calls ``references``; sampling gets observations.csv.
+# The stages read what a driver writes from its class attributes, so that
+# predict and report construct no driver.
 
 
 class CubicDriver:
     """Parametric cubic static problem: ROM-error characterization."""
 
     kind = "cubic-parametric"
+    # the raw snapshot matrix is the decomposition operand: its mean state
+    # is load-bearing and must stay inside the reduced basis
+    pod_source = "raw"
+    extra_series = {}
+    writes_sensors = False
 
     def __init__(self, config: RunConfig):
         p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
@@ -364,6 +366,9 @@ class ExperimentDriver:
     """Linear static problem with synthetic experimental data."""
 
     kind = "linear-static-experiment"
+    pod_source = "centered"
+    extra_series = {}
+    writes_sensors = True
 
     def __init__(self, config: RunConfig):
         p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
@@ -452,6 +457,11 @@ class SurrogateDriver:
     """Linear dynamics surrogate: impulse response of a heavy-mass chain."""
 
     kind = "surrogate-dynamics"
+    pod_source = "centered"
+    # name -> (DoF attribute, derivative order); the primary is qoi_dof's velocity
+    extra_series = {"acceleration": ("qoi_dof", 2), "displacement": ("qoi_dof", 0),
+                    "velocity_alt": ("alt_dof", 1)}
+    writes_sensors = False
 
     def __init__(self, config: RunConfig):
         p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
@@ -490,12 +500,10 @@ class SurrogateDriver:
         return traj.states[:, ::self.stride].copy()
 
     def series_spec(self) -> dict:
-        return {
-            "velocity": (self.qoi_dof, 1),
-            "acceleration": (self.qoi_dof, 2),
-            "displacement": (self.qoi_dof, 0),
-            "velocity_alt": (self.alt_dof, 1),
-        }
+        """name -> (DoF, derivative order): the primary series, then the extras."""
+        return {"primary": (self.qoi_dof, 1),
+                **{name: (getattr(self, attr), order)
+                   for name, (attr, order) in self.extra_series.items()}}
 
     def references(self, modes, k, snapshots) -> dict:
         traj = self._hdm_trajectory()
@@ -505,35 +513,33 @@ class SurrogateDriver:
         refs = {"grid": self.times}
         fields = {0: "states", 1: "velocities", 2: "accelerations"}
         for name, (dof, order) in self.series_spec().items():
-            refs[f"truth_{name}"] = getattr(traj, fields[order])[dof]
-            refs[f"rom_{name}"] = basis[dof] @ getattr(rom_traj, fields[order])
-        refs["rom"] = refs["rom_velocity"]
-        refs["truth"] = refs["truth_velocity"]
+            refs[_named("truth", name)] = getattr(traj, fields[order])[dof]
+            refs[_named("rom", name)] = basis[dof] @ getattr(rom_traj, fields[order])
         return refs
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
                           chunk=512):
         staged = rom.two_stage_reduce(self._sampled_system(), modes)
-        reference = refs["rom_velocity"]
-        d_truth = np.linalg.norm(refs["truth_velocity"] - reference)
-        velocity = [(self.qoi_dof, 1)]
+        reference = refs["rom"]
+        d_truth = np.linalg.norm(refs["truth"] - reference)
+        primary = [self.series_spec()["primary"]]
 
         def gaps(draws, indices):
             series = _dynamic_qoi_predictions(draws, staged, modes, self.dt,
-                                              self.steps, velocity)[:, 0]
+                                              self.steps, primary)[:, 0]
             return (np.linalg.norm(series - reference, axis=1) - d_truth)**2
 
         return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
         staged = rom.two_stage_reduce(self._sampled_system(), modes)
-        series = list(self.series_spec().values())     # velocity, then the extras
+        series = list(self.series_spec().values())     # primary, then the extras
         stacked = _mc_ensembles(
             scales, k, betas, seed, count, chunk,
             lambda draws, indices: _dynamic_qoi_predictions(draws, staged, modes,
                                                             self.dt, self.steps, series))
         out = {name: values[:, 0] for name, values in stacked.items()}
-        for j, name in enumerate(EXTRA_QOI_NAMES, 1):
+        for j, name in enumerate(self.extra_series, 1):
             out[name] = stacked["primary"][:, j]
         return out
 
@@ -547,6 +553,18 @@ _DRIVERS = {
 
 def make_driver(config: RunConfig):
     return _DRIVERS[config.problem["kind"]](config)
+
+
+def _named(stem: str, name: str) -> str:
+    """File stem or reference key of a series: ``stem_name``, or ``stem`` alone."""
+    return stem if name == "primary" else f"{stem}_{name}"
+
+
+def _series(model_doc: dict) -> list:
+    """Series of a trained run: primary, integer if beta was refined, the extras."""
+    refined = model_doc["objective_refined"] is not None
+    return ["primary", *(["integer"] if refined else []),
+            *_DRIVERS[model_doc["problem_kind"]].extra_series]
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +597,7 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     snapshots = driver.snapshots()
     save_matrix(out / SNAPSHOTS_FILE, snapshots, chash)
 
-    # The parametric problem keeps the raw snapshot matrix as the
-    # decomposition operand (its mean state is load-bearing and must stay
-    # inside the reduced basis); the others reduce centered deviations.
-    source = config.pod.source or (
-        "raw" if driver.kind == "cubic-parametric" else "centered")
+    source = config.pod.source or driver.pod_source
     operand = snapshots if source == "raw" else center(snapshots).centered
     pod = compact_svd(operand)
     if config.pod.k is not None:
@@ -656,13 +670,10 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
 
 
 def _write_observations(out: Path, driver, refs: dict, chash: str) -> None:
-    columns = {"grid": refs["grid"], "rom": refs["rom"], "truth": refs["truth"]}
-    if driver.kind == "surrogate-dynamics":
-        for name in EXTRA_QOI_NAMES:
-            columns[f"rom_{name}"] = refs[f"rom_{name}"]
-            columns[f"truth_{name}"] = refs[f"truth_{name}"]
-    write_csv(out / OBSERVATIONS_FILE, columns, chash)
-    if driver.kind == "linear-static-experiment":
+    keys = [_named(stem, name) for name in ("primary", *driver.extra_series)
+            for stem in ("rom", "truth")]
+    write_csv(out / OBSERVATIONS_FILE, {key: refs[key] for key in ("grid", *keys)}, chash)
+    if driver.writes_sensors:
         idx = refs["sensor_indices"]
         write_csv(out / SENSORS_FILE, {
             "index": idx,
@@ -697,19 +708,9 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1,
     scales = np.asarray(model_doc["scales"])
     ensembles = driver.draw_ensembles(scales, model_doc["k"], modes, refs, betas,
                                       n_draws, derive_seed(config.seed, _SEED_ENSEMBLE))
-    # ensemble.bin, then ensemble_<name>.bin: "integer" and the extra QoIs
-    for name, values in ensembles.items():
-        path = ENSEMBLE_FILE if name == "primary" else f"ensemble_{name}.bin"
-        save_matrix(out / path, values, chash)
-    return {name: arr.shape for name, arr in ensembles.items()}
-
-
-def _write_summary(path, summary: PredictionSummary, rom_ref, truth, chash) -> None:
-    write_csv(path, {
-        "grid": summary.grid, "mean": summary.mean, "std": summary.std,
-        "lower": summary.lower, "upper": summary.upper,
-        "rom": rom_ref, "truth": truth,
-    }, chash)
+    for name in _series(model_doc):
+        save_matrix(out / f"{_named('ensemble', name)}.bin", ensembles[name], chash)
+    return {name: ensembles[name].shape for name in _series(model_doc)}
 
 
 def stage_predict(config: RunConfig, outdir=None) -> dict:
@@ -717,38 +718,27 @@ def stage_predict(config: RunConfig, outdir=None) -> dict:
     out = _outdir(config, outdir)
     chash = config.config_hash()
     obs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
-    refined = read_json(_need(out / MODEL_FILE, chash))["objective_refined"] is not None
-    level = config.ensemble.level
-    driver_kind = config.problem["kind"]
-
-    samples = load_matrix(_need(out / ENSEMBLE_FILE, chash))
-    summary = summarize_matrix(samples, obs["grid"], level)
-    _write_summary(out / SUMMARY_FILE, summary, obs["rom"], obs["truth"], chash)
-    produced = {"summary": SUMMARY_FILE}
-
-    if refined:
-        samples_int = load_matrix(_need(out / ENSEMBLE_INTEGER_FILE, chash))
-        summary_int = summarize_matrix(samples_int, obs["grid"], level)
-        _write_summary(out / SUMMARY_INTEGER_FILE, summary_int, obs["rom"],
-                       obs["truth"], chash)
-        produced["summary_integer"] = SUMMARY_INTEGER_FILE
-    if driver_kind == "surrogate-dynamics":
-        for name in EXTRA_QOI_NAMES:
-            extra = load_matrix(_need(out / f"ensemble_{name}.bin", chash))
-            s = summarize_matrix(extra, obs["grid"], level)
-            _write_summary(out / f"summary_{name}.csv", s,
-                           obs[f"rom_{name}"], obs[f"truth_{name}"], chash)
-            produced[f"summary_{name}"] = f"summary_{name}.csv"
+    model_doc = read_json(_need(out / MODEL_FILE, chash))
+    produced = {}
+    for name in _series(model_doc):
+        samples = load_matrix(_need(out / f"{_named('ensemble', name)}.bin", chash))
+        s = summarize_matrix(samples, obs["grid"], config.ensemble.level)
+        ref = "primary" if name == "integer" else name    # same beta-free curves
+        path = f"{_named('summary', name)}.csv"
+        write_csv(out / path, {
+            "grid": s.grid, "mean": s.mean, "std": s.std, "lower": s.lower,
+            "upper": s.upper, "rom": obs[_named("rom", ref)],
+            "truth": obs[_named("truth", ref)],
+        }, chash)
+        produced[_named("summary", name)] = path
     return produced
 
 
-def _summary_from_csv(table: dict, level: float,
-                      subset=None) -> tuple[PredictionSummary, np.ndarray, np.ndarray]:
-    sel = slice(None) if subset is None else subset
-    summary = PredictionSummary(grid=table["grid"][sel], mean=table["mean"][sel],
-                                std=table["std"][sel], lower=table["lower"][sel],
-                                upper=table["upper"][sel], level=level)
-    return summary, table["rom"][sel], table["truth"][sel]
+def _coverage(table: dict, truth, level: float, rows=slice(None)):
+    """Coverage of ``truth`` by the intervals of a summary table, at ``rows``."""
+    fields = ("grid", "mean", "std", "lower", "upper")
+    return coverage(PredictionSummary(level=level, **{f: table[f][rows] for f in fields}),
+                    truth)
 
 
 def stage_report(config: RunConfig, outdir=None) -> dict:
@@ -756,10 +746,12 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     out = _outdir(config, outdir)
     chash = config.config_hash()
     model_doc = read_json(_need(out / MODEL_FILE, chash))
+    driver = _DRIVERS[model_doc["problem_kind"]]
     level = config.ensemble.level
-    table = read_csv(_need(out / SUMMARY_FILE, chash))
-    summary, _, truth = _summary_from_csv(table, level)
-    report_cov = coverage(summary, truth)
+
+    tables = {name: read_csv(_need(out / f"{_named('summary', name)}.csv", chash))
+              for name in _series(model_doc)}
+    cov = {name: _coverage(t, t["truth"], level) for name, t in tables.items()}
 
     report = {
         "schema_version": 1,
@@ -772,42 +764,35 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
         "objective_integer": model_doc["objective_integer"],
         "objective_refined": model_doc["objective_refined"],
         "level": level,
-        "coverage": report_cov.coverage,
-        "mean_pi_width": report_cov.mean_pi_width,
-        "points_total": report_cov.points_total,
-        "points_inside": report_cov.points_inside,
+        "coverage": cov["primary"].coverage,
+        "mean_pi_width": cov["primary"].mean_pi_width,
+        "points_total": cov["primary"].points_total,
+        "points_inside": cov["primary"].points_inside,
     }
 
-    if model_doc["problem_kind"] == "linear-static-experiment":
+    # only a run with sensors reports on its integer-beta intervals
+    if driver.writes_sensors:
         sensors = read_csv(_need(out / SENSORS_FILE, chash))
         idx = sensors["index"].astype(int)
-        noisy_summary, _, _ = _summary_from_csv(table, level, subset=idx)
-        noisy_cov = coverage(noisy_summary, sensors["observed_noisy"])
-        report["coverage_noisy"] = noisy_cov.coverage
-        report["mean_pi_width_sensors"] = noisy_cov.mean_pi_width
-        if model_doc["objective_refined"] is not None:
-            table_int = read_csv(_need(out / SUMMARY_INTEGER_FILE, chash))
-            s_int, _, truth_int = _summary_from_csv(table_int, level)
-            cov_int = coverage(s_int, truth_int)
-            report["coverage_integer"] = cov_int.coverage
-            report["mean_pi_width_integer"] = cov_int.mean_pi_width
-            noisy_int, _, _ = _summary_from_csv(table_int, level, subset=idx)
-            report["coverage_noisy_integer"] = coverage(
-                noisy_int, sensors["observed_noisy"]).coverage
+        noisy = _coverage(tables["primary"], sensors["observed_noisy"], level, idx)
+        report["coverage_noisy"] = noisy.coverage
+        report["mean_pi_width_sensors"] = noisy.mean_pi_width
+        if "integer" in tables:
+            report["coverage_integer"] = cov["integer"].coverage
+            report["mean_pi_width_integer"] = cov["integer"].mean_pi_width
+            report["coverage_noisy_integer"] = _coverage(
+                tables["integer"], sensors["observed_noisy"], level, idx).coverage
 
-    if model_doc["problem_kind"] == "surrogate-dynamics":
-        extras = {}
-        for name in EXTRA_QOI_NAMES:
-            t = read_csv(_need(out / f"summary_{name}.csv", chash))
-            s, _, tr = _summary_from_csv(t, level)
-            cov = coverage(s, tr)
-            widths = s.upper - s.lower
-            extras[name] = {
-                "coverage": cov.coverage,
-                "mean_pi_width": cov.mean_pi_width,
-                "finite": bool(np.all(np.isfinite(s.lower)) and np.all(np.isfinite(s.upper))),
-                "max_width": float(np.max(widths)),
-            }
+    extras = {}
+    for name in driver.extra_series:
+        bands = np.stack([tables[name]["lower"], tables[name]["upper"]])
+        extras[name] = {
+            "coverage": cov[name].coverage,
+            "mean_pi_width": cov[name].mean_pi_width,
+            "finite": bool(np.all(np.isfinite(bands))),
+            "max_width": float(np.max(bands[1] - bands[0])),
+        }
+    if extras:
         report["extra_qois"] = extras
 
     write_json(out / REPORT_FILE, report)

@@ -73,6 +73,19 @@ def test_surrogate_index_out_of_range_exit_code_2(tmp_path, capsys, field, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("ensemble", "level", "0.9"), ("training", "mc_samples", 2.7),
+    ("training", "beta_max", 3)])
+def test_mistyped_or_out_of_range_field_exit_code_2(tiny_config, capsys,
+                                                    section, field, value):
+    # beta_max = k passes parsing and is refused once training knows k
+    doc = json.loads(tiny_config.read_text())
+    doc[section][field] = value
+    tiny_config.write_text(json.dumps(doc))
+    assert run_cli("train", "--config", tiny_config) == 2
+    assert f"'{section}.{field}'" in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_code_2(tmp_path):
     assert run_cli("run", "--config", tmp_path / "nope.json") == 2
 

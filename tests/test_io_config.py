@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +201,93 @@ def test_surrogate_valid_indices_keep_their_hash():
     assert parse_config(doc).config_hash() == "7e609593a4e275de"
     doc["problem"]["heavy_dof"] = 39
     assert parse_config(doc).config_hash() == "4e725128c20a0e34"
+
+
+@pytest.mark.parametrize("name,chash", [
+    ("ex1-desk", "c847b1e5a8c31294"), ("ex1-full", "2727610bba8771af"),
+    ("ex2-desk", "7bd3518b2b153f6f"), ("ex3-desk", "77c7246aadddc9d8")])
+def test_bundled_configs_keep_their_hash(name, chash):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert load_config(configs / f"{name}.json").config_hash() == chash
+
+
+def test_valid_training_fields_keep_their_hash():
+    # every training field set, an int where a float is expected, a null
+    # beta_max and a zero window: all valid, hashed as before the checks
+    doc = base_document(training={
+        "mc_samples": 50, "tolerance": 1, "max_iter": 20, "beta_max": None,
+        "parametric_aggregation": "pooled",
+        "refinement": {"enabled": False, "window": 0, "mc_samples": 200,
+                       "tolerance": 1e-8, "max_iter": 5}})
+    assert parse_config(doc).config_hash() == "d1f47a90f334f619"
+    doc["training"]["beta_max"] = 40
+    assert parse_config(doc).config_hash() == "a01c01043f97dc2f"
+    assert parse_config(base_document()).config_hash() == "962151a2383cfa7a"
+
+
+@pytest.mark.parametrize("training,field", [
+    ({"refinement": {"enabled": "false"}}, "training.refinement.enabled"),
+    ({"refinement": {"enabled": 1}}, "training.refinement.enabled"),
+    ({"mc_samples": 2.7}, "training.mc_samples"),
+    ({"mc_samples": 2.0}, "training.mc_samples"),
+    ({"mc_samples": True}, "training.mc_samples"),
+    ({"mc_samples": 1}, "training.mc_samples"),
+    ({"tolerance": "1e-3"}, "training.tolerance"),
+    ({"tolerance": 0.0}, "training.tolerance"),
+    ({"tolerance": float("nan")}, "training.tolerance"),
+    ({"max_iter": 0}, "training.max_iter"),
+    ({"refinement": {"window": -1.0}}, "training.refinement.window"),
+    ({"refinement": {"mc_samples": 1.5e3}}, "training.refinement.mc_samples"),
+    ({"refinement": {"tolerance": False}}, "training.refinement.tolerance"),
+    ({"refinement": {"max_iter": None}}, "training.refinement.max_iter"),
+    ({"mc_sample": 50}, "training.mc_sample"),
+    ({"refinement": {"enable": True}}, "training.refinement.enable"),
+    ({"refinement": [True]}, "training.refinement"),
+    ({"beta_max": "40"}, "training.beta_max"),
+    ({"beta_max": True}, "training.beta_max"),
+    ({"beta_max": -5}, "training.beta_max")])
+def test_training_fields_are_checked(training, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_document(training=training))
+    assert err.value.field_path == field
+
+
+def test_training_section_must_be_an_object():
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_document(training=[50]))
+    assert err.value.field_path == "training"
+
+
+@pytest.mark.parametrize("beta_max", [3, 2.5])
+def test_beta_max_at_or_below_k_names_the_field(beta_max):
+    cfg = parse_config(base_document(training={"beta_max": beta_max}))
+    with pytest.raises(ConfigError) as err:
+        cfg.training_config(k=3, rank=12)
+    assert err.value.field_path == "training.beta_max"
+    assert cfg.training_config(k=2, rank=12).beta_bounds == (2.0, float(beta_max))
+
+
+def cubic_document(**problem):
+    return base_document(problem={"kind": "cubic-parametric", "n": 80, "alpha": 1.0e4,
+                                  "snapshot_count": 16,
+                                  "mu_test": [0.5, 0.5, 0.5, 0.5, 1.0], **problem})
+
+
+@pytest.mark.parametrize("document,field", [
+    (base_document(ensemble={"count": 50, "level": "0.9", "seed": 7}), "ensemble.level"),
+    (base_document(ensemble={"count": 50, "level": True, "seed": 7}), "ensemble.level"),
+    (base_document(ensemble={"count": 50, "seed": True}), "ensemble.seed"),
+    (cubic_document(alpha="1e4"), "problem.alpha"),
+    (cubic_document(alpha=True), "problem.alpha"),
+    (surrogate_document(dt="0.005"), "problem.dt"),
+    (surrogate_document(t_end="0.1"), "problem.t_end"),
+    (base_document(problem={"kind": "linear-static-experiment", "n": 100,
+                            "noise_level": "0.05"}), "problem.noise_level"),
+    (base_document(problem={"kind": "linear-static-experiment", "n": 100,
+                            "perturbation_ratio": False}), "problem.perturbation_ratio"),
+    (base_document(pod={"energy_threshold": "0.9"}), "pod.energy_threshold"),
+    (base_document(pod={"k": True}), "pod.k")])
+def test_number_fields_refuse_strings_and_bools(document, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(document)
+    assert err.value.field_path == field

@@ -43,6 +43,21 @@ def tiny_ex3_config(seed=9):
     })
 
 
+def refined(cfg):
+    """``cfg`` with a short real-valued refinement stage."""
+    doc = cfg.canonical_dict()
+    doc["training"] = {**doc["training"], "refinement": {
+        "enabled": True, "mc_samples": 200, "max_iter": 4}}
+    return parse_config(doc)
+
+
+@pytest.mark.parametrize("make_config,chash", [
+    (tiny_ex1_config, "c0748872ec108bed"), (tiny_ex2_config, "65192294f12df0d0"),
+    (tiny_ex3_config, "dca04f1cf9914570")])
+def test_tiny_configs_keep_their_hash(make_config, chash):
+    assert make_config().config_hash() == chash
+
+
 # ---------------------------------------------------------------------------
 # end-to-end runs
 
@@ -182,6 +197,43 @@ def test_two_step_pipeline_reports_both_betas(tmp_path):
     assert abs(d["beta_star"] - d["beta_integer"]) <= 1.0
     assert (tmp_path / "ensemble_integer.bin").exists()
     assert (tmp_path / "summary_integer.csv").exists()
+
+
+COMMON_ARTIFACTS = {
+    "snapshots.bin", "snapshots.json", "pod_modes.bin", "pod_modes.json",
+    "pod_spectrum.csv", "model.json", "training_trace.csv", "observations.csv",
+    "ensemble.bin", "ensemble.json", "summary.csv", "report.json", "timings.json"}
+INTEGER_ARTIFACTS = {"ensemble_integer.bin", "ensemble_integer.json",
+                     "summary_integer.csv"}
+EXTRA_ARTIFACTS = {f"{stem}_{name}{ext}"
+                   for name in ("acceleration", "displacement", "velocity_alt")
+                   for stem, ext in (("ensemble", ".bin"), ("ensemble", ".json"),
+                                     ("summary", ".csv"))}
+COMMON_REPORT_KEYS = {
+    "schema_version", "config_hash", "config", "library_version", "problem_kind",
+    "beta_integer", "beta_star", "objective_integer", "objective_refined", "level",
+    "coverage", "mean_pi_width", "points_total", "points_inside"}
+SENSOR_REPORT_KEYS = {"coverage_noisy", "mean_pi_width_sensors"}
+INTEGER_REPORT_KEYS = {"coverage_integer", "mean_pi_width_integer",
+                       "coverage_noisy_integer"}
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("make_config,files,keys", [
+    (tiny_ex1_config, set(), set()),
+    (tiny_ex2_config, {"sensors.csv"}, SENSOR_REPORT_KEYS),
+    (tiny_ex3_config, EXTRA_ARTIFACTS, {"extra_qois"})])
+def test_artifacts_of_each_problem_kind(make_config, files, keys, refine, tmp_path):
+    cfg = refined(make_config()) if refine else make_config()
+    report = pipeline.run_pipeline(cfg, tmp_path).details
+    # a refined run also samples and summarizes its integer beta; only the
+    # run with sensors reports on those intervals
+    files = files | (INTEGER_ARTIFACTS if refine else set())
+    if refine and "sensors.csv" in files:
+        keys = keys | INTEGER_REPORT_KEYS
+    assert {p.name for p in tmp_path.iterdir()} == COMMON_ARTIFACTS | files
+    assert set(report) == COMMON_REPORT_KEYS | keys
+    assert set(json.loads((tmp_path / "report.json").read_text())) == set(report)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +464,16 @@ def test_sample_stage_solves_no_references(make_config, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("references solved after the train stage")
 
+    def construct(*args, **kwargs):
+        raise AssertionError("driver constructed after the sample stage")
+
     for driver in pipeline._DRIVERS.values():
         monkeypatch.setattr(driver, "references", refuse)
     pipeline.stage_sample(cfg, staged)
+    # predict and report read what a driver writes from its class
+    monkeypatch.setattr(pipeline, "make_driver", construct)
+    for driver in pipeline._DRIVERS.values():
+        monkeypatch.setattr(driver, "__init__", construct)
     pipeline.stage_predict(cfg, staged)
     pipeline.stage_report(cfg, staged)
     names = sorted(p.name for p in whole.iterdir() if p.name != "timings.json")
