@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .ensemble import (CoverageReport, PredictionSummary, coverage,
                        summarize_matrix)
 from .errors import ConvergenceError, GapError
-from .rom import (FactoredBasis, LinearDynamicSystem, LinearStaticSystem,
+from .rom import (LinearDynamicSystem, LinearStaticSystem,
                   NonlinearCubicSystem, Trajectory, galerkin_reduce,
                   inner_reduce, newmark_integrate, reconstruct,
                   solve_linear_static, solve_nonlinear_cubic,
@@ -24,8 +24,6 @@ from .subspace import (CovarianceModel, PodDecomposition, SnapshotSet,
                        polar_orthonormalize, ppca_mle,
                        principal_subspace_map, projector_distance,
                        select_rank)
-from .training import (BetaSearchResult, DistanceObservables, ObjectiveCache,
-                       RefinementConfig, TrainingConfig,
-                       interpolated_objective, optimize_beta,
-                       refine_beta_real, reference_distance,
-                       train_integer_beta, trapezoid_weights)
+from .training import (BetaSearchResult, ObjectiveCache, RefinementConfig,
+                       TrainingConfig, interpolated_objective, optimize_beta,
+                       refine_beta_real, train_integer_beta)

@@ -24,9 +24,9 @@ class ConfigError(ValueError):
 PROBLEM_KINDS = ("cubic-parametric", "linear-static-experiment", "surrogate-dynamics")
 
 #: Defaults of the optional ``problem`` fields, per problem kind, read by
-#: ``parse_config`` and by the pipeline's drivers.  They are never written
-#: into a config, whose hash covers only what the document says.  The
-#: surrogate's structure defaults are those of ``problems.SurrogateSpec``.
+#: the pipeline's drivers.  They are never written into a config, whose
+#: hash covers only what the document says.  The surrogate's structure
+#: defaults are those of ``problems.SurrogateSpec``.
 PROBLEM_DEFAULTS = {
     "cubic-parametric": {"newton_tol": 1e-10, "newton_max_iter": 50},
     "linear-static-experiment": {
@@ -34,6 +34,14 @@ PROBLEM_DEFAULTS = {
         "snapshot_count": 100, "snapshot_force": "nominal",
         "force_weights": (0.5, 0.5, 0.5, 0.5, 1.0)},
     "surrogate-dynamics": {"snapshot_stride": 4},
+}
+
+#: config ``problem`` key -> ``problems.SurrogateSpec`` field
+SURROGATE_SPEC_FIELDS = {
+    "heavy_dof": "heavy_dof", "mass_ratio": "mass_ratio",
+    "stiffness_scale": "stiffness_scale", "rayleigh_beta": "rayleigh_beta",
+    "impulse_amplitude": "impulse_amplitude",
+    "impulse_duration": "impulse_duration", "structure_seed": "seed",
 }
 
 #: How the cubic objective combines its training parameters when the
@@ -116,6 +124,38 @@ _REFINEMENT_FIELDS = {
 }
 
 
+_POSITIVE = (float, lambda v: v > 0, "a positive number")
+_NONNEGATIVE = (float, lambda v: v >= 0, "a nonnegative number")
+
+
+def _count(least: int) -> tuple:
+    return (int, lambda v: v >= least, f"an integer >= {least}")
+
+
+#: The ``problem`` fields each kind reads besides ``kind`` and ``n``, as in
+#: ``_TRAINING_FIELDS``; None marks a field whose value ``parse_config``
+#: checks on its own (the DoF indices) or leaves to its reader.
+_PROBLEM_FIELDS = {
+    "cubic-parametric": {
+        "alpha": _POSITIVE, "snapshot_count": _count(2),
+        "mu_test": (list, lambda v: len(v) == 5, "a list of 5 numbers"),
+        "newton_tol": _POSITIVE, "newton_max_iter": _count(1)},
+    "linear-static-experiment": {
+        "perturbation_ratio": _NONNEGATIVE, "noise_level": _NONNEGATIVE,
+        "sensor_count": _count(1), "snapshot_count": _count(2),
+        "snapshot_force": (str, lambda v: v in ("nominal", "perturbed"),
+                           "'nominal' or 'perturbed'"),
+        "force_weights": None},
+    "surrogate-dynamics": {
+        "dt": _POSITIVE, "t_end": _POSITIVE, "qoi_dof": None, "alt_dof": None,
+        "snapshot_stride": _count(1), **dict.fromkeys(SURROGATE_SPEC_FIELDS)},
+}
+#: The ``problem`` fields without a default, per kind.
+_PROBLEM_REQUIRED = {"cubic-parametric": ("alpha", "snapshot_count", "mu_test"),
+                     "linear-static-experiment": (),
+                     "surrogate-dynamics": ("dt", "t_end", "qoi_dof")}
+
+
 def _given(document: dict, fields: dict) -> dict:
     """The fields the document sets, each converted to its type."""
     return {key: kind(document[key]) for key, (kind, _, _) in fields.items()
@@ -135,12 +175,13 @@ def _is_number(value) -> bool:
 
 def _check_fields(section, fields: dict, path: str, others=()) -> None:
     """Refuse a key of ``section`` that is neither in ``fields`` nor in
-    ``others``, and a value of ``fields`` of the wrong type or range.  An
-    ``int`` field refuses a float, and no number field takes a bool."""
+    ``others``, and a value of ``fields`` of the wrong type or range (a
+    field whose entry is None is not checked).  An ``int`` field refuses a
+    float, and no number field takes a bool."""
     _require(isinstance(section, dict), path, "must be an object")
     for key, value in section.items():
         _require(key in fields or key in others, f"{path}.{key}", "unknown field")
-        if key in fields:
+        if fields.get(key) is not None:
             kind, test, wanted = fields[key]
             typed = _is_number(value) if kind is float else type(value) is kind
             _require(typed and test(value), f"{path}.{key}", f"must be {wanted}")
@@ -158,31 +199,12 @@ def parse_config(document: dict, seed_override: int | None = None,
              f"must be one of {', '.join(PROBLEM_KINDS)}")
     _require(isinstance(problem.get("n"), int) and problem["n"] >= 8,
              "problem.n", "must be an integer >= 8")
-    p = {**PROBLEM_DEFAULTS[kind], **problem}
-    if kind == "cubic-parametric":
-        alpha = problem.get("alpha")
-        _require(_is_number(alpha) and alpha > 0, "problem.alpha", "must be positive")
-        _require(int(problem.get("snapshot_count", 0)) >= 2,
-                 "problem.snapshot_count", "must be >= 2")
-        mu = problem.get("mu_test")
-        _require(isinstance(mu, list) and len(mu) == 5,
-                 "problem.mu_test", "must be a list of 5 numbers")
-    elif kind == "linear-static-experiment":
-        for key in ("perturbation_ratio", "noise_level"):
-            _require(_is_number(p[key]) and p[key] >= 0,
-                     f"problem.{key}", "must be a nonnegative number")
-        _require(int(p["sensor_count"]) >= 1,
-                 "problem.sensor_count", "must be >= 1")
-        _require(int(p["snapshot_count"]) >= 2,
-                 "problem.snapshot_count", "must be >= 2")
-        _require(p["snapshot_force"] in ("nominal", "perturbed"),
-                 "problem.snapshot_force", "must be 'nominal' or 'perturbed'")
-    else:  # surrogate-dynamics
+    for key in _PROBLEM_REQUIRED[kind]:
+        _require(key in problem, f"problem.{key}", "missing required field")
+    _check_fields(problem, _PROBLEM_FIELDS[kind], "problem", others=("kind", "n"))
+    if kind == "surrogate-dynamics":
         n = problem["n"]
         _require(n >= 10, "problem.n", "must be an integer >= 10 for surrogate-dynamics")
-        for key in ("dt", "t_end"):
-            _require(_is_number(problem.get(key)) and problem[key] > 0,
-                     f"problem.{key}", "must be positive")
         for key in ("qoi_dof", "alt_dof", "heavy_dof"):
             dof = problem.get(key)
             # alt_dof may be omitted; heavy_dof omitted or null is the centre node
@@ -191,8 +213,6 @@ def parse_config(document: dict, seed_override: int | None = None,
                 continue
             _require(type(dof) is int and 0 <= dof < n, f"problem.{key}",
                      f"must be an integer DoF index in [0, {n})")
-        _require(int(p["snapshot_stride"]) >= 1,
-                 "problem.snapshot_stride", "must be >= 1")
 
     pod_doc = document["pod"]
     k = pod_doc.get("k")

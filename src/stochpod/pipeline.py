@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rom
-from .config import PROBLEM_DEFAULTS, RunConfig
+from .config import PROBLEM_DEFAULTS, SURROGATE_SPEC_FIELDS, RunConfig
 from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
 from .matrixio import (artifact_hash, load_matrix, read_csv, read_json,
@@ -173,10 +173,10 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
 _FREE_ROWS = 64
 
 
-def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series):
+def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
     """Batched reduced Newmark integration extracting QoI series.
 
-    ``staged`` is the rank-r reduced dynamic system with a precomputed
+    ``reduced`` is the rank-r reduced dynamic system with a precomputed
     load matrix (steps+1, r).  ``series`` lists (dof, derivative order)
     pairs.  Returns a (count, len(series), steps+1) array.
 
@@ -189,15 +189,14 @@ def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series):
     which a free-free chain's rigid-body mode (T nearly defective at
     eigenvalue 1) would make ill-conditioned, and hold for any damping.
     """
-    red = staged.reduced
-    load_r = red.load
+    load_r = reduced.load
     count, _, k = draws.shape
     ut = draws.transpose(0, 2, 1)
-    m_w = np.matmul(np.matmul(ut, red.mass), draws)
-    c_w = np.matmul(np.matmul(ut, red.damping), draws)
-    k_w = np.matmul(np.matmul(ut, red.stiffness), draws)
-    x = np.matmul(ut, red.initial_state[0])[:, :, None]
-    v = np.matmul(ut, red.initial_state[1])[:, :, None]
+    m_w = np.matmul(np.matmul(ut, reduced.mass), draws)
+    c_w = np.matmul(np.matmul(ut, reduced.damping), draws)
+    k_w = np.matmul(np.matmul(ut, reduced.stiffness), draws)
+    x = np.matmul(ut, reduced.initial_state[0])[:, :, None]
+    v = np.matmul(ut, reduced.initial_state[1])[:, :, None]
 
     c0, c1, c2, c3, c4, c5, c6, c7 = rom.newmark_coefficients(dt)
     inv_eff = np.linalg.inv(k_w + c0 * m_w + c1 * c_w)
@@ -251,10 +250,17 @@ def _dynamic_qoi_predictions(draws, staged, modes, dt, steps, series):
 # shared Monte-Carlo loop: ``integer_evaluator`` returns ``_mc_objective``
 # of its ``gaps``, f(beta) at real beta (integer training and refinement
 # both use it); ``draw_ensembles`` returns ``_mc_ensembles`` of its
-# ``predict``, one (count, grid) sample matrix per named beta.  Only the
-# train stage calls ``references``; sampling gets observations.csv.
+# ``predict``, one (count, grid) sample matrix per named beta.
+# ``references`` solves the deterministic ROM with the same kernel at the
+# identity draw (``_mode_draw``); only the train stage calls it, and
+# sampling gets observations.csv.
 # The stages read what a driver writes from its class attributes, so that
 # predict and report construct no driver.
+
+
+def _mode_draw(modes, k):
+    """The inner draw whose basis is exactly modes[:, :k]: the POD ROM."""
+    return np.eye(modes.shape[1])[None, :, :k]
 
 
 class CubicDriver:
@@ -294,20 +300,12 @@ class CubicDriver:
         return x
 
     def references(self, modes, k, snapshots) -> dict:
-        basis = modes[:, :k]
-        reduced = rom.galerkin_reduce(self.system, basis)
-        rom_train = np.empty_like(snapshots)
-        for j in range(self.params.shape[0]):
-            q = rom.solve_rom_nonlinear(basis, self.system, self.params[j],
-                                        tol=self.newton_tol,
-                                        max_iter=self.newton_max_iter,
-                                        reduced=reduced)
-            rom_train[:, j] = basis @ q
-        q_test = rom.solve_rom_nonlinear(basis, self.system, self.mu_test,
-                                         tol=self.newton_tol,
-                                         max_iter=self.newton_max_iter,
-                                         reduced=reduced)
-        rom_test = basis @ q_test
+        # every training parameter and mu_test, each solved from zero
+        forces = np.stack([self.system.force_map(mu)
+                           for mu in (*self.params, self.mu_test)])
+        solved = self._solve_draws(modes, _mode_draw(modes, k), forces,
+                                   np.zeros_like(forces), ["rom"])[0]
+        rom_train, rom_test = solved[:, :-1], solved[:, -1]
         hdm_test = rom.solve_nonlinear_cubic(self.system, self.mu_test,
                                              guess=rom_test,
                                              tol=self.newton_tol,
@@ -412,9 +410,9 @@ class ExperimentDriver:
         return x
 
     def references(self, modes, k, snapshots) -> dict:
-        basis = modes[:, :k]
-        reduced = rom.galerkin_reduce(self.system, basis)
-        x_rom = basis @ rom.solve_linear_static(reduced)
+        red = rom.two_stage_reduce(self.system, modes)
+        x_rom = _linear_qoi_predictions(_mode_draw(modes, k), red.stiffness,
+                                        red.force, modes)[0]
         return {
             "grid": self.grid,
             "rom": x_rom,
@@ -427,7 +425,7 @@ class ExperimentDriver:
         idx = refs["sensor_indices"]
         reference = refs["rom"][idx]
         d_truth = np.linalg.norm(refs["observed_noisy"] - reference)
-        red = rom.two_stage_reduce(self.system, modes).reduced
+        red = rom.two_stage_reduce(self.system, modes)
         qoi_rows = modes[idx]
 
         def gaps(draws, indices):
@@ -437,20 +435,11 @@ class ExperimentDriver:
         return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
-        red = rom.two_stage_reduce(self.system, modes).reduced
+        red = rom.two_stage_reduce(self.system, modes)
         return _mc_ensembles(
             scales, k, betas, seed, count, chunk,
             lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
                                                            red.force, modes))
-
-
-#: config ``problem`` key -> SurrogateSpec field
-_SURROGATE_SPEC_FIELDS = {
-    "heavy_dof": "heavy_dof", "mass_ratio": "mass_ratio",
-    "stiffness_scale": "stiffness_scale", "rayleigh_beta": "rayleigh_beta",
-    "impulse_amplitude": "impulse_amplitude",
-    "impulse_duration": "impulse_duration", "structure_seed": "seed",
-}
 
 
 class SurrogateDriver:
@@ -473,7 +462,7 @@ class SurrogateDriver:
         self.stride = int(p["snapshot_stride"])
         # the SurrogateSpec defaults stand for every field the config omits
         self.spec = SurrogateSpec(n=self.n, **{
-            field: p[key] for key, field in _SURROGATE_SPEC_FIELDS.items() if key in p})
+            field: p[key] for key, field in SURROGATE_SPEC_FIELDS.items() if key in p})
         self.seed = config.seed
         self.system = surrogate_dynamics(self.spec)
         self.steps = int(np.floor(self.t_end / self.dt + 1e-12))
@@ -507,36 +496,37 @@ class SurrogateDriver:
 
     def references(self, modes, k, snapshots) -> dict:
         traj = self._hdm_trajectory()
-        basis = modes[:, :k]
-        reduced = rom.galerkin_reduce(self._sampled_system(), basis)
-        rom_traj = rom.newmark_integrate(reduced, self.dt, self.t_end)
+        spec = self.series_spec()
+        reduced = rom.two_stage_reduce(self._sampled_system(), modes)
+        series = _dynamic_qoi_predictions(_mode_draw(modes, k), reduced, modes,
+                                          self.dt, self.steps, list(spec.values()))[0]
         refs = {"grid": self.times}
         fields = {0: "states", 1: "velocities", 2: "accelerations"}
-        for name, (dof, order) in self.series_spec().items():
+        for j, (name, (dof, order)) in enumerate(spec.items()):
             refs[_named("truth", name)] = getattr(traj, fields[order])[dof]
-            refs[_named("rom", name)] = basis[dof] @ getattr(rom_traj, fields[order])
+            refs[_named("rom", name)] = series[j]
         return refs
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
                           chunk=512):
-        staged = rom.two_stage_reduce(self._sampled_system(), modes)
+        reduced = rom.two_stage_reduce(self._sampled_system(), modes)
         reference = refs["rom"]
         d_truth = np.linalg.norm(refs["truth"] - reference)
         primary = [self.series_spec()["primary"]]
 
         def gaps(draws, indices):
-            series = _dynamic_qoi_predictions(draws, staged, modes, self.dt,
+            series = _dynamic_qoi_predictions(draws, reduced, modes, self.dt,
                                               self.steps, primary)[:, 0]
             return (np.linalg.norm(series - reference, axis=1) - d_truth)**2
 
         return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
-        staged = rom.two_stage_reduce(self._sampled_system(), modes)
+        reduced = rom.two_stage_reduce(self._sampled_system(), modes)
         series = list(self.series_spec().values())     # primary, then the extras
         stacked = _mc_ensembles(
             scales, k, betas, seed, count, chunk,
-            lambda draws, indices: _dynamic_qoi_predictions(draws, staged, modes,
+            lambda draws, indices: _dynamic_qoi_predictions(draws, reduced, modes,
                                                             self.dt, self.steps, series))
         out = {name: values[:, 0] for name, values in stacked.items()}
         for j, name in enumerate(self.extra_series, 1):
@@ -595,8 +585,6 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     driver = make_driver(config)
 
     snapshots = driver.snapshots()
-    save_matrix(out / SNAPSHOTS_FILE, snapshots, chash)
-
     source = config.pod.source or driver.pod_source
     operand = snapshots if source == "raw" else center(snapshots).centered
     pod = compact_svd(operand)
@@ -606,9 +594,12 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
             raise ValueError(f"pod.k={k} exceeds snapshot rank {pod.rank}")
     else:
         k = select_rank(pod.singular_values, config.pod.energy_threshold)
+    # refuse the training settings before the first artifact is written
+    tcfg = config.training_config(k, pod.rank)
     m = snapshots.shape[1]
     scales = pod.singular_values / np.sqrt(m)
     modes = pod.modes
+    save_matrix(out / SNAPSHOTS_FILE, snapshots, chash)
     save_matrix(out / POD_MODES_FILE, modes, chash)
     write_csv(out / POD_SPECTRUM_FILE,
               {"index": np.arange(1, pod.rank + 1),
@@ -618,7 +609,6 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     refs = driver.references(modes, k, snapshots)
     _write_observations(out, driver, refs, chash)
 
-    tcfg = config.training_config(k, pod.rank)
     train_seed = derive_seed(config.seed, _SEED_TRAINING)
     evaluator = driver.integer_evaluator(scales, k, modes, refs,
                                          tcfg.mc_samples, train_seed)

@@ -2,9 +2,12 @@
 
 Three system classes are supported: linear static, cubic nonlinear
 static, and linear second-order dynamics.  Reduction is plain Galerkin
-projection; for linear systems a two-stage path projects the operators
-once onto a rank-r basis and then cheaply re-projects per k-dimensional
-inner basis, which is what makes large stochastic ensembles affordable.
+projection of a linear system, and a reduced system is a system of the
+same class in basis coordinates.  A two-stage path projects the
+operators once onto a rank-r basis and then cheaply re-projects per
+k-dimensional inner basis, which is what makes large stochastic
+ensembles affordable.  The cubic system is reduced inside
+``solve_rom_nonlinear``, which lifts its cubic term to full space.
 """
 
 from __future__ import annotations
@@ -68,71 +71,10 @@ class LinearDynamicSystem:
     initial_state: tuple[Array, Array]             # (x0, v0)
 
 
-@dataclass(frozen=True)
-class FactoredBasis:
-    """Ambient basis W = outer @ inner kept in factored form."""
-
-    outer: Array   # (n, r)
-    inner: Array   # (r, k)
-
-    def matrix(self) -> Array:
-        return self.outer @ self.inner
-
-
 def basis_matrix(basis) -> Array:
     if isinstance(basis, SubspaceBasis):
         return basis.matrix
-    if isinstance(basis, FactoredBasis):
-        return basis.matrix()
     return np.asarray(basis, dtype=float)
-
-
-@dataclass(frozen=True)
-class ReducedLinearStatic:
-    stiffness: Array
-    force: Array
-    basis: object
-    parent: LinearStaticSystem
-
-
-@dataclass(frozen=True)
-class ReducedCubic:
-    """Reduced cubic system; the cubic term is evaluated in full space.
-
-    Only the stiffness is pre-projected.  The residual is
-    K_r q + a * W^T (W q)^3 - W^T f(mu) with W the (possibly factored)
-    basis.
-    """
-
-    stiffness: Array
-    cubic_coeff: float
-    basis: object
-    parent: NonlinearCubicSystem
-
-    def force(self, mu) -> Array:
-        return basis_matrix(self.basis).T @ self.parent.force_map(mu)
-
-
-@dataclass(frozen=True)
-class ReducedDynamic:
-    mass: Array
-    damping: Array
-    stiffness: Array
-    load: Union[Callable[[float], Array], Array]
-    initial_state: tuple[Array, Array]
-    basis: object
-    parent: LinearDynamicSystem
-
-
-ReducedSystem = Union[ReducedLinearStatic, ReducedCubic, ReducedDynamic]
-
-
-@dataclass(frozen=True)
-class StagedOperators:
-    """Stage-one result: the system projected once onto the rank-r modes."""
-
-    reduced: ReducedSystem
-    modes: Array   # (n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -149,65 +91,42 @@ def _project_load(load, v: Array):
     return np.asarray(load, dtype=float) @ v
 
 
-def galerkin_reduce(system, basis) -> ReducedSystem:
-    """Project a system onto an orthonormal basis."""
-    v = basis_matrix(basis)
-    n = _system_dim(system)
-    if v.shape[0] != n:
-        raise ValueError(f"basis rows {v.shape[0]} do not match system dimension {n}")
+def _reduce(system, v: Array, project):
+    """The linear ``system`` projected onto the columns of ``v``."""
     if isinstance(system, LinearStaticSystem):
-        return ReducedLinearStatic(
-            stiffness=_project_operator(system.stiffness, v),
-            force=v.T @ system.force,
-            basis=basis, parent=system)
-    if isinstance(system, NonlinearCubicSystem):
-        return ReducedCubic(
-            stiffness=_project_operator(system.stiffness, v),
-            cubic_coeff=system.cubic_coeff,
-            basis=basis, parent=system)
+        return LinearStaticSystem(stiffness=project(system.stiffness, v),
+                                  force=v.T @ system.force)
     if isinstance(system, LinearDynamicSystem):
         x0, v0 = system.initial_state
-        return ReducedDynamic(
-            mass=_project_operator(system.mass, v),
-            damping=_project_operator(system.damping, v),
-            stiffness=_project_operator(system.stiffness, v),
+        return LinearDynamicSystem(
+            mass=project(system.mass, v),
+            damping=project(system.damping, v),
+            stiffness=project(system.stiffness, v),
             load=_project_load(system.load, v),
-            initial_state=(v.T @ x0, v.T @ v0),
-            basis=basis, parent=system)
-    raise TypeError(f"cannot reduce {type(system).__name__}")
+            initial_state=(v.T @ x0, v.T @ v0))
+    raise TypeError(f"cannot reduce {type(system).__name__}: not a linear system")
 
 
-def two_stage_reduce(system, modes) -> StagedOperators:
+def galerkin_reduce(system, basis):
+    """Project a linear system onto an orthonormal basis."""
+    v = basis_matrix(basis)
+    n = system.stiffness.shape[0]
+    if v.shape[0] != n:
+        raise ValueError(f"basis rows {v.shape[0]} do not match system dimension {n}")
+    return _reduce(system, v, _project_operator)
+
+
+def two_stage_reduce(system, modes):
     """Project a linear system once onto the rank-r modes.
 
     Subsequent ``inner_reduce`` calls work purely in r dimensions.
     """
-    if isinstance(system, NonlinearCubicSystem):
-        raise TypeError("two-stage reduction applies to linear systems only")
-    v = modes.matrix if isinstance(modes, SubspaceBasis) else np.asarray(modes, dtype=float)
-    return StagedOperators(reduced=galerkin_reduce(system, v), modes=v)
+    return galerkin_reduce(system, modes)
 
 
-def inner_reduce(staged: StagedOperators, inner) -> ReducedSystem:
-    """Re-project staged rank-r operators onto an r-by-k inner basis."""
-    u = basis_matrix(inner)
-    red = staged.reduced
-    w = FactoredBasis(staged.modes, u)
-    if isinstance(red, ReducedLinearStatic):
-        return ReducedLinearStatic(
-            stiffness=u.T @ red.stiffness @ u,
-            force=u.T @ red.force,
-            basis=w, parent=red.parent)
-    if isinstance(red, ReducedDynamic):
-        x0, v0 = red.initial_state
-        return ReducedDynamic(
-            mass=u.T @ red.mass @ u,
-            damping=u.T @ red.damping @ u,
-            stiffness=u.T @ red.stiffness @ u,
-            load=_project_load(red.load, u),
-            initial_state=(u.T @ x0, u.T @ v0),
-            basis=w, parent=red.parent)
-    raise TypeError(f"cannot inner-reduce {type(red).__name__}")
+def inner_reduce(staged, inner):
+    """Re-project a rank-r reduced system onto an r-by-k inner basis."""
+    return _reduce(staged, basis_matrix(inner), lambda a, u: u.T @ a @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +153,7 @@ def _sym_solve(a: Array, rhs: Array) -> Array:
 
 
 def solve_linear_static(system) -> Array:
-    """Solve K x = f (full, with constraints honored) or the reduced analogue."""
-    if isinstance(system, ReducedLinearStatic):
-        return _sym_solve(system.stiffness, system.force)
+    """Solve K x = f with the constraints honored."""
     if not isinstance(system, LinearStaticSystem):
         raise TypeError(f"expected a linear static system, got {type(system).__name__}")
     k, f, b = system.stiffness, system.force, system.constraints
@@ -301,18 +218,11 @@ def solve_nonlinear_cubic(system: NonlinearCubicSystem, mu, guess=None,
 
 
 def solve_rom_nonlinear(basis, system: NonlinearCubicSystem, mu, guess=None,
-                        tol: float = 1e-10, max_iter: int = 50,
-                        reduced: ReducedCubic | None = None) -> Array:
-    """Reduced Newton solve; the cubic term is lifted, cubed, projected back.
-
-    Accepts an optional pre-projected ``reduced`` system so ensemble loops
-    do not repeat the stiffness projection.
-    """
-    if reduced is None:
-        reduced = galerkin_reduce(system, basis)
-    w = basis_matrix(reduced.basis)
-    kr = reduced.stiffness
-    a = reduced.cubic_coeff
+                        tol: float = 1e-10, max_iter: int = 50) -> Array:
+    """Reduced Newton solve; the cubic term is lifted, cubed, projected back."""
+    w = basis_matrix(basis)
+    kr = _project_operator(system.stiffness, w)
+    a = system.cubic_coeff
     fr = w.T @ system.force_map(mu)
     q0 = np.zeros(w.shape[1]) if guess is None else np.asarray(guess, dtype=float)
 
@@ -373,12 +283,11 @@ def newmark_integrate(system, dt: float, t_end: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if isinstance(system, ReducedDynamic) or isinstance(system, LinearDynamicSystem):
-        m, c, k = system.mass, system.damping, system.stiffness
-        load = system.load
-        x0, v0 = system.initial_state
-    else:
+    if not isinstance(system, LinearDynamicSystem):
         raise TypeError(f"expected a dynamic system, got {type(system).__name__}")
+    m, c, k = system.mass, system.damping, system.stiffness
+    load = system.load
+    x0, v0 = system.initial_state
     steps = int(np.floor(t_end / dt + 1e-12))
     times = np.arange(steps + 1) * dt
     if not callable(load) and load.shape[0] < steps + 1:
@@ -424,12 +333,3 @@ def reconstruct(basis, reduced):
                           accelerations=w @ reduced.accelerations)
     return w @ np.asarray(reduced, dtype=float)
 
-
-def _system_dim(system) -> int:
-    if isinstance(system, LinearStaticSystem):
-        return system.stiffness.shape[0]
-    if isinstance(system, NonlinearCubicSystem):
-        return system.stiffness.shape[0]
-    if isinstance(system, LinearDynamicSystem):
-        return system.mass.shape[0]
-    raise TypeError(type(system).__name__)

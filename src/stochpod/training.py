@@ -2,12 +2,13 @@
 
 The objective is the mean squared gap between the ensemble's distance
 statistic and the truth's: f(beta) = E[ |d(u) - d(u_truth)|^2 ], with
-d(u) the weighted L2 distance to the deterministic reduced-order
-prediction.  Its Monte-Carlo estimate (common random numbers across
-beta) is ``pipeline._mc_objective``; here it is memoized at integer beta,
-linearly interpolated in between, and minimized with a bounded
-golden-section/parabolic scalar search.  An optional refinement stage
-re-optimizes over real-valued beta with a larger sample budget.
+d(u) the L2 distance to the deterministic reduced-order prediction,
+which each pipeline driver computes.  Its Monte-Carlo estimate (common
+random numbers across beta) is ``pipeline._mc_objective``; here it is
+memoized at integer beta, linearly interpolated in between, and
+minimized with a bounded golden-section/parabolic scalar search.  An
+optional refinement stage re-optimizes over real-valued beta with a
+larger sample budget.
 """
 
 from __future__ import annotations
@@ -16,52 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
 from scipy.optimize import minimize_scalar
-
-
-@dataclass(frozen=True)
-class DistanceObservables:
-    """Reference prediction, ground-truth observation, optional grid weights."""
-
-    reference: np.ndarray   # deterministic ROM prediction of the observed QoI
-    truth: np.ndarray       # experimental / ground-truth observation
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        ref = np.asarray(self.reference, dtype=float)
-        tru = np.asarray(self.truth, dtype=float)
-        object.__setattr__(self, "reference", ref)
-        object.__setattr__(self, "truth", tru)
-        if ref.shape != tru.shape:
-            raise ValueError("reference and truth lengths differ")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            object.__setattr__(self, "weights", w)
-            if w.shape != ref.shape:
-                raise ValueError("weights length differs from grid")
-            if np.any(w <= 0):
-                raise ValueError("weights must be positive")
-
-
-def reference_distance(u, observables: DistanceObservables) -> float:
-    """Weighted Euclidean distance from u to the reference prediction."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != observables.reference.shape:
-        raise ValueError("length mismatch in distance evaluation")
-    diff = u - observables.reference
-    if observables.weights is None:
-        return float(np.linalg.norm(diff))
-    return float(np.sqrt(np.sum(observables.weights * diff**2)))
-
-
-def trapezoid_weights(grid) -> np.ndarray:
-    """Quadrature weights for a discrete L2 norm on a nonuniform grid."""
-    grid = np.asarray(grid, dtype=float)
-    w = np.zeros_like(grid)
-    w[:-1] += 0.5 * np.diff(grid)
-    w[1:] += 0.5 * np.diff(grid)
-    return w
 
 
 @dataclass

@@ -75,7 +75,8 @@ def test_surrogate_index_out_of_range_exit_code_2(tmp_path, capsys, field, value
 
 @pytest.mark.parametrize("section,field,value", [
     ("ensemble", "level", "0.9"), ("training", "mc_samples", 2.7),
-    ("training", "beta_max", 3)])
+    ("training", "beta_max", 3), ("problem", "snapshot_count", 20.7),
+    ("problem", "sensor_count", "9"), ("problem", "snapshot_countt", 3)])
 def test_mistyped_or_out_of_range_field_exit_code_2(tiny_config, capsys,
                                                     section, field, value):
     # beta_max = k passes parsing and is refused once training knows k
@@ -84,6 +85,14 @@ def test_mistyped_or_out_of_range_field_exit_code_2(tiny_config, capsys,
     tiny_config.write_text(json.dumps(doc))
     assert run_cli("train", "--config", tiny_config) == 2
     assert f"'{section}.{field}'" in capsys.readouterr().err
+
+
+def test_beta_max_refusal_writes_no_file(tiny_config, tmp_path):
+    doc = json.loads(tiny_config.read_text())
+    doc["training"]["beta_max"] = 3          # pod.k is 3
+    tiny_config.write_text(json.dumps(doc))
+    assert run_cli("train", "--config", tiny_config) == 2
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 def test_missing_config_file_exit_code_2(tmp_path):

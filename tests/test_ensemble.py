@@ -35,8 +35,8 @@ def test_degenerate_sampler_reproduces_rom():
     k = model.k
     staged = rom.two_stage_reduce(system, modes)
     draws = np.stack([np.eye(modes.shape[1], k)] * 2)   # the principal subspace
-    pred = pipeline._linear_qoi_predictions(draws, staged.reduced.stiffness,
-                                            staged.reduced.force, modes)
+    pred = pipeline._linear_qoi_predictions(draws, staged.stiffness, staged.force,
+                                            modes)
     basis = modes[:, :k]
     red = sp.galerkin_reduce(system, basis)
     expected = basis @ sp.solve_linear_static(red)
@@ -50,8 +50,7 @@ def test_full_basis_sampler_reproduces_hdm():
     modes = orthonormal(n, n, 7)
     staged = rom.two_stage_reduce(system, modes)
     pred = pipeline._linear_qoi_predictions(np.stack([np.eye(n)] * 3),
-                                            staged.reduced.stiffness,
-                                            staged.reduced.force, modes)
+                                            staged.stiffness, staged.force, modes)
     hdm = sp.solve_linear_static(system)
     for row in pred:
         assert np.linalg.norm(row - hdm) <= 1e-8 * np.linalg.norm(hdm)

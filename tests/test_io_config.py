@@ -291,3 +291,44 @@ def test_number_fields_refuse_strings_and_bools(document, field):
     with pytest.raises(ConfigError) as err:
         parse_config(document)
     assert err.value.field_path == field
+
+
+def experiment_document(**problem):
+    return base_document(problem={"kind": "linear-static-experiment", "n": 100,
+                                  **problem})
+
+
+@pytest.mark.parametrize("document,field", [
+    (experiment_document(snapshot_count=20.7), "problem.snapshot_count"),
+    (experiment_document(snapshot_count="20"), "problem.snapshot_count"),
+    (experiment_document(sensor_count="9"), "problem.sensor_count"),
+    (experiment_document(sensor_count=0), "problem.sensor_count"),
+    (cubic_document(snapshot_count=16.0), "problem.snapshot_count"),
+    (cubic_document(newton_max_iter=True), "problem.newton_max_iter"),
+    (cubic_document(newton_max_iter=2.5), "problem.newton_max_iter"),
+    (surrogate_document(snapshot_stride="4"), "problem.snapshot_stride"),
+    (surrogate_document(snapshot_stride=0), "problem.snapshot_stride"),
+    (experiment_document(snapshot_countt=3), "problem.snapshot_countt"),
+    # a field another problem kind reads is unknown to this one
+    (experiment_document(alpha=1.0e4), "problem.alpha"),
+    (cubic_document(sensor_count=9), "problem.sensor_count"),
+    (surrogate_document(snapshot_count=20), "problem.snapshot_count")])
+def test_problem_fields_are_checked(document, field):
+    # integer fields refuse floats, strings and bools; unknown keys are refused
+    with pytest.raises(ConfigError) as err:
+        parse_config(document)
+    assert err.value.field_path == field
+
+
+def test_every_problem_field_parses():
+    documents = [
+        cubic_document(newton_tol=1e-9, newton_max_iter=30),
+        experiment_document(perturbation_ratio=0.1, noise_level=0.0, sensor_count=9,
+                            snapshot_count=20, snapshot_force="perturbed",
+                            force_weights=[1.0, 0.5]),
+        surrogate_document(alt_dof=3, snapshot_stride=2, heavy_dof=5, mass_ratio=50.0,
+                           stiffness_scale=2.0, rayleigh_beta=1e-3,
+                           impulse_amplitude=10.0, impulse_duration=0.05,
+                           structure_seed=4)]
+    for doc in documents:
+        assert parse_config(doc).problem == doc["problem"]

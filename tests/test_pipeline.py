@@ -256,7 +256,7 @@ def test_batched_linear_kernel_matches_rom():
     staged = rom.two_stage_reduce(driver.system, modes)
     idx = np.array([10, 40, 77])
     batched = pipeline._linear_qoi_predictions(
-        draws, staged.reduced.stiffness, staged.reduced.force, modes[idx])
+        draws, staged.stiffness, staged.force, modes[idx])
     looped = np.stack([
         (modes[idx] @ u) @ rom.solve_linear_static(rom.inner_reduce(staged, u))
         for u in draws])
@@ -355,6 +355,62 @@ def test_cubic_ensemble_matches_rom_newton():
                                     max_iter=driver.newton_max_iter)
         expected = w @ q
         assert np.max(np.abs(row - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def kernel_at_mode(driver, modes, k):
+    """Reference key -> the driver's kernel at the identity inner draw."""
+    draw = np.eye(modes.shape[1])[None, :, :k]
+    if isinstance(driver, pipeline.CubicDriver):
+        forces = np.stack([driver.system.force_map(mu)
+                           for mu in (*driver.params, driver.mu_test)])
+        x = driver._solve_draws(modes, draw, forces, np.zeros_like(forces), [0])[0]
+        return {"train_rom": x[:, :-1], "rom": x[:, -1]}
+    if isinstance(driver, pipeline.ExperimentDriver):
+        red = rom.two_stage_reduce(driver.system, modes)
+        return {"rom": pipeline._linear_qoi_predictions(draw, red.stiffness, red.force,
+                                                        modes)[0]}
+    spec = driver.series_spec()
+    red = rom.two_stage_reduce(driver._sampled_system(), modes)
+    out = pipeline._dynamic_qoi_predictions(draw, red, modes, driver.dt, driver.steps,
+                                            list(spec.values()))[0]
+    return {pipeline._named("rom", name): out[j] for j, name in enumerate(spec)}
+
+
+def library_rom(driver, modes, k):
+    """The same curves from the per-draw library solvers on modes[:, :k]."""
+    basis = modes[:, :k]
+    if isinstance(driver, pipeline.CubicDriver):
+        def solve(mu):
+            return basis @ rom.solve_rom_nonlinear(basis, driver.system, mu,
+                                                   tol=driver.newton_tol,
+                                                   max_iter=driver.newton_max_iter)
+        return {"train_rom": np.column_stack([solve(mu) for mu in driver.params]),
+                "rom": solve(driver.mu_test)}
+    if isinstance(driver, pipeline.ExperimentDriver):
+        reduced = rom.galerkin_reduce(driver.system, basis)
+        return {"rom": basis @ rom.solve_linear_static(reduced)}
+    traj = rom.newmark_integrate(rom.galerkin_reduce(driver._sampled_system(), basis),
+                                 driver.dt, driver.t_end)
+    fields = ("states", "velocities", "accelerations")
+    return {pipeline._named("rom", name): basis[dof] @ getattr(traj, fields[order])
+            for name, (dof, order) in driver.series_spec().items()}
+
+
+@pytest.mark.parametrize("make_config,k", [(tiny_ex1_config, 4), (tiny_ex2_config, 3),
+                                           (tiny_ex3_config, 6)])
+def test_references_are_the_kernel_at_the_mode(make_config, k):
+    # the deterministic ROM is the ensemble kernel at the draw whose basis is
+    # modes[:, :k], and it agrees with the per-draw library solvers
+    driver, _, modes, refs = ensemble_inputs(make_config(), k)
+    kernel = kernel_at_mode(driver, modes, k)
+    library = library_rom(driver, modes, k)
+    assert kernel.keys() == library.keys()
+    for key, values in kernel.items():
+        assert np.array_equal(refs[key], values), key
+        # per series: each column of train_rom is one training parameter
+        peak = np.max(np.abs(library[key]), axis=0)
+        assert np.all(np.max(np.abs(refs[key] - library[key]), axis=0)
+                      <= 1e-9 * peak), key
 
 
 @pytest.mark.parametrize("make_config,k", [(tiny_ex1_config, 4), (tiny_ex2_config, 3),

@@ -61,7 +61,7 @@ def test_inner_identity_returns_staged_operators():
     modes = random_orthonormal(10, 4, seed=6)
     staged = sp.two_stage_reduce(rom.LinearStaticSystem(k, np.ones(10)), modes)
     red = sp.inner_reduce(staged, np.eye(4))
-    assert np.allclose(red.stiffness, staged.reduced.stiffness, atol=1e-14)
+    assert np.allclose(red.stiffness, staged.stiffness, atol=1e-14)
 
 
 def test_two_stage_matches_naive_projection():
@@ -116,6 +116,13 @@ def test_two_stage_rejects_nonlinear():
     sys = rom.NonlinearCubicSystem(np.eye(3), 1.0, lambda mu: np.ones(3))
     with pytest.raises(TypeError):
         sp.two_stage_reduce(sys, np.eye(3, 2))
+
+
+def test_galerkin_rejects_nonlinear():
+    # the cubic system is reduced inside solve_rom_nonlinear only
+    sys = rom.NonlinearCubicSystem(np.eye(3), 1.0, lambda mu: np.ones(3))
+    with pytest.raises(TypeError):
+        sp.galerkin_reduce(sys, np.eye(3, 2))
 
 
 # ---------------------------------------------------------------------------

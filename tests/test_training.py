@@ -11,52 +11,19 @@ def make_config(lo=4.0, hi=20.0, **kw):
 
 
 # ---------------------------------------------------------------------------
-# distance
-
-
-def test_distance_zero_at_reference():
-    obs = sp.DistanceObservables(reference=np.ones(5), truth=np.zeros(5))
-    assert sp.reference_distance(np.ones(5), obs) == 0.0
-
-
-def test_distance_three_four_five():
-    obs = sp.DistanceObservables(reference=np.zeros(2), truth=np.zeros(2))
-    assert sp.reference_distance(np.array([3.0, 4.0]), obs) == pytest.approx(5.0)
-
-
-def test_distance_length_mismatch():
-    obs = sp.DistanceObservables(reference=np.zeros(3), truth=np.zeros(3))
-    with pytest.raises(ValueError):
-        sp.reference_distance(np.zeros(4), obs)
-
-
-def test_trapezoid_weights_match_integral():
-    # fine nonuniform grid: quadrature of a linear function's square hits
-    # the closed-form integral of (a x + b)^2 on [0, 1]
-    gen = np.random.default_rng(81)
-    grid = np.sort(np.concatenate([[0.0, 1.0], gen.uniform(0, 1, 300_000)]))
-    a, b = 1.3, -0.4
-    u = a * grid + b
-    obs = sp.DistanceObservables(reference=np.zeros_like(grid), truth=u,
-                                 weights=sp.trapezoid_weights(grid))
-    integral = a**2 / 3.0 + a * b + b**2
-    assert sp.reference_distance(u, obs)**2 == pytest.approx(integral, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
 # the Monte-Carlo objective (pipeline._mc_objective)
 
 SCALES = np.array([3.0, 2.0, 1.0, 0.5])
 
 
-def gaps_of(predict, obs):
+def gaps_of(predict, reference, truth):
     """Per-draw squared distance gaps of the predictions ``predict(draws)``."""
-    d_truth = sp.reference_distance(obs.truth, obs)
+    d_truth = np.linalg.norm(truth - reference)
 
     def gaps(draws, indices):
         preds = predict(draws)
         assert preds.shape[0] == len(indices)
-        return np.array([(sp.reference_distance(p, obs) - d_truth)**2 for p in preds])
+        return (np.linalg.norm(preds - reference, axis=1) - d_truth)**2
 
     return gaps
 
@@ -65,25 +32,22 @@ def test_objective_degenerate_expectation():
     ref = np.array([1.0, 2.0, 3.0])
     truth = np.array([1.5, 2.0, 2.5])
     fixed = np.array([0.5, 2.5, 3.5])
-    obs = sp.DistanceObservables(reference=ref, truth=truth)
-    gaps = gaps_of(lambda draws: np.tile(fixed, (draws.shape[0], 1)), obs)
+    gaps = gaps_of(lambda draws: np.tile(fixed, (draws.shape[0], 1)), ref, truth)
     value = _mc_objective(SCALES, 2, 0, 10, 4, gaps)(3)
-    expected = (sp.reference_distance(fixed, obs)
-                - sp.reference_distance(truth, obs))**2
+    expected = (np.linalg.norm(fixed - ref) - np.linalg.norm(truth - ref))**2
     assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_objective_zero_when_stub_reproduces_truth():
     ref = np.array([1.0, 2.0])
-    obs = sp.DistanceObservables(reference=ref, truth=ref)
-    gaps = gaps_of(lambda draws: np.tile(ref, (draws.shape[0], 1)), obs)
+    gaps = gaps_of(lambda draws: np.tile(ref, (draws.shape[0], 1)), ref, ref)
     assert _mc_objective(SCALES, 2, 0, 5, 2, gaps)(2) == 0.0
 
 
 def test_objective_seed_stability_within_mc_error():
-    obs = sp.DistanceObservables(reference=np.zeros(4), truth=0.5 * np.ones(4))
     # first column of each draw, stretched so its norm varies between draws
-    gaps = gaps_of(lambda draws: draws[:, :, 0] * np.array([2.0, 1.0, 0.5, 0.25]), obs)
+    gaps = gaps_of(lambda draws: draws[:, :, 0] * np.array([2.0, 1.0, 0.5, 0.25]),
+                   np.zeros(4), 0.5 * np.ones(4))
     n = 1000
     a = _mc_objective(SCALES, 2, 1, n, 256, gaps)(3)
     b = _mc_objective(SCALES, 2, 2, n, 256, gaps)(3)
