@@ -192,6 +192,7 @@ def parse_config(document: dict, seed_override: int | None = None,
     _require(isinstance(document, dict), "", "top level must be a JSON object")
     for key in ("problem", "pod", "ensemble"):
         _require(key in document, key, "missing required section")
+        _require(isinstance(document[key], dict), key, "must be an object")
 
     problem = dict(document["problem"])
     kind = problem.get("kind")

@@ -142,23 +142,28 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
     A row stops updating once its residual is within ``tol``.  Returns q
     of shape (D, P, k).  ``indices`` name the draws (stream indices) in
     the error raised when some of them stall.
+
+    The Jacobian K_r + 3 alpha W^T diag((W q)^2) W of every row is one
+    batched GEMM of the squares against the per-draw outer products
+    w[n, k] w[n, l], held as (D, n, k*k).  The cube is written as products
+    because numpy's ``**3`` goes through libm ``pow``.
     """
     q = np.array(q0, dtype=float)
-    wt = np.ascontiguousarray(w.transpose(0, 2, 1))                      # (D, k, n)
+    count, n, k = w.shape
+    ww = (w[:, :, :, None] * w[:, :, None, :]).reshape(count, n, k * k)
     for iteration in range(max_iter + 1):
         lifted = np.matmul(w, q.transpose(0, 2, 1))                     # (D, n, P)
+        sq = lifted * lifted
         res = (np.matmul(q, stiffness_r.transpose(0, 2, 1))
-               + np.matmul(alpha * (lifted**3).transpose(0, 2, 1), w) - forces_r)
+               + np.matmul(alpha * (sq * lifted).transpose(0, 2, 1), w) - forces_r)
         active = np.max(np.abs(res), axis=2) > tol                       # (D, P)
         if not np.any(active):
             return q
         if iteration == max_iter:
             break
         d, p = np.nonzero(active)
-        # contract along contiguous rows of n: the same sums, in less time
-        sq = np.square(lifted.transpose(0, 2, 1), order="C")              # (D, P, n)
-        jac = stiffness_r[d] + 3.0 * alpha * np.einsum(
-            "dpn,dkn,dln->dpkl", sq, wt, wt)[d, p]
+        curvature = np.matmul(sq.transpose(0, 2, 1), ww)                 # (D, P, k*k)
+        jac = stiffness_r[d] + 3.0 * alpha * curvature[d, p].reshape(-1, k, k)
         q[d, p] -= np.linalg.solve(jac, res[d, p][:, :, None])[:, :, 0]
     stalled = [indices[j] for j in np.flatnonzero(np.any(active, axis=1))]
     worst = float(np.max(np.abs(res)))

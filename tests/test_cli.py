@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,17 @@ def test_run_completes_and_writes_report(tiny_config, tmp_path, capsys):
     assert "coverage" in stdout
 
 
+def test_module_entry_point_runs_from_source(tiny_config, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "stochpod", "run", "--config",
+                           str(tiny_config)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["output_dir"] == str(tmp_path / "out")
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 def test_malformed_config_exit_code_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")
@@ -76,15 +91,21 @@ def test_surrogate_index_out_of_range_exit_code_2(tmp_path, capsys, field, value
 @pytest.mark.parametrize("section,field,value", [
     ("ensemble", "level", "0.9"), ("training", "mc_samples", 2.7),
     ("training", "beta_max", 3), ("problem", "snapshot_count", 20.7),
-    ("problem", "sensor_count", "9"), ("problem", "snapshot_countt", 3)])
+    ("problem", "sensor_count", "9"), ("problem", "snapshot_countt", 3),
+    ("problem", None, [1]), ("ensemble", None, 5), ("pod", None, "x")])
 def test_mistyped_or_out_of_range_field_exit_code_2(tiny_config, capsys,
                                                     section, field, value):
-    # beta_max = k passes parsing and is refused once training knows k
+    # beta_max = k passes parsing and is refused once training knows k;
+    # a field of None replaces the whole section
     doc = json.loads(tiny_config.read_text())
-    doc[section][field] = value
+    if field is None:
+        doc[section] = value
+    else:
+        doc[section][field] = value
     tiny_config.write_text(json.dumps(doc))
     assert run_cli("train", "--config", tiny_config) == 2
-    assert f"'{section}.{field}'" in capsys.readouterr().err
+    path = section if field is None else f"{section}.{field}"
+    assert f"'{path}'" in capsys.readouterr().err
 
 
 def test_beta_max_refusal_writes_no_file(tiny_config, tmp_path):
@@ -172,8 +193,6 @@ def test_numerical_failure_exit_code_4(tmp_path, capsys):
 
 
 def test_bundled_configs_parse():
-    from pathlib import Path
-
     from stochpod.config import load_config
 
     configs = Path(__file__).resolve().parent.parent / "configs"

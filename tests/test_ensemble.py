@@ -93,6 +93,52 @@ def test_cubic_newton_error_names_stalled_draws():
                                      range(40, 43))
 
 
+def cubic_batch(n=30, k=3, alpha=1e3):
+    """Four draws and three loads of growing size: from zero, single rows
+    need 2 to 9 Newton steps to reach a residual of 1e-10."""
+    stiffness = spd(n, 41)
+    scale = np.array([1.0, 30.0, 300.0])[:, None]
+    loads = np.random.default_rng(42).normal(size=(3, n)) * scale
+    system = rom.NonlinearCubicSystem(stiffness, alpha, lambda p: loads[p])
+    w = np.stack([orthonormal(n, k, seed) for seed in (1, 2, 3, 4)])
+    stiffness_r = np.matmul(w.transpose(0, 2, 1), np.matmul(stiffness, w))
+    return system, w, stiffness_r, np.matmul(loads, w)
+
+
+def test_cubic_newton_batch_has_the_exact_jacobian():
+    # quadratic convergence pins the Jacobian: 9 steps reach tol, 8 do not
+    system, w, stiffness_r, forces_r = cubic_batch()
+    alpha = system.cubic_coeff
+    q0 = np.zeros_like(forces_r)
+    q = pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, 1e-10, 9,
+                                     range(4))
+    with pytest.raises(ConvergenceError):
+        pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, 1e-10, 8,
+                                     range(4))
+    expected = np.array([[rom.solve_rom_nonlinear(basis, system, p, tol=1e-10)
+                          for p in range(3)] for basis in w])
+    np.testing.assert_allclose(q, expected, rtol=0, atol=1e-12)
+
+
+def test_cubic_newton_batch_rows_do_not_couple():
+    system, w, stiffness_r, forces_r = cubic_batch()
+    alpha = system.cubic_coeff
+    solved = pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r,
+                                          np.zeros_like(forces_r), 1e-10, 20, range(4))
+    # draw 0 and row (2, 1) start converged, the other rows from zero
+    q0 = np.zeros_like(forces_r)
+    q0[0] = solved[0]
+    q0[2, 1] = solved[2, 1]
+    batch = pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0,
+                                         1e-10, 20, range(4))
+    alone = np.concatenate([pipeline._cubic_newton_batch(
+        w[d:d + 1], stiffness_r[d:d + 1], alpha, forces_r[d:d + 1], q0[d:d + 1],
+        1e-10, 20, [d]) for d in range(4)])
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(batch[0], solved[0])
+    assert np.array_equal(batch[2, 1], solved[2, 1])
+
+
 # ---------------------------------------------------------------------------
 # summarize
 

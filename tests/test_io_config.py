@@ -258,6 +258,15 @@ def test_training_section_must_be_an_object():
     assert err.value.field_path == "training"
 
 
+@pytest.mark.parametrize("section,value", [
+    ("problem", [1]), ("problem", [["kind", "cubic-parametric"]]),
+    ("pod", "x"), ("pod", None), ("ensemble", 5), ("ensemble", [])])
+def test_required_section_must_be_an_object(section, value):
+    with pytest.raises(ConfigError, match="must be an object") as err:
+        parse_config(base_document(**{section: value}))
+    assert err.value.field_path == section
+
+
 @pytest.mark.parametrize("beta_max", [3, 2.5])
 def test_beta_max_at_or_below_k_names_the_field(beta_max):
     cfg = parse_config(base_document(training={"beta_max": beta_max}))
