@@ -15,7 +15,7 @@ from .rom import (LinearDynamicSystem, LinearStaticSystem,
                   NonlinearCubicSystem, Trajectory, galerkin_reduce,
                   inner_reduce, newmark_integrate, reconstruct,
                   solve_linear_static, solve_nonlinear_cubic,
-                  solve_rom_nonlinear, two_stage_reduce)
+                  solve_rom_nonlinear)
 from .sampling import (RandomStream, StochasticSubspaceModel,
                        batch_fractional_draws, sample_fractional)
 from .subspace import (CovarianceModel, PodDecomposition, SnapshotSet,

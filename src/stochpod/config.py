@@ -138,7 +138,8 @@ def _count(least: int) -> tuple:
 _PROBLEM_FIELDS = {
     "cubic-parametric": {
         "alpha": _POSITIVE, "snapshot_count": _count(2),
-        "mu_test": (list, lambda v: len(v) == 5, "a list of 5 numbers"),
+        "mu_test": (list, lambda v: len(v) == 5 and all(map(_is_number, v)),
+                    "a list of 5 numbers"),
         "newton_tol": _POSITIVE, "newton_max_iter": _count(1)},
     "linear-static-experiment": {
         "perturbation_ratio": _NONNEGATIVE, "noise_level": _NONNEGATIVE,
@@ -214,6 +215,13 @@ def parse_config(document: dict, seed_override: int | None = None,
                 continue
             _require(type(dof) is int and 0 <= dof < n, f"problem.{key}",
                      f"must be an integer DoF index in [0, {n})")
+    if "force_weights" in problem:
+        # weight j scales sine mode j + 2, and there are n - 2 modes
+        weights, most = problem["force_weights"], problem["n"] - 3
+        _require(type(weights) is list and 1 <= len(weights) <= most
+                 and all(map(_is_number, weights)) and any(weights),
+                 "problem.force_weights",
+                 f"must be a list of 1 to {most} numbers, not all zero")
 
     pod_doc = document["pod"]
     k = pod_doc.get("k")

@@ -76,17 +76,23 @@ class RunReport:
 # batched Monte-Carlo kernels shared by training and prediction
 
 
-def _draw_chunks(model, cache, count, chunk):
-    """Draws for stream indices 0..count-1 in consecutive batches.
+def _mc_draws(scales, k, seed, count, chunk, fn):
+    """beta -> ``fn(draws, indices)`` over stream indices 0..count-1, concatenated.
 
-    Yields (indices, draws); a batch holds at most ``chunk`` draws, which
-    bounds the kernels' temporaries without changing any draw.  ``cache``
-    is the loop's ``StreamCache``, so a stream's Gaussians are generated
-    once for every beta the loop draws at.
+    The draws go to ``fn`` in consecutive batches of at most ``chunk``,
+    which bounds the kernels' temporaries without changing any draw.
+    Every beta draws from the same streams (common random numbers), held
+    in one ``StreamCache`` that lives as long as the returned function.
     """
-    for start in range(0, count, chunk):
-        indices = range(start, min(start + chunk, count))
-        yield indices, batch_fractional_draws(model, cache, indices)
+    cache = StreamCache(seed, count)
+    chunks = [range(start, min(start + chunk, count)) for start in range(0, count, chunk)]
+
+    def run(beta):
+        model = StochasticSubspaceModel(scales, k, beta)
+        return np.concatenate([fn(batch_fractional_draws(model, cache, indices), indices)
+                               for indices in chunks])
+
+    return run
 
 
 def _mc_objective(scales, k, seed, count, chunk, gaps):
@@ -94,19 +100,10 @@ def _mc_objective(scales, k, seed, count, chunk, gaps):
 
     ``gaps(draws, indices)`` returns one squared distance gap per draw.
     f is one sum over the gaps of all draws, divided by ``count``, so its
-    value does not depend on ``chunk``.  Every beta draws from the same
-    streams (common random numbers), held in one cache that lives as long
-    as the returned function.
+    value does not depend on ``chunk``.
     """
-    cache = StreamCache(seed, range(count))
-
-    def evaluate(beta):
-        model = StochasticSubspaceModel(scales, k, float(beta))
-        values = np.concatenate([gaps(draws, indices) for indices, draws
-                                 in _draw_chunks(model, cache, count, chunk)])
-        return float(np.sum(values)) / count
-
-    return evaluate
+    values = _mc_draws(scales, k, seed, count, chunk, gaps)
+    return lambda beta: float(np.sum(values(beta))) / count
 
 
 def _mc_ensembles(scales, k, betas, seed, count, chunk, predict):
@@ -115,13 +112,8 @@ def _mc_ensembles(scales, k, betas, seed, count, chunk, predict):
     ``predict(draws, indices)`` returns the predictions of a batch of draws.
     The named betas share one stream cache.
     """
-    cache = StreamCache(seed, range(count))
-    out = {}
-    for name, beta in betas.items():
-        model = StochasticSubspaceModel(scales, k, beta)
-        out[name] = np.concatenate([predict(draws, indices) for indices, draws
-                                    in _draw_chunks(model, cache, count, chunk)])
-    return out
+    predictions = _mc_draws(scales, k, seed, count, chunk, predict)
+    return {name: predictions(beta) for name, beta in betas.items()}
 
 
 def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
@@ -415,7 +407,7 @@ class ExperimentDriver:
         return x
 
     def references(self, modes, k, snapshots) -> dict:
-        red = rom.two_stage_reduce(self.system, modes)
+        red = rom.galerkin_reduce(self.system, modes)
         x_rom = _linear_qoi_predictions(_mode_draw(modes, k), red.stiffness,
                                         red.force, modes)[0]
         return {
@@ -430,7 +422,7 @@ class ExperimentDriver:
         idx = refs["sensor_indices"]
         reference = refs["rom"][idx]
         d_truth = np.linalg.norm(refs["observed_noisy"] - reference)
-        red = rom.two_stage_reduce(self.system, modes)
+        red = rom.galerkin_reduce(self.system, modes)
         qoi_rows = modes[idx]
 
         def gaps(draws, indices):
@@ -440,7 +432,7 @@ class ExperimentDriver:
         return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
-        red = rom.two_stage_reduce(self.system, modes)
+        red = rom.galerkin_reduce(self.system, modes)
         return _mc_ensembles(
             scales, k, betas, seed, count, chunk,
             lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
@@ -502,7 +494,7 @@ class SurrogateDriver:
     def references(self, modes, k, snapshots) -> dict:
         traj = self._hdm_trajectory()
         spec = self.series_spec()
-        reduced = rom.two_stage_reduce(self._sampled_system(), modes)
+        reduced = rom.galerkin_reduce(self._sampled_system(), modes)
         series = _dynamic_qoi_predictions(_mode_draw(modes, k), reduced, modes,
                                           self.dt, self.steps, list(spec.values()))[0]
         refs = {"grid": self.times}
@@ -514,7 +506,7 @@ class SurrogateDriver:
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
                           chunk=512):
-        reduced = rom.two_stage_reduce(self._sampled_system(), modes)
+        reduced = rom.galerkin_reduce(self._sampled_system(), modes)
         reference = refs["rom"]
         d_truth = np.linalg.norm(refs["truth"] - reference)
         primary = [self.series_spec()["primary"]]
@@ -527,7 +519,7 @@ class SurrogateDriver:
         return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
-        reduced = rom.two_stage_reduce(self._sampled_system(), modes)
+        reduced = rom.galerkin_reduce(self._sampled_system(), modes)
         series = list(self.series_spec().values())     # primary, then the extras
         stacked = _mc_ensembles(
             scales, k, betas, seed, count, chunk,

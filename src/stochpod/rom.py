@@ -3,10 +3,10 @@
 Three system classes are supported: linear static, cubic nonlinear
 static, and linear second-order dynamics.  Reduction is plain Galerkin
 projection of a linear system, and a reduced system is a system of the
-same class in basis coordinates.  A two-stage path projects the
-operators once onto a rank-r basis and then cheaply re-projects per
-k-dimensional inner basis, which is what makes large stochastic
-ensembles affordable.  The cubic system is reduced inside
+same class in basis coordinates.  Projecting the operators once onto
+the rank-r modes with ``galerkin_reduce`` and then cheaply re-projecting
+per k-dimensional inner basis with ``inner_reduce`` is what makes large
+stochastic ensembles affordable.  The cubic system is reduced inside
 ``solve_rom_nonlinear``, which lifts its cubic term to full space.
 """
 
@@ -116,14 +116,6 @@ def galerkin_reduce(system, basis):
     return _reduce(system, v, _project_operator)
 
 
-def two_stage_reduce(system, modes):
-    """Project a linear system once onto the rank-r modes.
-
-    Subsequent ``inner_reduce`` calls work purely in r dimensions.
-    """
-    return galerkin_reduce(system, modes)
-
-
 def inner_reduce(staged, inner):
     """Re-project a rank-r reduced system onto an r-by-k inner basis."""
     return _reduce(staged, basis_matrix(inner), lambda a, u: u.T @ a @ u)
@@ -197,15 +189,12 @@ def solve_nonlinear_cubic(system: NonlinearCubicSystem, mu, guess=None,
     a = system.cubic_coeff
     f = system.force_map(mu)
     n = k.shape[0]
-    if system.constraints is None:
-        x0 = np.zeros(n) if guess is None else np.asarray(guess, dtype=float)
-        return _newton(lambda x: k @ x + a * x**3 - f,
-                       lambda x: k + 3.0 * a * np.diag(x**2),
-                       x0, tol, max_iter)
-    fixed = _canonical_constraint_indices(np.asarray(system.constraints, dtype=float))
-    if fixed is None:
-        raise NotImplementedError("non-canonical constraints on the cubic system")
-    keep = np.setdiff1d(np.arange(n), fixed)
+    keep = np.arange(n)
+    if system.constraints is not None:
+        fixed = _canonical_constraint_indices(np.asarray(system.constraints, dtype=float))
+        if fixed is None:
+            raise NotImplementedError("non-canonical constraints on the cubic system")
+        keep = np.setdiff1d(keep, fixed)
     kc = k[np.ix_(keep, keep)]
     fc = f[keep]
     y0 = np.zeros(keep.size) if guess is None else np.asarray(guess, dtype=float)[keep]

@@ -12,12 +12,14 @@ column by the fractional part.
 Draws are deterministic functions of (master_seed, stream_index) through
 a counter-based generator, so draw i of an ensemble is the same however
 the ensemble is split into batches.  ``batch_fractional_draws`` is the
-one sampler; ``sample_fractional`` is its one-row view.
+one sampler; ``sample_fractional`` is its one-row view.  ``_normals`` is
+the one loop that generates the streams' Gaussian matrices.
 
 Each stream's Gaussian matrix is filled column by column, so the matrix
 of a smaller beta is a prefix of the matrix of a larger one.  This is
-load-bearing: a ``StreamCache`` generates each stream once, at the widest
-beta asked for so far, and every narrower beta slices it, bit for bit.
+load-bearing: a ``StreamCache`` holds streams 0..count-1 at the widest
+beta asked for so far and every narrower beta slices them, bit for bit;
+a wider beta generates every stream again at its own width.
 """
 
 from __future__ import annotations
@@ -97,53 +99,44 @@ class RandomStream:
         return flat.reshape(cols, rows).T
 
 
-class StreamCache:
-    """The Gaussian matrices of the given streams of one master seed.
+def _normals(seed, indices, rank: int, cols: int) -> np.ndarray:
+    """The ``normal_matrix(rank, cols)`` of each stream index, (len, rank, cols)."""
+    seed = int(seed)
+    z = np.empty((len(indices), rank, cols))
+    for j, i in enumerate(indices):
+        z[j] = RandomStream(seed, int(i)).normal_matrix(rank, cols)
+    return z
 
-    The matrices of the stream indices ``streams`` (sorted, duplicates
-    dropped) are held in that order in one (len(streams), rank, width)
-    array.  A stream is generated the first time it is asked for, at the
-    current width; asking for more columns regenerates every held stream
-    at the new width, and fewer columns slice the held ones (the
-    column-major prefix of ``normal_matrix``).  Only the array is kept, no
-    generator objects.  It takes len(streams) * rank * width * 8 bytes of
-    address space, of which only the rows of streams already generated
-    are written.
+
+class StreamCache:
+    """The Gaussian matrices of streams 0..count-1 of one master seed.
+
+    They are held in one (count, rank, width) block, filled whole on the
+    first request at that request's width.  Asking for more columns
+    regenerates every stream at the new width; fewer columns slice the
+    held block (the column-major prefix of ``normal_matrix``).
     """
 
-    def __init__(self, master_seed: int, streams):
+    def __init__(self, master_seed: int, count: int):
         self.master_seed = int(master_seed)
-        self.streams = np.unique(np.asarray(streams, dtype=np.int64))
-        self._held = np.zeros(self.streams.size, dtype=bool)
+        self.count = int(count)
         self._z = None
 
-    def normals(self, rank: int, cols: int, indices) -> np.ndarray:
-        """The first ``cols`` columns of each stream's matrix, (len, rank, cols).
+    def normals(self, rank: int, cols: int, indices: range) -> np.ndarray:
+        """The first ``cols`` columns of streams ``indices``: a view, (len, rank, cols).
 
-        A run of consecutive held streams gets a view of the held array.
+        ``indices`` is a unit-step range inside [0, count).
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        pos = np.searchsorted(self.streams, indices)
-        if np.any(self.streams.take(pos, mode="clip") != indices):
-            raise IndexError("stream indices outside the cache")
+        if not (isinstance(indices, range) and indices.step == 1
+                and 0 <= indices.start <= indices.stop <= self.count):
+            raise IndexError(f"streams {indices!r} are not a unit-step range "
+                             f"inside [0, {self.count})")
         if self._z is not None and self._z.shape[1] != rank:
             raise ValueError(f"cache holds {self._z.shape[1]}-row matrices, not {rank}")
         if self._z is None or cols > self._z.shape[2]:
             self._z = None                      # free the narrower block first
-            self._z = np.empty((len(self.streams), rank, cols))
-            self._generate(np.flatnonzero(self._held))
-        self._generate(np.unique(pos[~self._held[pos]]))
-        if pos.size and np.all(np.diff(pos) == 1):
-            return self._z[pos[0]:pos[-1] + 1, :, :cols]
-        return self._z[pos, :, :cols]
-
-    def _generate(self, positions) -> None:
-        z = self._z
-        rank, width = z.shape[1:]
-        for p in positions:
-            z[p] = RandomStream(self.master_seed, int(self.streams[p])).normal_matrix(
-                rank, width)
-        self._held[positions] = True
+            self._z = _normals(self.master_seed, range(self.count), rank, cols)
+        return self._z[indices.start:indices.stop, :, :cols]
 
 
 def sample_fractional(model: StochasticSubspaceModel, stream: RandomStream) -> SubspaceBasis:
@@ -167,21 +160,20 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
     The SVDs run batched, with the spectral-gap check and sign convention
     of ``principal_subspace_map``.
 
-    ``seed_or_cache`` is a master seed or a ``StreamCache`` of one.  A
-    seed gets a fresh cache of exactly these streams; a cache passed in
-    keeps its streams for the next call, and the draws are the same
-    either way.
+    ``seed_or_cache`` is a master seed, for any list of stream indices,
+    or a ``StreamCache`` of one, for a unit-step range of its streams;
+    the draws are the same either way.
     """
-    indices = list(indices)
-    cache = seed_or_cache
-    if not isinstance(cache, StreamCache):
-        cache = StreamCache(seed_or_cache, indices)
     r, k, beta = model.rank, model.k, model.beta
     cols = int(np.ceil(beta))
     weights = np.ones(cols)
     weights[-1] = beta - (cols - 1)     # the fractional part; 1 at integer beta
-    # two products on the cached block, in the order of a fresh draw's
-    scaled = cache.normals(r, cols, indices) * weights
+    if isinstance(seed_or_cache, StreamCache):
+        z = seed_or_cache.normals(r, cols, indices)
+    else:
+        z = _normals(seed_or_cache, indices, r, cols)
+    # two products on the Gaussian block, in the order of a fresh draw's
+    scaled = z * weights
     scaled *= model.scales[:, None]
     u, s, _ = np.linalg.svd(scaled, full_matrices=False)
     _check_gap(s, k, DEFAULT_GAP_TOLERANCE, labels=indices)

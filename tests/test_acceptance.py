@@ -234,7 +234,7 @@ def test_criterion_7_reduction_correctness():
     force = gen.normal(size=n)
     modes, _ = np.linalg.qr(gen.normal(size=(n, r)))
     inner, _ = np.linalg.qr(gen.normal(size=(r, k)))
-    staged = sp.inner_reduce(sp.two_stage_reduce(
+    staged = sp.inner_reduce(sp.galerkin_reduce(
         rom.LinearStaticSystem(spd, force), modes), inner)
     naive = sp.galerkin_reduce(rom.LinearStaticSystem(spd, force), modes @ inner)
     stage_err = (np.linalg.norm(staged.stiffness - naive.stiffness)

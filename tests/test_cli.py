@@ -92,12 +92,19 @@ def test_surrogate_index_out_of_range_exit_code_2(tmp_path, capsys, field, value
     ("ensemble", "level", "0.9"), ("training", "mc_samples", 2.7),
     ("training", "beta_max", 3), ("problem", "snapshot_count", 20.7),
     ("problem", "sensor_count", "9"), ("problem", "snapshot_countt", 3),
-    ("problem", None, [1]), ("ensemble", None, 5), ("pod", None, "x")])
+    ("problem", None, [1]), ("ensemble", None, 5), ("pod", None, "x"),
+    ("problem", "force_weights", 5), ("problem", "force_weights", [1, None]),
+    ("problem", "force_weights", [1.0] * 200),
+    ("problem", "mu_test", [1, 2, 3, 4, None]), ("problem", "mu_test", [1, 2, 3, 4, True])])
 def test_mistyped_or_out_of_range_field_exit_code_2(tiny_config, capsys,
                                                     section, field, value):
     # beta_max = k passes parsing and is refused once training knows k;
-    # a field of None replaces the whole section
+    # a field of None replaces the whole section; mu_test is a field of
+    # the cubic problem
     doc = json.loads(tiny_config.read_text())
+    if field == "mu_test":
+        doc["problem"] = {"kind": "cubic-parametric", "n": 40, "alpha": 1.0e4,
+                          "snapshot_count": 8}
     if field is None:
         doc[section] = value
     else:

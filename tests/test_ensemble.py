@@ -33,7 +33,7 @@ def linear_setup(n=40, r=6, k=3, seed=3):
 def test_degenerate_sampler_reproduces_rom():
     system, modes, model = linear_setup()
     k = model.k
-    staged = rom.two_stage_reduce(system, modes)
+    staged = rom.galerkin_reduce(system, modes)
     draws = np.stack([np.eye(modes.shape[1], k)] * 2)   # the principal subspace
     pred = pipeline._linear_qoi_predictions(draws, staged.stiffness, staged.force,
                                             modes)
@@ -48,7 +48,7 @@ def test_full_basis_sampler_reproduces_hdm():
     n = 12
     system = rom.LinearStaticSystem(spd(n, 5), np.random.default_rng(6).normal(size=n))
     modes = orthonormal(n, n, 7)
-    staged = rom.two_stage_reduce(system, modes)
+    staged = rom.galerkin_reduce(system, modes)
     pred = pipeline._linear_qoi_predictions(np.stack([np.eye(n)] * 3),
                                             staged.stiffness, staged.force, modes)
     hdm = sp.solve_linear_static(system)
@@ -69,7 +69,7 @@ def test_dynamic_kernel_dof_series_matches_newmark():
                                      (np.zeros(n), np.zeros(n)))
     modes = orthonormal(n, r, 33)
     series = pipeline._dynamic_qoi_predictions(
-        np.eye(r, k)[None], rom.two_stage_reduce(system, modes), modes, dt, steps,
+        np.eye(r, k)[None], rom.galerkin_reduce(system, modes), modes, dt, steps,
         [(4, 1)])
     # oracle: deterministic ROM trajectory at the same basis
     red = sp.galerkin_reduce(system, modes[:, :k])

@@ -321,7 +321,19 @@ def experiment_document(**problem):
     # a field another problem kind reads is unknown to this one
     (experiment_document(alpha=1.0e4), "problem.alpha"),
     (cubic_document(sensor_count=9), "problem.sensor_count"),
-    (surrogate_document(snapshot_count=20), "problem.snapshot_count")])
+    (surrogate_document(snapshot_count=20), "problem.snapshot_count"),
+    # list elements are finite numbers; force weight j needs sine mode j + 2
+    (cubic_document(mu_test=[1, 2, 3, 4, None]), "problem.mu_test"),
+    (cubic_document(mu_test=[1, 2, 3, 4, True]), "problem.mu_test"),
+    (cubic_document(mu_test=[1, 2, 3, 4, float("nan")]), "problem.mu_test"),
+    (cubic_document(mu_test=[1, 2, 3, 4]), "problem.mu_test"),
+    (experiment_document(force_weights=5), "problem.force_weights"),
+    (experiment_document(force_weights=[1, None]), "problem.force_weights"),
+    (experiment_document(force_weights=[1, False]), "problem.force_weights"),
+    (experiment_document(force_weights=["1"]), "problem.force_weights"),
+    (experiment_document(force_weights=[]), "problem.force_weights"),
+    (experiment_document(force_weights=[0, 0.0]), "problem.force_weights"),
+    (experiment_document(force_weights=[1.0] * 98), "problem.force_weights")])
 def test_problem_fields_are_checked(document, field):
     # integer fields refuse floats, strings and bools; unknown keys are refused
     with pytest.raises(ConfigError) as err:
@@ -335,6 +347,7 @@ def test_every_problem_field_parses():
         experiment_document(perturbation_ratio=0.1, noise_level=0.0, sensor_count=9,
                             snapshot_count=20, snapshot_force="perturbed",
                             force_weights=[1.0, 0.5]),
+        experiment_document(force_weights=[0.0] * 96 + [1]),     # n - 3 modes
         surrogate_document(alt_dof=3, snapshot_stride=2, heavy_dof=5, mass_ratio=50.0,
                            stiffness_scale=2.0, rayleigh_beta=1e-3,
                            impulse_amplitude=10.0, impulse_duration=0.05,

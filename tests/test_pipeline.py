@@ -253,7 +253,7 @@ def test_batched_linear_kernel_matches_rom():
     driver, scales, modes, _ = ensemble_inputs(tiny_ex2_config(), 3)
     model = sp.StochasticSubspaceModel(scales, 3, 7)
     draws = sp.batch_fractional_draws(model, 123, range(32))
-    staged = rom.two_stage_reduce(driver.system, modes)
+    staged = rom.galerkin_reduce(driver.system, modes)
     idx = np.array([10, 40, 77])
     batched = pipeline._linear_qoi_predictions(
         draws, staged.stiffness, staged.force, modes[idx])
@@ -279,7 +279,7 @@ def test_batched_dynamic_kernel_matches_rom():
     driver, scales, modes, _ = ensemble_inputs(tiny_ex3_config(), 5)
     model = sp.StochasticSubspaceModel(scales, 5, 8)
     draws = sp.batch_fractional_draws(model, 55, range(12))
-    staged = rom.two_stage_reduce(driver._sampled_system(), modes)
+    staged = rom.galerkin_reduce(driver._sampled_system(), modes)
     velocity = [(driver.qoi_dof, 1)]
     series = pipeline._dynamic_qoi_predictions(
         draws, staged, modes, driver.dt, driver.steps, velocity)
@@ -309,7 +309,7 @@ def test_dynamic_kernel_free_phase_matches_rom(loaded_steps):
     first = np.broadcast_to(np.eye(r)[:, :1], (count, r, 1))
     draws = np.linalg.qr(np.concatenate(
         [first, gen.normal(size=(count, r, k - 1))], axis=2))[0]
-    staged = rom.two_stage_reduce(system, modes)
+    staged = rom.galerkin_reduce(system, modes)
     series = [(3, 0), (5, 1), (8, 2), (0, 1)]
     got = pipeline._dynamic_qoi_predictions(draws, staged, modes, dt, steps, series)
     expected = looped_series(staged, draws, modes, series, dt, steps * dt)
@@ -331,7 +331,7 @@ def test_dynamic_kernel_conserves_energy():
     system = rom.LinearDynamicSystem(mass, np.zeros((n, n)), stiff,
                                      np.zeros((steps + 1, n)),
                                      (gen.normal(size=n), gen.normal(size=n)))
-    staged = rom.two_stage_reduce(system, np.eye(n))
+    staged = rom.galerkin_reduce(system, np.eye(n))
     series = [(dof, 0) for dof in range(n)] + [(dof, 1) for dof in range(n)]
     out = pipeline._dynamic_qoi_predictions(np.eye(n)[None], staged, np.eye(n),
                                             dt, steps, series)[0]
@@ -366,11 +366,11 @@ def kernel_at_mode(driver, modes, k):
         x = driver._solve_draws(modes, draw, forces, np.zeros_like(forces), [0])[0]
         return {"train_rom": x[:, :-1], "rom": x[:, -1]}
     if isinstance(driver, pipeline.ExperimentDriver):
-        red = rom.two_stage_reduce(driver.system, modes)
+        red = rom.galerkin_reduce(driver.system, modes)
         return {"rom": pipeline._linear_qoi_predictions(draw, red.stiffness, red.force,
                                                         modes)[0]}
     spec = driver.series_spec()
-    red = rom.two_stage_reduce(driver._sampled_system(), modes)
+    red = rom.galerkin_reduce(driver._sampled_system(), modes)
     out = pipeline._dynamic_qoi_predictions(draw, red, modes, driver.dt, driver.steps,
                                             list(spec.values()))[0]
     return {pipeline._named("rom", name): out[j] for j, name in enumerate(spec)}

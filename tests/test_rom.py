@@ -59,7 +59,7 @@ def test_reduce_dimension_mismatch():
 def test_inner_identity_returns_staged_operators():
     k = random_spd(10, seed=5)
     modes = random_orthonormal(10, 4, seed=6)
-    staged = sp.two_stage_reduce(rom.LinearStaticSystem(k, np.ones(10)), modes)
+    staged = sp.galerkin_reduce(rom.LinearStaticSystem(k, np.ones(10)), modes)
     red = sp.inner_reduce(staged, np.eye(4))
     assert np.allclose(red.stiffness, staged.stiffness, atol=1e-14)
 
@@ -71,7 +71,7 @@ def test_two_stage_matches_naive_projection():
     f = gen.normal(size=n)
     modes = random_orthonormal(n, r, seed=9)
     inner = random_orthonormal(r, k, seed=10)
-    staged = sp.two_stage_reduce(rom.LinearStaticSystem(a, f), modes)
+    staged = sp.galerkin_reduce(rom.LinearStaticSystem(a, f), modes)
     red = sp.inner_reduce(staged, inner)
     w = modes @ inner
     naive = sp.galerkin_reduce(rom.LinearStaticSystem(a, f), w)
@@ -91,7 +91,7 @@ def test_two_stage_matches_naive_dynamic():
     sys = rom.LinearDynamicSystem(m, c, kk, load, (x0, v0))
     modes = random_orthonormal(n, r, seed=13)
     inner = random_orthonormal(r, k, seed=14)
-    red = sp.inner_reduce(sp.two_stage_reduce(sys, modes), inner)
+    red = sp.inner_reduce(sp.galerkin_reduce(sys, modes), inner)
     naive = sp.galerkin_reduce(sys, modes @ inner)
     for name in ("mass", "damping", "stiffness"):
         got, want = getattr(red, name), getattr(naive, name)
@@ -105,7 +105,7 @@ def test_staged_path_has_no_full_space_products_after_stage_one():
     a = random_spd(n, seed=15)
     modes = random_orthonormal(n, r, seed=16)
     rom.projection_counter.reset()
-    staged = sp.two_stage_reduce(rom.LinearStaticSystem(a, np.ones(n)), modes)
+    staged = sp.galerkin_reduce(rom.LinearStaticSystem(a, np.ones(n)), modes)
     assert rom.projection_counter.count == 1
     for i in range(500):
         sp.inner_reduce(staged, random_orthonormal(r, 3, seed=i))
@@ -113,9 +113,10 @@ def test_staged_path_has_no_full_space_products_after_stage_one():
 
 
 def test_two_stage_rejects_nonlinear():
+    # the inner stage refuses a cubic system as the first stage does
     sys = rom.NonlinearCubicSystem(np.eye(3), 1.0, lambda mu: np.ones(3))
     with pytest.raises(TypeError):
-        sp.two_stage_reduce(sys, np.eye(3, 2))
+        sp.inner_reduce(sys, np.eye(3, 2))
 
 
 def test_galerkin_rejects_nonlinear():

@@ -267,18 +267,40 @@ def test_normal_matrix_narrower_is_prefix_of_wider(rows, cols, more):
         assert np.array_equal(narrow, wide[:, :cols])
 
 
-def test_cache_serves_any_index_set_like_fresh_draws():
-    model = sp.StochasticSubspaceModel(np.array([3.0, 1.0, 0.5, 0.2]), 2, 6.5)
-    cache = StreamCache(42, [*range(3, 30), 10**12])
-    for indices in ([7], range(3, 11), [29, 4, 17], range(20, 30), [5, 5],
-                    [10**12, 6]):
-        assert np.array_equal(sp.batch_fractional_draws(model, cache, indices),
-                              sp.batch_fractional_draws(model, 42, indices))
-    for outside in ([2], [31], [10**12 + 1]):
+@pytest.mark.parametrize("chunk", [1, 4, 7, 10])
+def test_cache_serves_every_chunking_like_fresh_draws(chunk):
+    # empty, full and last partial chunks, at a widening and a narrowing beta
+    count = 10
+    cache = StreamCache(42, count)
+    chunks = [range(0, 0), *(range(s, min(s + chunk, count))
+                             for s in range(0, count, chunk)), range(count, count)]
+    for beta in (4.5, 6.25, 3):
+        model = sp.StochasticSubspaceModel(np.array([3.0, 1.0, 0.5, 0.2]), 2, beta)
+        for indices in chunks:
+            assert np.array_equal(sp.batch_fractional_draws(model, cache, indices),
+                                  sp.batch_fractional_draws(model, 42, indices))
+
+
+def test_cache_refuses_streams_outside_a_unit_step_range():
+    cache = StreamCache(42, 10)
+    for outside in (range(-1, 3), range(8, 11), range(0, 10, 2), [3], [3, 4]):
         with pytest.raises(IndexError):
             cache.normals(4, 3, outside)
+    cache.normals(4, 3, range(10))
     with pytest.raises(ValueError):
-        cache.normals(5, 3, [3])
+        cache.normals(5, 3, range(3))
+
+
+def test_seed_serves_any_index_list_like_per_stream_generation():
+    scales = np.array([3.0, 1.0, 0.5, 0.2])
+    model = sp.StochasticSubspaceModel(scales, 2, 6.5)
+    for indices in ([7], [29, 4, 17], [5, 5], [10**12, 6]):
+        batch = sp.batch_fractional_draws(model, 42, indices)
+        for j, i in enumerate(indices):
+            z = sp.RandomStream(42, i).normal_matrix(4, 7)
+            z[:, -1] *= 0.5
+            single = sp.principal_subspace_map(scales[:, None] * z, 2).matrix
+            assert np.array_equal(batch[j], single), i
 
 
 def test_tied_spectrum_raises_gap_error():
