@@ -76,9 +76,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed,
                              output_override=args.out)
-    except FileNotFoundError as exc:
-        print(f"error: config file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

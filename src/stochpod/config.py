@@ -109,27 +109,41 @@ class RunConfig:
         )
 
 
-#: The fields of ``training`` and of ``training.refinement`` that become
-#: ``TrainingConfig`` and ``RefinementConfig`` fields: name -> (type, test
-#: of the value, what the test asks for).
-_TRAINING_FIELDS = {
-    "mc_samples": (int, lambda v: v >= 2, "an integer >= 2"),
-    "tolerance": (float, lambda v: v > 0, "a positive number"),
-    "max_iter": (int, lambda v: v >= 1, "an integer >= 1"),
-}
-_REFINEMENT_FIELDS = {
-    **_TRAINING_FIELDS,
-    "enabled": (bool, lambda v: True, "true or false"),
-    "window": (float, lambda v: v >= 0, "a number >= 0"),
-}
-
-
 _POSITIVE = (float, lambda v: v > 0, "a positive number")
 _NONNEGATIVE = (float, lambda v: v >= 0, "a nonnegative number")
+_FRACTION = (float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
 
 def _count(least: int) -> tuple:
     return (int, lambda v: v >= least, f"an integer >= {least}")
+
+
+def _or_null(field: tuple) -> tuple:
+    """The field ``field``, which may also be null."""
+    kind, test, wanted = field
+    return (None, lambda v: v is None or _typed(kind, v) and test(v), f"{wanted} or null")
+
+
+#: The fields of ``training`` and of ``training.refinement`` that become
+#: ``TrainingConfig`` and ``RefinementConfig`` fields: name -> (type, test
+#: of the value, what the test asks for).
+_TRAINING_FIELDS = {"mc_samples": _count(2), "tolerance": _POSITIVE, "max_iter": _count(1)}
+_REFINEMENT_FIELDS = {**_TRAINING_FIELDS, "window": _NONNEGATIVE,
+                      "enabled": (bool, lambda v: True, "true or false")}
+
+#: The fields of the top level and of the other sections, as above; a
+#: type of None lets the test alone judge the value, and an entry of None
+#: is a section checked on its own.
+_TOP_FIELDS = {"problem": None, "pod": None, "training": None, "ensemble": None,
+               "output_dir": _or_null((str, lambda v: True, "a string"))}
+_POD_FIELDS = {"k": _or_null(_count(1)), "energy_threshold": _or_null(_FRACTION),
+               "source": _or_null((str, lambda v: v in ("centered", "raw"),
+                                   "'centered' or 'raw'"))}
+_ENSEMBLE_FIELDS = {"count": _count(2), "level": _FRACTION, "seed": _count(0)}
+_TRAINING_SECTION = {
+    **_TRAINING_FIELDS, "beta_max": _or_null(_POSITIVE), "refinement": None,
+    "parametric_aggregation": (str, lambda v: v in ("per-parameter", "pooled"),
+                               "'per-parameter' or 'pooled'")}
 
 
 #: The ``problem`` fields each kind reads besides ``kind`` and ``n``, as in
@@ -174,23 +188,29 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _check_fields(section, fields: dict, path: str, others=()) -> None:
-    """Refuse a key of ``section`` that is neither in ``fields`` nor in
-    ``others``, and a value of ``fields`` of the wrong type or range (a
-    field whose entry is None is not checked).  An ``int`` field refuses a
-    float, and no number field takes a bool."""
+def _typed(kind, value) -> bool:
+    """A ``float`` is any finite number, an ``int`` no float, no number a
+    bool, and any value is of type None."""
+    return kind is None or (_is_number(value) if kind is float else type(value) is kind)
+
+
+def _check_fields(section, fields: dict, path: str) -> None:
+    """Refuse a key of ``section`` that is not in ``fields``, and a value
+    of the wrong type or range (a field whose entry is None is not
+    checked).  ``path`` is the section's field path, "" at the top level."""
     _require(isinstance(section, dict), path, "must be an object")
     for key, value in section.items():
-        _require(key in fields or key in others, f"{path}.{key}", "unknown field")
-        if fields.get(key) is not None:
+        field = f"{path}.{key}" if path else key
+        _require(key in fields, field, "unknown field")
+        if fields[key] is not None:
             kind, test, wanted = fields[key]
-            typed = _is_number(value) if kind is float else type(value) is kind
-            _require(typed and test(value), f"{path}.{key}", f"must be {wanted}")
+            _require(_typed(kind, value) and test(value), field, f"must be {wanted}")
 
 
 def parse_config(document: dict, seed_override: int | None = None,
                  output_override: str | None = None) -> RunConfig:
     _require(isinstance(document, dict), "", "top level must be a JSON object")
+    _check_fields(document, _TOP_FIELDS, "")
     for key in ("problem", "pod", "ensemble"):
         _require(key in document, key, "missing required section")
         _require(isinstance(document[key], dict), key, "must be an object")
@@ -203,7 +223,7 @@ def parse_config(document: dict, seed_override: int | None = None,
              "problem.n", "must be an integer >= 8")
     for key in _PROBLEM_REQUIRED[kind]:
         _require(key in problem, f"problem.{key}", "missing required field")
-    _check_fields(problem, _PROBLEM_FIELDS[kind], "problem", others=("kind", "n"))
+    _check_fields(problem, {**_PROBLEM_FIELDS[kind], "kind": None, "n": None}, "problem")
     if kind == "surrogate-dynamics":
         n = problem["n"]
         _require(n >= 10, "problem.n", "must be an integer >= 10 for surrogate-dynamics")
@@ -224,48 +244,30 @@ def parse_config(document: dict, seed_override: int | None = None,
                  f"must be a list of 1 to {most} numbers, not all zero")
 
     pod_doc = document["pod"]
-    k = pod_doc.get("k")
-    tau = pod_doc.get("energy_threshold")
+    _check_fields(pod_doc, _POD_FIELDS, "pod")
+    k, tau, source = (pod_doc.get(key) for key in _POD_FIELDS)
     _require((k is None) != (tau is None), "pod",
              "exactly one of 'k' or 'energy_threshold' must be set")
-    if k is not None:
-        _require(type(k) is int and k >= 1, "pod.k", "must be an integer >= 1")
-    if tau is not None:
-        _require(_is_number(tau) and 0.0 < tau < 1.0, "pod.energy_threshold",
-                 "must lie in (0, 1)")
-    source = pod_doc.get("source")
-    _require(source in (None, "centered", "raw"), "pod.source",
-             "must be 'centered' or 'raw'")
 
     ens = document["ensemble"]
-    _require(isinstance(ens.get("count"), int) and ens["count"] >= 2,
-             "ensemble.count", "must be an integer >= 2")
-    level = ens.get("level", 0.95)
-    _require(_is_number(level) and 0.0 < level < 1.0, "ensemble.level",
-             "must lie in (0, 1)")
+    _check_fields(ens, _ENSEMBLE_FIELDS, "ensemble")
+    _require("count" in ens, "ensemble.count", "missing required field")
     seed = seed_override if seed_override is not None else ens.get("seed")
-    _require(type(seed) is int, "ensemble.seed", "a mandatory integer seed")
+    _require(_typed(int, seed) and seed >= 0, "ensemble.seed",
+             "a mandatory integer seed >= 0")
 
     training = document.get("training", {})
-    _check_fields(training, _TRAINING_FIELDS, "training",
-                  others=("beta_max", "parametric_aggregation", "refinement"))
+    _check_fields(training, _TRAINING_SECTION, "training")
     _check_fields(training.get("refinement", {}), _REFINEMENT_FIELDS,
                   "training.refinement")
-    beta_max = training.get("beta_max")
-    _require(beta_max is None or _is_number(beta_max) and beta_max > 0,
-             "training.beta_max", "must be a positive number or null")
-    agg = training.get("parametric_aggregation", DEFAULT_PARAMETRIC_AGGREGATION)
-    _require(agg in ("per-parameter", "pooled"), "training.parametric_aggregation",
-             "must be 'per-parameter' or 'pooled'")
 
     output_dir = output_override if output_override is not None else document.get("output_dir")
     return RunConfig(
         problem=problem,
         pod=PodConfig(k=k, energy_threshold=tau, source=source),
         training=dict(training),
-        ensemble=EnsembleConfig(count=int(ens["count"]),
-                                level=float(level),
-                                seed=int(seed)),
+        ensemble=EnsembleConfig(count=ens["count"], level=float(ens.get("level", 0.95)),
+                                seed=seed),
         output_dir=output_dir,
     )
 
@@ -277,4 +279,6 @@ def load_config(path, seed_override: int | None = None,
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("", f"cannot read config file {path}: {exc}") from exc
     return parse_config(document, seed_override, output_override)

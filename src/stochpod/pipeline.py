@@ -11,7 +11,7 @@ config document.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,13 +95,20 @@ def _mc_draws(scales, k, seed, count, chunk, fn):
     return run
 
 
-def _mc_objective(scales, k, seed, count, chunk, gaps):
-    """The Monte-Carlo objective f(beta) over stream indices 0..count-1.
+def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth):
+    """The Monte-Carlo objective f(beta) = E[(d(u) - d_truth)^2].
 
-    ``gaps(draws, indices)`` returns one squared distance gap per draw.
+    ``predict(draws, indices)`` returns the predictions of a batch of
+    draws, and d is their L2 distance to ``reference`` along axis 1.  A
+    draw's gap is the mean of (d - d_truth)^2 over any trailing parameter
+    axis, so ``d_truth`` is a scalar or holds one distance per parameter.
     f is one sum over the gaps of all draws, divided by ``count``, so its
     value does not depend on ``chunk``.
     """
+    def gaps(draws, indices):
+        d = np.linalg.norm(predict(draws, indices) - reference, axis=1)
+        return np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
+
     values = _mc_draws(scales, k, seed, count, chunk, gaps)
     return lambda beta: float(np.sum(values(beta))) / count
 
@@ -243,11 +250,12 @@ def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
 # ---------------------------------------------------------------------------
 # problem drivers
 #
-# Each driver sets up its batched kernel and hands one closure to the
-# shared Monte-Carlo loop: ``integer_evaluator`` returns ``_mc_objective``
-# of its ``gaps``, f(beta) at real beta (integer training and refinement
-# both use it); ``draw_ensembles`` returns ``_mc_ensembles`` of its
-# ``predict``, one (count, grid) sample matrix per named beta.
+# Each driver sets up its batched kernel and hands one ``predict`` closure
+# to the shared Monte-Carlo loop: ``integer_evaluator`` returns
+# ``_mc_objective`` of it with the driver's reference and the truth's
+# distance to it, f(beta) at real beta (integer training and refinement
+# both use it); ``draw_ensembles`` returns ``_mc_ensembles`` of it, one
+# (count, grid) sample matrix per named beta.
 # ``references`` solves the deterministic ROM with the same kernel at the
 # identity draw (``_mode_draw``); only the train stage calls it, and
 # sampling gets observations.csv.
@@ -337,16 +345,12 @@ class CubicDriver:
         pooled = self.aggregation == "pooled"
         # pooled: one distance over all parameters; else one per parameter
         d_truth = np.linalg.norm(truth - rom_train, axis=None if pooled else 0)
-
-        def gaps(draws, indices):
-            pred = self._solve_draws(modes, draws, forces, rom_train.T, indices)
-            if pooled:
-                return np.array([(np.linalg.norm(x - rom_train) - d_truth)**2
-                                 for x in pred])
-            d_pred = np.linalg.norm(pred - rom_train, axis=1)        # (D, P)
-            return np.mean((d_pred - d_truth)**2, axis=1)
-
-        return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
+        shape = (-1,) if pooled else rom_train.shape
+        return _mc_objective(
+            scales, k, seed, mc_samples, chunk,
+            lambda draws, indices: self._solve_draws(
+                modes, draws, forces, rom_train.T, indices).reshape(len(draws), *shape),
+            rom_train.reshape(shape), d_truth)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
         force = self.system.force_map(self.mu_test)[None]
@@ -424,12 +428,11 @@ class ExperimentDriver:
         d_truth = np.linalg.norm(refs["observed_noisy"] - reference)
         red = rom.galerkin_reduce(self.system, modes)
         qoi_rows = modes[idx]
-
-        def gaps(draws, indices):
-            preds = _linear_qoi_predictions(draws, red.stiffness, red.force, qoi_rows)
-            return (np.linalg.norm(preds - reference, axis=1) - d_truth)**2
-
-        return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
+        return _mc_objective(
+            scales, k, seed, mc_samples, chunk,
+            lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
+                                                           red.force, qoi_rows),
+            reference, d_truth)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
         red = rom.galerkin_reduce(self.system, modes)
@@ -461,25 +464,18 @@ class SurrogateDriver:
         self.spec = SurrogateSpec(n=self.n, **{
             field: p[key] for key, field in SURROGATE_SPEC_FIELDS.items() if key in p})
         self.seed = config.seed
-        self.system = surrogate_dynamics(self.spec)
         self.steps = int(np.floor(self.t_end / self.dt + 1e-12))
         self.times = np.arange(self.steps + 1) * self.dt
+        # the load sampled once on the time grid, for the full model and
+        # every reduction
+        chain = surrogate_dynamics(self.spec)
+        self.system = replace(chain, load=np.stack([chain.load(t) for t in self.times]))
         self._hdm = None
 
     def _hdm_trajectory(self) -> rom.Trajectory:
         if self._hdm is None:
             self._hdm = rom.newmark_integrate(self.system, self.dt, self.t_end)
         return self._hdm
-
-    def _load_matrix(self) -> np.ndarray:
-        return np.stack([self.system.load(t) for t in self.times])
-
-    def _sampled_system(self) -> rom.LinearDynamicSystem:
-        """The dynamic system with its load precomputed on the time grid."""
-        return rom.LinearDynamicSystem(
-            mass=self.system.mass, damping=self.system.damping,
-            stiffness=self.system.stiffness, load=self._load_matrix(),
-            initial_state=self.system.initial_state)
 
     def snapshots(self) -> np.ndarray:
         traj = self._hdm_trajectory()
@@ -494,7 +490,7 @@ class SurrogateDriver:
     def references(self, modes, k, snapshots) -> dict:
         traj = self._hdm_trajectory()
         spec = self.series_spec()
-        reduced = rom.galerkin_reduce(self._sampled_system(), modes)
+        reduced = rom.galerkin_reduce(self.system, modes)
         series = _dynamic_qoi_predictions(_mode_draw(modes, k), reduced, modes,
                                           self.dt, self.steps, list(spec.values()))[0]
         refs = {"grid": self.times}
@@ -506,20 +502,18 @@ class SurrogateDriver:
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
                           chunk=512):
-        reduced = rom.galerkin_reduce(self._sampled_system(), modes)
+        reduced = rom.galerkin_reduce(self.system, modes)
         reference = refs["rom"]
         d_truth = np.linalg.norm(refs["truth"] - reference)
         primary = [self.series_spec()["primary"]]
-
-        def gaps(draws, indices):
-            series = _dynamic_qoi_predictions(draws, reduced, modes, self.dt,
-                                              self.steps, primary)[:, 0]
-            return (np.linalg.norm(series - reference, axis=1) - d_truth)**2
-
-        return _mc_objective(scales, k, seed, mc_samples, chunk, gaps)
+        return _mc_objective(
+            scales, k, seed, mc_samples, chunk,
+            lambda draws, indices: _dynamic_qoi_predictions(
+                draws, reduced, modes, self.dt, self.steps, primary)[:, 0],
+            reference, d_truth)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
-        reduced = rom.galerkin_reduce(self._sampled_system(), modes)
+        reduced = rom.galerkin_reduce(self.system, modes)
         series = list(self.series_spec().values())     # primary, then the extras
         stacked = _mc_ensembles(
             scales, k, betas, seed, count, chunk,
@@ -793,17 +787,12 @@ def run_pipeline(config: RunConfig, outdir=None, threads: int = 1) -> RunReport:
     """
     times = {}
     t0 = time.perf_counter()
-    stage_train(config, outdir)
-    times["train_s"] = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    stage_sample(config, outdir)
-    times["sample_s"] = time.perf_counter() - t1
-    t2 = time.perf_counter()
-    stage_predict(config, outdir)
-    times["predict_s"] = time.perf_counter() - t2
-    t3 = time.perf_counter()
-    report = stage_report(config, outdir)
-    times["report_s"] = time.perf_counter() - t3
+    # the stages are looked up at each call, so that a wrapped stage_* runs
+    for name, stage in (("train", stage_train), ("sample", stage_sample),
+                        ("predict", stage_predict), ("report", stage_report)):
+        start = time.perf_counter()
+        report = stage(config, outdir)
+        times[f"{name}_s"] = time.perf_counter() - start
     times["total_s"] = time.perf_counter() - t0
     out = _outdir(config, outdir)
     write_json(out / TIMINGS_FILE,

@@ -2,9 +2,9 @@
 
 The objective is the mean squared gap between the ensemble's distance
 statistic and the truth's: f(beta) = E[ |d(u) - d(u_truth)|^2 ], with
-d(u) the L2 distance to the deterministic reduced-order prediction,
-which each pipeline driver computes.  Its Monte-Carlo estimate (common
-random numbers across beta) is ``pipeline._mc_objective``; here it is
+d(u) the L2 distance to the deterministic reduced-order prediction.
+Its Monte-Carlo estimate (common random numbers across beta) is
+``pipeline._mc_objective`` of a driver's predictions; here it is
 memoized at integer beta, linearly interpolated in between, and
 minimized with a bounded golden-section/parabolic scalar search.  An
 optional refinement stage re-optimizes over real-valued beta with a

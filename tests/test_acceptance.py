@@ -66,7 +66,7 @@ def test_criterion_1_example1_desk(ex1_desk):
 
 @pytest.mark.slow
 def test_criterion_2_example1_full_scale(tmp_path):
-    """Full-scale run; not CI-gated (enable with -m slow)."""
+    """Full-scale run; CI runs it weekly (enable with -m slow)."""
     config = load_config(CONFIGS / "ex1-full.json")
     report = pipeline.run_pipeline(config, tmp_path)
     details = report.details

@@ -95,12 +95,14 @@ def test_surrogate_index_out_of_range_exit_code_2(tmp_path, capsys, field, value
     ("problem", None, [1]), ("ensemble", None, 5), ("pod", None, "x"),
     ("problem", "force_weights", 5), ("problem", "force_weights", [1, None]),
     ("problem", "force_weights", [1.0] * 200),
-    ("problem", "mu_test", [1, 2, 3, 4, None]), ("problem", "mu_test", [1, 2, 3, 4, True])])
+    ("problem", "mu_test", [1, 2, 3, 4, None]), ("problem", "mu_test", [1, 2, 3, 4, True]),
+    ("trainng", None, {"mc_samples": 7}), ("pod", "sorce", "raw"),
+    ("ensemble", "levle", 0.9), ("output_dir", None, 5), ("ensemble", "seed", -3)])
 def test_mistyped_or_out_of_range_field_exit_code_2(tiny_config, capsys,
                                                     section, field, value):
     # beta_max = k passes parsing and is refused once training knows k;
-    # a field of None replaces the whole section; mu_test is a field of
-    # the cubic problem
+    # a field of None replaces the whole section (or the top-level key);
+    # mu_test is a field of the cubic problem
     doc = json.loads(tiny_config.read_text())
     if field == "mu_test":
         doc["problem"] = {"kind": "cubic-parametric", "n": 40, "alpha": 1.0e4,
@@ -113,6 +115,16 @@ def test_mistyped_or_out_of_range_field_exit_code_2(tiny_config, capsys,
     assert run_cli("train", "--config", tiny_config) == 2
     path = section if field is None else f"{section}.{field}"
     assert f"'{path}'" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exit_code_2(tiny_config, capsys):
+    assert run_cli("train", "--config", tiny_config, "--seed", -3) == 2
+    assert "'ensemble.seed'" in capsys.readouterr().err
+
+
+def test_unreadable_config_path_exit_code_2(tmp_path, capsys):
+    assert run_cli("run", "--config", tmp_path) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_beta_max_refusal_writes_no_file(tiny_config, tmp_path):

@@ -75,6 +75,21 @@ def test_pipeline_produces_complete_report(tmp_path):
     assert details["points_total"] == 100
 
 
+def test_run_pipeline_calls_the_stages_by_name(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps pipeline.stage_*; run_pipeline must run
+    # the wrappers, and timings.json keeps one key per stage
+    called = []
+    for stage in ("train", "sample", "predict", "report"):
+        monkeypatch.setattr(pipeline, f"stage_{stage}",
+                            lambda *args, _run=getattr(pipeline, f"stage_{stage}"),
+                            _name=stage: called.append(_name) or _run(*args))
+    pipeline.run_pipeline(tiny_ex2_config(), tmp_path)
+    assert called == ["train", "sample", "predict", "report"]
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert set(timings) == {"config_hash", "train_s", "sample_s", "predict_s",
+                            "report_s", "total_s"}
+
+
 def test_pipeline_rerun_is_byte_identical(tmp_path):
     cfg = tiny_ex2_config()
     a, b = tmp_path / "a", tmp_path / "b"
@@ -279,7 +294,7 @@ def test_batched_dynamic_kernel_matches_rom():
     driver, scales, modes, _ = ensemble_inputs(tiny_ex3_config(), 5)
     model = sp.StochasticSubspaceModel(scales, 5, 8)
     draws = sp.batch_fractional_draws(model, 55, range(12))
-    staged = rom.galerkin_reduce(driver._sampled_system(), modes)
+    staged = rom.galerkin_reduce(driver.system, modes)
     velocity = [(driver.qoi_dof, 1)]
     series = pipeline._dynamic_qoi_predictions(
         draws, staged, modes, driver.dt, driver.steps, velocity)
@@ -370,7 +385,7 @@ def kernel_at_mode(driver, modes, k):
         return {"rom": pipeline._linear_qoi_predictions(draw, red.stiffness, red.force,
                                                         modes)[0]}
     spec = driver.series_spec()
-    red = rom.galerkin_reduce(driver._sampled_system(), modes)
+    red = rom.galerkin_reduce(driver.system, modes)
     out = pipeline._dynamic_qoi_predictions(draw, red, modes, driver.dt, driver.steps,
                                             list(spec.values()))[0]
     return {pipeline._named("rom", name): out[j] for j, name in enumerate(spec)}
@@ -389,7 +404,7 @@ def library_rom(driver, modes, k):
     if isinstance(driver, pipeline.ExperimentDriver):
         reduced = rom.galerkin_reduce(driver.system, basis)
         return {"rom": basis @ rom.solve_linear_static(reduced)}
-    traj = rom.newmark_integrate(rom.galerkin_reduce(driver._sampled_system(), basis),
+    traj = rom.newmark_integrate(rom.galerkin_reduce(driver.system, basis),
                                  driver.dt, driver.t_end)
     fields = ("states", "velocities", "accelerations")
     return {pipeline._named("rom", name): basis[dof] @ getattr(traj, fields[order])
@@ -464,12 +479,16 @@ def test_cached_objective_matches_fresh_draws():
     count, chunk, seed = 23, 5, 17       # the chunk does not divide the count
     weights = np.arange(1.0, 13.0).reshape(6, 2)
 
-    def gaps(draws, indices):
-        return np.sum(draws * weights, axis=(1, 2))**2
+    def predict(draws, indices):
+        return np.sum(draws * weights, axis=(1, 2))[:, None]
 
-    objective = pipeline._mc_objective(CACHE_SCALES, 2, seed, count, chunk, gaps)
+    # the distance of a one-element prediction to 0 is its magnitude,
+    # sqrt(x * x) == |x| exactly, so each gap is the square of the sum
+    objective = pipeline._mc_objective(CACHE_SCALES, 2, seed, count, chunk, predict,
+                                       np.zeros(1), 0.0)
     for beta in CACHE_WALK:
-        expected = float(np.sum(gaps(fresh_draws(beta, seed, count), None))) / count
+        sums = predict(fresh_draws(beta, seed, count), None)[:, 0]
+        expected = float(np.sum(sums**2)) / count
         assert objective(beta) == expected, beta
 
 
@@ -493,13 +512,36 @@ def test_objective_generates_each_stream_once(monkeypatch):
     monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted)
     count = 23
     objective = pipeline._mc_objective(CACHE_SCALES, 2, 3, count, 5,
-                                       lambda draws, indices: draws[:, 0, 0])
+                                       lambda draws, indices: draws[:, 0],
+                                       np.zeros(2), 0.0)
     for beta in (9.5, 10, 9, 7.25, 5, 5, 2):     # widths 10, 10, 9, 8, 5, 5, 2
         objective(beta)
     assert sorted(calls) == list(range(count))
     # a wider beta regenerates every held stream once more
     objective(12)
     assert sorted(calls[count:]) == list(range(count))
+
+
+def test_per_parameter_objective_is_mean_of_parameter_gaps():
+    # per-parameter aggregation: one distance gap per training parameter,
+    # averaged over the parameters and then over the draws
+    doc = tiny_ex1_config().canonical_dict()
+    doc["training"]["parametric_aggregation"] = "per-parameter"
+    cfg = parse_config(doc)
+    k, count, seed, beta = 4, 30, 77, 6.5
+    driver, scales, modes, refs = ensemble_inputs(cfg, k)
+    assert driver.aggregation == "per-parameter"
+    rom_train, truth = refs["train_rom"], refs["train_truth"]
+    forces = np.stack([driver.system.force_map(mu) for mu in driver.params])
+    model = sp.StochasticSubspaceModel(scales, k, beta)
+    draws = sp.batch_fractional_draws(model, seed, range(count))
+    pred = driver._solve_draws(modes, draws, forces, rom_train.T, range(count))
+    gaps = [[(np.linalg.norm(pred[d, :, p] - rom_train[:, p])
+              - np.linalg.norm(truth[:, p] - rom_train[:, p]))**2
+             for p in range(rom_train.shape[1])] for d in range(count)]
+    expected = np.mean(gaps)
+    value = driver.integer_evaluator(scales, k, modes, refs, count, seed)(beta)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_parametric_aggregation_default_agrees():
@@ -593,8 +635,8 @@ def test_tracing_entry_points_stay_looked_up_by_name(monkeypatch):
 
     monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted_streams)
     monkeypatch.setattr(pipeline, "batch_fractional_draws", counted_batches)
-    pipeline._mc_objective(CACHE_SCALES, 2, 5, 7, 3,
-                           lambda draws, indices: draws[:, 0, 0])(4.5)
+    pipeline._mc_objective(CACHE_SCALES, 2, 5, 7, 3, lambda draws, indices: draws[:, 0],
+                           np.zeros(2), 0.0)(4.5)
     assert seen == {"streams": 7, "batches": 3}
     pipeline._mc_ensembles(CACHE_SCALES, 2, {"primary": 4.5}, 5, 7, 4,
                            lambda draws, indices: draws)

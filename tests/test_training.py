@@ -16,44 +16,43 @@ def make_config(lo=4.0, hi=20.0, **kw):
 SCALES = np.array([3.0, 2.0, 1.0, 0.5])
 
 
-def gaps_of(predict, reference, truth):
-    """Per-draw squared distance gaps of the predictions ``predict(draws)``."""
-    d_truth = np.linalg.norm(truth - reference)
+def tiled(values):
+    """A ``predict(draws, indices)`` that returns ``values`` for every draw."""
+    def predict(draws, indices):
+        assert draws.shape[0] == len(indices)
+        return np.tile(values, (len(indices), 1))
 
-    def gaps(draws, indices):
-        preds = predict(draws)
-        assert preds.shape[0] == len(indices)
-        return (np.linalg.norm(preds - reference, axis=1) - d_truth)**2
-
-    return gaps
+    return predict
 
 
 def test_objective_degenerate_expectation():
     ref = np.array([1.0, 2.0, 3.0])
     truth = np.array([1.5, 2.0, 2.5])
     fixed = np.array([0.5, 2.5, 3.5])
-    gaps = gaps_of(lambda draws: np.tile(fixed, (draws.shape[0], 1)), ref, truth)
-    value = _mc_objective(SCALES, 2, 0, 10, 4, gaps)(3)
-    expected = (np.linalg.norm(fixed - ref) - np.linalg.norm(truth - ref))**2
+    d_truth = np.linalg.norm(truth - ref)
+    value = _mc_objective(SCALES, 2, 0, 10, 4, tiled(fixed), ref, d_truth)(3)
+    expected = (np.linalg.norm(fixed - ref) - d_truth)**2
     assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_objective_zero_when_stub_reproduces_truth():
     ref = np.array([1.0, 2.0])
-    gaps = gaps_of(lambda draws: np.tile(ref, (draws.shape[0], 1)), ref, ref)
-    assert _mc_objective(SCALES, 2, 0, 5, 2, gaps)(2) == 0.0
+    assert _mc_objective(SCALES, 2, 0, 5, 2, tiled(ref), ref, 0.0)(2) == 0.0
 
 
 def test_objective_seed_stability_within_mc_error():
     # first column of each draw, stretched so its norm varies between draws
-    gaps = gaps_of(lambda draws: draws[:, :, 0] * np.array([2.0, 1.0, 0.5, 0.25]),
-                   np.zeros(4), 0.5 * np.ones(4))
+    def predict(draws, indices):
+        return draws[:, :, 0] * np.array([2.0, 1.0, 0.5, 0.25])
+
+    d_truth = np.linalg.norm(0.5 * np.ones(4))
     n = 1000
-    a = _mc_objective(SCALES, 2, 1, n, 256, gaps)(3)
-    b = _mc_objective(SCALES, 2, 2, n, 256, gaps)(3)
+    a = _mc_objective(SCALES, 2, 1, n, 256, predict, np.zeros(4), d_truth)(3)
+    b = _mc_objective(SCALES, 2, 2, n, 256, predict, np.zeros(4), d_truth)(3)
     # standard-error oracle from one sample set
     model = sp.StochasticSubspaceModel(SCALES, 2, 3)
-    values = gaps(sp.batch_fractional_draws(model, 1, range(n)), range(n))
+    preds = predict(sp.batch_fractional_draws(model, 1, range(n)), range(n))
+    values = (np.linalg.norm(preds, axis=1) - d_truth)**2
     se = values.std(ddof=1) / np.sqrt(n)
     assert abs(a - b) <= 5.0 * np.sqrt(2.0) * se
 
