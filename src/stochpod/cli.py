@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__, pipeline
 from .config import ConfigError, load_config
 from .errors import ConvergenceError, GapError
+from .matrixio import write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,8 +55,6 @@ def _parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="draw the prediction ensemble")
     add_common(sample)
     sample.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    sample.add_argument("--count", type=int, default=None,
-                        help="override the ensemble sample count")
 
     predict = sub.add_parser("predict", help="summarize ensembles into intervals")
     add_common(predict)
@@ -80,10 +78,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "sample" and args.count is not None and args.count < 2:
-        print("usage error: --count must be >= 2", file=sys.stderr)
-        return EXIT_CONFIG
-
     outdir = args.out if args.out is not None else config.output_dir
     try:
         if args.command == "run":
@@ -100,9 +94,7 @@ def main(argv=None) -> int:
             print(json.dumps({"beta_integer": doc["beta_integer"],
                               "beta_star": doc["beta_star"]}))
         elif args.command == "sample":
-            shapes = pipeline.stage_sample(config, outdir,
-                                           threads=args.threads,
-                                           count=args.count)
+            shapes = pipeline.stage_sample(config, outdir, threads=args.threads)
             _log(args, f"ensembles: {shapes}")
             print(json.dumps({name: list(shape) for name, shape in shapes.items()}))
         elif args.command == "predict":
@@ -128,12 +120,11 @@ def main(argv=None) -> int:
 def _record_failure(config, outdir, exc) -> None:
     """Keep partial artifacts and leave a machine-readable failure note."""
     try:
-        out = pipeline._outdir(config, outdir)
-        Path(out / pipeline.REPORT_FILE).write_text(json.dumps({
+        write_json(pipeline._outdir(config, outdir) / pipeline.REPORT_FILE, {
             "schema_version": 1,
             "config_hash": config.config_hash(),
             "error": f"{type(exc).__name__}: {exc}",
-        }, sort_keys=True, indent=2) + "\n")
+        })
     except OSError:
         pass
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -202,18 +203,11 @@ def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
     x = np.matmul(ut, reduced.initial_state[0])[:, :, None]
     v = np.matmul(ut, reduced.initial_state[1])[:, :, None]
 
-    c0, c1, c2, c3, c4, c5, c6, c7 = rom.newmark_coefficients(dt)
-    inv_eff = np.linalg.inv(k_w + c0 * m_w + c1 * c_w)
     f0 = np.matmul(load_r[0], draws)[:, :, None]
     a = np.linalg.solve(m_w, f0 - np.matmul(c_w, v) - np.matmul(k_w, x))
-
-    def step(x, v, a, f):
-        """One Newmark step on (count, k, columns) states under load f."""
-        rhs = (f + np.matmul(m_w, c0 * x + c2 * v + c3 * a)
-               + np.matmul(c_w, c1 * x + c4 * v + c5 * a))
-        x_new = np.matmul(inv_eff, rhs)
-        a_new = c0 * (x_new - x) - c2 * v - c3 * a
-        return x_new, v + c6 * a + c7 * a_new, a_new
+    # the step on (count, k, columns) states solves by each draw's inverse
+    step = rom.newmark_stepper(m_w, c_w, k_w, dt,
+                               lambda k_eff: partial(np.matmul, np.linalg.inv(k_eff)))
 
     rows = [np.matmul(modes[dof], draws) for dof, _ in series]
     out = np.empty((count, len(series), steps + 1))
@@ -603,9 +597,7 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     train_seed = derive_seed(config.seed, _SEED_TRAINING)
     evaluator = driver.integer_evaluator(scales, k, modes, refs,
                                          tcfg.mc_samples, train_seed)
-    integer_result = train_integer_beta(tcfg, evaluator,
-                                        mc_samples=tcfg.mc_samples,
-                                        seed=train_seed)
+    integer_result = train_integer_beta(tcfg, evaluator)
     trace_rows = [(b, f, tcfg.mc_samples) for b, f in integer_result.trace]
 
     beta_star = float(integer_result.beta)
@@ -665,8 +657,7 @@ def _write_observations(out: Path, driver, refs: dict, chash: str) -> None:
         }, chash)
 
 
-def stage_sample(config: RunConfig, outdir=None, threads: int = 1,
-                 count: int | None = None) -> dict:
+def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
     """Step 5: draw the SROM prediction ensemble(s) at the trained beta.
 
     ``threads`` is accepted for compatibility and has no effect: the
@@ -680,15 +671,13 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1,
     refs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
     driver = make_driver(config)
 
-    n_draws = config.ensemble.count if count is None else count
-    if n_draws < 2:
-        raise ValueError("ensemble count must be >= 2")
     betas = {"primary": float(model_doc["beta_star"])}
     if model_doc["objective_refined"] is not None:
         betas["integer"] = float(model_doc["beta_integer"])
     scales = np.asarray(model_doc["scales"])
     ensembles = driver.draw_ensembles(scales, model_doc["k"], modes, refs, betas,
-                                      n_draws, derive_seed(config.seed, _SEED_ENSEMBLE))
+                                      config.ensemble.count,
+                                      derive_seed(config.seed, _SEED_ENSEMBLE))
     for name in _series(model_doc):
         save_matrix(out / f"{_named('ensemble', name)}.bin", ensembles[name], chash)
     return {name: ensembles[name].shape for name in _series(model_doc)}

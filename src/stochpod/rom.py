@@ -8,6 +8,9 @@ the rank-r modes with ``galerkin_reduce`` and then cheaply re-projecting
 per k-dimensional inner basis with ``inner_reduce`` is what makes large
 stochastic ensembles affordable.  The cubic system is reduced inside
 ``solve_rom_nonlinear``, which lifts its cubic term to full space.
+``newmark_stepper`` is the one Newmark update: ``newmark_integrate``
+steps a full or reduced system with it, and the batched ensemble
+kernel (``pipeline._dynamic_qoi_predictions``) steps stacked draws.
 """
 
 from __future__ import annotations
@@ -136,12 +139,13 @@ def _canonical_constraint_indices(b: Array) -> np.ndarray | None:
     return np.unique(np.asarray(idx, dtype=int))
 
 
-def _sym_solve(a: Array, rhs: Array) -> Array:
-    """Dense symmetric solve: Cholesky first, LU for indefinite matrices."""
+def _sym_solver(a: Array) -> Callable[[Array], Array]:
+    """The dense solve with symmetric ``a``: Cholesky, or LU if ``a`` is indefinite."""
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), rhs)
+        factor = scipy.linalg.cho_factor(a, lower=True)
     except np.linalg.LinAlgError:
-        return np.linalg.solve(a, rhs)
+        return lambda rhs: np.linalg.solve(a, rhs)
+    return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
 
 
 def solve_linear_static(system) -> Array:
@@ -150,15 +154,15 @@ def solve_linear_static(system) -> Array:
         raise TypeError(f"expected a linear static system, got {type(system).__name__}")
     k, f, b = system.stiffness, system.force, system.constraints
     if b is None:
-        return _sym_solve(k, f)
+        return _sym_solver(k)(f)
     fixed = _canonical_constraint_indices(np.asarray(b, dtype=float))
     if fixed is not None:
         keep = np.setdiff1d(np.arange(k.shape[0]), fixed)
         x = np.zeros(k.shape[0])
-        x[keep] = _sym_solve(k[np.ix_(keep, keep)], f[keep])
+        x[keep] = _sym_solver(k[np.ix_(keep, keep)])(f[keep])
         return x
     nullbasis = scipy.linalg.null_space(np.asarray(b, dtype=float).T)
-    y = _sym_solve(nullbasis.T @ k @ nullbasis, nullbasis.T @ f)
+    y = _sym_solver(nullbasis.T @ k @ nullbasis)(nullbasis.T @ f)
     return nullbasis @ y
 
 
@@ -243,22 +247,31 @@ def _load_at(load, step: int, t: float) -> Array:
     return load[step]
 
 
-def newmark_coefficients(dt: float, gamma: float = 0.5,
-                         beta_nm: float = 0.25) -> tuple[float, ...]:
-    """The constants c0..c7 of one Newmark step in displacement form.
+def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor,
+                    gamma: float = 0.5, beta_nm: float = 0.25):
+    """One Newmark step of M x'' + C x' + K x = f, as ``step(x, v, a, f)``.
 
-    The effective stiffness is K + c0 M + c1 C; the step's right-hand side
-    is f + M (c0 x + c2 v + c3 a) + C (c1 x + c4 v + c5 a); then
-    a' = c0 (x' - x) - c2 v - c3 a and v' = v + c6 a + c7 a'.
+    ``factor`` turns the effective stiffness K + c0 M + c1 C into its
+    solve.  The step solves (K + c0 M + c1 C) x' = f + M (c0 x + c2 v +
+    c3 a) + C (c1 x + c4 v + c5 a), then a' = c0 (x' - x) - c2 v - c3 a
+    and v' = v + c6 a + c7 a', and returns (x', v', a').  The operators
+    may carry leading batch axes and the states extra columns.
     """
-    return (1.0 / (beta_nm * dt**2),
-            gamma / (beta_nm * dt),
-            1.0 / (beta_nm * dt),
-            1.0 / (2.0 * beta_nm) - 1.0,
-            gamma / beta_nm - 1.0,
-            dt * (gamma / (2.0 * beta_nm) - 1.0),
-            dt * (1.0 - gamma),
-            gamma * dt)
+    c0, c1, c2, c3, c4, c5, c6, c7 = (1.0 / (beta_nm * dt**2),
+                                      gamma / (beta_nm * dt),
+                                      1.0 / (beta_nm * dt),
+                                      1.0 / (2.0 * beta_nm) - 1.0,
+                                      gamma / beta_nm - 1.0,
+                                      dt * (gamma / (2.0 * beta_nm) - 1.0),
+                                      dt * (1.0 - gamma),
+                                      gamma * dt)
+    solve = factor(k + c0 * m + c1 * c)
+
+    def step(x, v, a, f):
+        x_new = solve(f + m @ (c0 * x + c2 * v + c3 * a) + c @ (c1 * x + c4 * v + c5 * a))
+        a_new = c0 * (x_new - x) - c2 * v - c3 * a
+        return x_new, v + c6 * a + c7 * a_new, a_new
+    return step
 
 
 def newmark_integrate(system, dt: float, t_end: float,
@@ -289,25 +302,11 @@ def newmark_integrate(system, dt: float, t_end: float,
     x[:, 0] = x0
     v[:, 0] = v0
     f0 = _load_at(load, 0, 0.0)
-    a[:, 0] = _sym_solve(m, f0 - c @ v0 - k @ x0)
-
-    c0, c1, c2, c3, c4, c5, c6, c7 = newmark_coefficients(dt, gamma, beta_nm)
-    k_eff = k + c0 * m + c1 * c
-    try:
-        factor = scipy.linalg.cho_factor(k_eff, lower=True)
-        solve_eff = lambda rhs: scipy.linalg.cho_solve(factor, rhs)
-    except np.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(k_eff)
-        solve_eff = lambda rhs: scipy.linalg.lu_solve(lu, rhs)
-
+    a[:, 0] = _sym_solver(m)(f0 - c @ v0 - k @ x0)
+    step = newmark_stepper(m, c, k, dt, _sym_solver, gamma, beta_nm)
     for i in range(steps):
-        f_next = _load_at(load, i + 1, times[i + 1])
-        rhs = (f_next
-               + m @ (c0 * x[:, i] + c2 * v[:, i] + c3 * a[:, i])
-               + c @ (c1 * x[:, i] + c4 * v[:, i] + c5 * a[:, i]))
-        x[:, i + 1] = solve_eff(rhs)
-        a[:, i + 1] = c0 * (x[:, i + 1] - x[:, i]) - c2 * v[:, i] - c3 * a[:, i]
-        v[:, i + 1] = v[:, i] + c6 * a[:, i] + c7 * a[:, i + 1]
+        x[:, i + 1], v[:, i + 1], a[:, i + 1] = step(
+            x[:, i], v[:, i], a[:, i], _load_at(load, i + 1, times[i + 1]))
 
     return Trajectory(times=times, states=x, velocities=v, accelerations=a)
 

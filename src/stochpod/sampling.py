@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subspace import DEFAULT_GAP_TOLERANCE, SubspaceBasis, _check_gap, _fix_signs
+from .subspace import DEFAULT_GAP_TOLERANCE, SubspaceBasis, _top_k
 
 __all__ = [
     "StochasticSubspaceModel",
@@ -157,8 +157,8 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
     Draw i is the top-k left singular factor of diag(scales) Z, with Z the
     r-by-ceil(beta) standard normal matrix of stream i whose last column
     is weighted by beta - floor(beta) (integer beta appends no column).
-    The SVDs run batched, with the spectral-gap check and sign convention
-    of ``principal_subspace_map``.
+    The SVDs run batched through ``principal_subspace_map``'s top-k rule
+    (``subspace._top_k``): the same gap check and sign convention.
 
     ``seed_or_cache`` is a master seed, for any list of stream indices,
     or a ``StreamCache`` of one, for a unit-step range of its streams;
@@ -175,6 +175,4 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
     # two products on the Gaussian block, in the order of a fresh draw's
     scaled = z * weights
     scaled *= model.scales[:, None]
-    u, s, _ = np.linalg.svd(scaled, full_matrices=False)
-    _check_gap(s, k, DEFAULT_GAP_TOLERANCE, labels=indices)
-    return _fix_signs(u[:, :, :k])
+    return _top_k(scaled, k, DEFAULT_GAP_TOLERANCE, labels=indices)

@@ -200,9 +200,18 @@ def principal_subspace_map(m, k: int, gap_tolerance: float = DEFAULT_GAP_TOLERAN
     m = _as_matrix(m)
     if not 1 <= k <= min(m.shape):
         raise ValueError(f"k={k} out of range for shape {m.shape}")
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    _check_gap(s, k, gap_tolerance)
-    return SubspaceBasis(_fix_signs(u[:, :k]))
+    return SubspaceBasis(_top_k(m, k, gap_tolerance))
+
+
+def _top_k(a, k, gap_tolerance, labels=None):
+    """The sign-fixed left singular vectors of the k largest singular values.
+
+    ``a`` may carry leading batch axes; ``_check_gap`` refuses a matrix
+    whose k-th and (k+1)-th singular values are not separated.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    _check_gap(s, k, gap_tolerance, labels)
+    return _fix_signs(u[..., :k])
 
 
 def _check_gap(s, k, gap_tolerance, labels=None):

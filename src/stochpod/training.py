@@ -4,11 +4,12 @@ The objective is the mean squared gap between the ensemble's distance
 statistic and the truth's: f(beta) = E[ |d(u) - d(u_truth)|^2 ], with
 d(u) the L2 distance to the deterministic reduced-order prediction.
 Its Monte-Carlo estimate (common random numbers across beta) is
-``pipeline._mc_objective`` of a driver's predictions; here it is
-memoized at integer beta, linearly interpolated in between, and
-minimized with a bounded golden-section/parabolic scalar search.  An
-optional refinement stage re-optimizes over real-valued beta with a
-larger sample budget.
+``pipeline._mc_objective`` of a driver's predictions, at one seed and
+sample count per search.  Here it is memoized at integer beta (one
+``ObjectiveCache`` per integer search), linearly interpolated in
+between, and minimized with a bounded golden-section/parabolic scalar
+search.  An optional refinement stage re-optimizes over real-valued
+beta with a larger sample budget.
 """
 
 from __future__ import annotations
@@ -20,44 +21,31 @@ from typing import Callable
 from scipy.optimize import minimize_scalar
 
 
-@dataclass
-class CacheEntry:
-    value: float
-    mc_samples: int
-    seed: int
-
-
 class ObjectiveCache:
-    """Memoizes integer-beta objective estimates.
+    """Memoizes the integer-beta objective estimates of one evaluator.
 
-    At most one entry per integer; an entry is never recomputed, and
-    re-registering with a different seed or sample count raises instead
-    of silently replacing the estimate.
+    At most one entry per integer, and an entry is never recomputed.
+    A cache is private to one ``train_integer_beta`` call, so all its
+    entries share that call's seed and sample count.
     """
 
     def __init__(self):
-        self.entries: dict[int, CacheEntry] = {}
+        self.entries: dict[int, float] = {}
         self.hits = 0
         self.misses = 0
 
-    def get_or_compute(self, beta_int: int, evaluator: Callable[[int], float],
-                       mc_samples: int = 0, seed: int = 0) -> float:
+    def get_or_compute(self, beta_int: int, evaluator: Callable[[int], float]) -> float:
         if beta_int in self.entries:
-            entry = self.entries[beta_int]
-            if (mc_samples, seed) != (0, 0) and (entry.mc_samples, entry.seed) != (mc_samples, seed):
-                raise ValueError(
-                    f"objective at beta={beta_int} already estimated with a "
-                    f"different seed/sample count")
             self.hits += 1
-            return entry.value
+            return self.entries[beta_int]
         value = float(evaluator(beta_int))
-        self.entries[beta_int] = CacheEntry(value, mc_samples, seed)
+        self.entries[beta_int] = value
         self.misses += 1
         return value
 
     def best(self) -> tuple[int, float]:
-        beta = min(self.entries, key=lambda b: (self.entries[b].value, b))
-        return beta, self.entries[beta].value
+        beta = min(self.entries, key=lambda b: (self.entries[b], b))
+        return beta, self.entries[beta]
 
 
 @dataclass(frozen=True)
@@ -86,18 +74,17 @@ class TrainingConfig:
 
 
 def interpolated_objective(beta: float, cache: ObjectiveCache,
-                           evaluator: Callable[[int], float],
-                           mc_samples: int = 0, seed: int = 0) -> float:
+                           evaluator: Callable[[int], float]) -> float:
     """Objective at real beta via linear interpolation of integer estimates.
 
     Integer queries return the cached value directly (no new evaluation).
     """
     lo = int(math.floor(beta))
     hi = int(math.ceil(beta))
-    f_lo = cache.get_or_compute(lo, evaluator, mc_samples, seed)
+    f_lo = cache.get_or_compute(lo, evaluator)
     if hi == lo:
         return f_lo
-    f_hi = cache.get_or_compute(hi, evaluator, mc_samples, seed)
+    f_hi = cache.get_or_compute(hi, evaluator)
     t = beta - lo
     return (1.0 - t) * f_lo + t * f_hi
 
@@ -108,7 +95,6 @@ class BetaSearchResult:
     value: float
     trace: tuple          # ((beta, f) per objective query, in call order)
     converged: bool
-    evaluations: int
 
 
 def optimize_beta(config: TrainingConfig, objective: Callable[[float], float],
@@ -141,7 +127,7 @@ def optimize_beta(config: TrainingConfig, objective: Callable[[float], float],
         if f_snapped <= f_star + 1e-15 * max(1.0, abs(f_star)):
             beta_star, f_star = float(snapped), f_snapped
     return BetaSearchResult(beta=beta_star, value=f_star, trace=tuple(trace),
-                            converged=bool(res.success), evaluations=len(trace))
+                            converged=bool(res.success))
 
 
 @dataclass(frozen=True)
@@ -154,8 +140,7 @@ class IntegerTrainingResult:
 
 
 def train_integer_beta(config: TrainingConfig,
-                       evaluator: Callable[[int], float],
-                       mc_samples: int = 0, seed: int = 0) -> IntegerTrainingResult:
+                       evaluator: Callable[[int], float]) -> IntegerTrainingResult:
     """Integer training stage: minimize the interpolated Monte-Carlo objective.
 
     Each integer is evaluated at most once (cache discipline); the
@@ -164,8 +149,7 @@ def train_integer_beta(config: TrainingConfig,
     """
     cache = ObjectiveCache()
     result = optimize_beta(
-        config,
-        lambda b: interpolated_objective(b, cache, evaluator, mc_samples, seed))
+        config, lambda b: interpolated_objective(b, cache, evaluator))
     beta_best, value_best = cache.best()
     return IntegerTrainingResult(beta=int(beta_best), value=value_best,
                                  cache=cache, trace=result.trace,
@@ -187,6 +171,6 @@ def refine_beta_real(beta_int: float, config: TrainingConfig,
         value = float(objective(float(beta_int)))
         return BetaSearchResult(beta=float(beta_int), value=value,
                                 trace=((float(beta_int), value),),
-                                converged=True, evaluations=1)
+                                converged=True)
     return optimize_beta(config, objective, bounds=(lo, hi),
                          tolerance=ref.tolerance, max_iter=ref.max_iter)

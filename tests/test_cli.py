@@ -158,9 +158,15 @@ def test_stale_upstream_artifact_exit_code_3(tiny_config, tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_sample_count_zero_usage_error(tiny_config, capsys):
-    assert run_cli("sample", "--config", tiny_config, "--count", 0) == 2
-    assert "usage" in capsys.readouterr().err
+def test_sample_count_flag_is_refused(tiny_config, tmp_path, capsys):
+    # the ensemble size is the config's: an override would write an
+    # ensemble under the hash of a config that names another count
+    assert run_cli("train", "--config", tiny_config) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sample", "--config", tiny_config, "--count", 7)
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ensemble.bin").exists()
 
 
 def test_stagewise_equals_run_byte_for_byte(tiny_config, tmp_path):

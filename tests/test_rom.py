@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import stochpod as sp
 from stochpod import rom
@@ -321,6 +322,41 @@ def test_newmark_conserves_discrete_energy():
         + 0.5 * np.einsum("it,ij,jt->t", traj.states, k, traj.states)
     drift = np.max(np.abs(energy - energy[0])) / energy[0]
     assert drift <= 1e-8
+
+
+def test_indefinite_systems_solve_through_lu():
+    # Cholesky refuses both matrices below, so both solves take the LU path
+    gen = np.random.default_rng(45)
+    n = 4
+    sym = gen.normal(size=(n, n))
+    k = np.diag([3.0, -2.0, 1.0, -4.0]) + 0.1 * (sym + sym.T)
+    f = gen.normal(size=n)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cho_factor(k)
+    x = sp.solve_linear_static(rom.LinearStaticSystem(k, f))
+    assert np.max(np.abs(x - np.linalg.solve(k, f))) <= 1e-12 * np.max(np.abs(x))
+
+    # average acceleration at dt = 0.1: K + (4/dt^2) M + (2/dt) C = -999,595 I
+    dt, steps = 0.1, 5
+    m, c, kd = np.eye(n), 0.5 * np.eye(n), -1e6 * np.eye(n)
+    k_eff = kd + 4.0 / dt**2 * m + 2.0 / dt * c
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cho_factor(k_eff)
+    x0, v0, load = gen.normal(size=n), gen.normal(size=n), gen.normal(size=(steps + 1, n))
+    traj = sp.newmark_integrate(rom.LinearDynamicSystem(m, c, kd, load, (x0, v0)),
+                                dt, steps * dt)
+    x, v = x0, v0
+    a = np.linalg.solve(m, load[0] - c @ v - kd @ x)
+    expected = [(x, v, a)]
+    for i in range(1, steps + 1):
+        x_new = np.linalg.solve(k_eff, load[i] + m @ (4.0 / dt**2 * x + 4.0 / dt * v + a)
+                                + c @ (2.0 / dt * x + v))
+        a_new = 4.0 / dt**2 * (x_new - x) - 4.0 / dt * v - a
+        x, v, a = x_new, v + 0.5 * dt * (a + a_new), a_new
+        expected.append((x, v, a))
+    for got, want in zip((traj.states, traj.velocities, traj.accelerations),
+                         (np.array(e).T for e in zip(*expected))):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_newmark_rejects_bad_dt():

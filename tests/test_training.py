@@ -90,13 +90,6 @@ def test_interpolant_is_convex_combination():
         assert 2.0 <= v <= 9.0
 
 
-def test_cache_refuses_conflicting_seed():
-    cache = ObjectiveCache()
-    cache.get_or_compute(3, lambda b: 1.0, mc_samples=10, seed=1)
-    with pytest.raises(ValueError):
-        cache.get_or_compute(3, lambda b: 1.0, mc_samples=10, seed=2)
-
-
 # ---------------------------------------------------------------------------
 # optimize_beta
 
@@ -106,7 +99,6 @@ def test_optimizer_recovers_quadratic_minimum():
     result = sp.optimize_beta(config, lambda b: (b - 7.3)**2)
     assert result.beta == pytest.approx(7.3, abs=config.tolerance * 3)
     assert result.converged
-    assert result.evaluations == len(result.trace)
 
 
 def test_optimizer_boundary_minimum():
