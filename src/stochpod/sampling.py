@@ -157,8 +157,10 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
     Draw i is the top-k left singular factor of diag(scales) Z, with Z the
     r-by-ceil(beta) standard normal matrix of stream i whose last column
     is weighted by beta - floor(beta) (integer beta appends no column).
-    The SVDs run batched through ``principal_subspace_map``'s top-k rule
-    (``subspace._top_k``): the same gap check and sign convention.
+    The stack goes through ``principal_subspace_map``'s top-k rule
+    (``subspace._top_k``): batched ``eigh`` of the r-by-r Gram matrices,
+    the exact SVD only for draws whose gap is in doubt, the same gap check
+    and sign convention.
 
     ``seed_or_cache`` is a master seed, for any list of stream indices,
     or a ``StreamCache`` of one, for a unit-step range of its streams;

@@ -190,6 +190,67 @@ def test_sign_convention_over_batch_matches_single(rng):
         assert np.array_equal(subspace._fix_signs(one), many)
 
 
+def _svd_top_k(a, k, labels):
+    """``_top_k``'s rule through the SVD alone."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    subspace._check_gap(s, k, subspace.DEFAULT_GAP_TOLERANCE, labels)
+    return subspace._fix_signs(u[..., :k])
+
+
+def _projectors(u):
+    return u @ np.swapaxes(u, -1, -2)
+
+
+def _with_spectrum(rng, spectrum, cols):
+    """U diag(spectrum) V^T with random orthonormal U and V."""
+    u = np.linalg.qr(rng.normal(size=(spectrum.size, spectrum.size)))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, spectrum.size)))[0]
+    return (u * spectrum) @ v.T
+
+
+def test_top_k_gap_decisions_are_the_exact_svds(rng):
+    # sigma_3 - sigma_4 is 0.1 sigma_1 (Gram route), 1e-11 sigma_1 (in doubt:
+    # the SVD accepts it) or 1e-13 sigma_1 (the SVD refuses it)
+    gaps = {"wide": 0.1, "close": 1e-11, "tied": 1e-13}
+    kinds = ["wide", "close", "tied", "wide", "tied", "close", "wide"]
+    labels = [100 + j for j in range(len(kinds))]
+    batch = np.stack([_with_spectrum(rng, 2.0 * np.array([1.0, 0.8, 0.6, 0.6 - gaps[kind], 0.3, 0.1]), 9)
+                      for kind in kinds])
+    with pytest.raises(GapError, match=r"in draw\(s\) \[102, 104\]$") as got:
+        subspace._top_k(batch, 3, subspace.DEFAULT_GAP_TOLERANCE, labels)
+    with pytest.raises(GapError) as want:
+        _svd_top_k(batch, 3, labels)
+    assert str(got.value) == str(want.value)
+
+    keep = [j for j, kind in enumerate(kinds) if kind != "tied"]
+    got = subspace._top_k(batch[keep], 3, subspace.DEFAULT_GAP_TOLERANCE, [labels[j] for j in keep])
+    want = _svd_top_k(batch[keep], 3, [labels[j] for j in keep])
+    close = [i for i, j in enumerate(keep) if kinds[j] == "close"]
+    assert np.array_equal(got[close], want[close])
+    assert np.abs(_projectors(got) - _projectors(want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cols", [20, 52, 276])
+def test_top_k_gram_route_matches_svd_over_twelve_decades(rng, monkeypatch, cols):
+    # r = 44 and k = 10 with sigma_44 / sigma_1 near 1e-12, as in ex3;
+    # 20 columns leave the Gram matrix rank-deficient
+    scales = np.concatenate([np.logspace(0, -3.6, 10), np.logspace(-3.8, -11.7, 34)])
+    batch = scales[:, None] * rng.standard_normal((50, 44, cols))
+    want = _svd_top_k(batch, 10, range(50))
+    monkeypatch.setattr(np.linalg, "svd", None)      # no draw is in doubt
+    got = subspace._top_k(batch, 10, subspace.DEFAULT_GAP_TOLERANCE, range(50))
+    assert np.linalg.norm(_projectors(got) - _projectors(want), axis=(1, 2)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("rows,cols,k", [(6, 6, 6), (6, 9, 6), (8, 5, 5), (8, 5, 2)])
+def test_top_k_gram_route_at_full_k_and_few_columns(rng, rows, cols, k):
+    batch = np.geomspace(1.0, 1e-3, rows)[:, None] * rng.standard_normal((30, rows, cols))
+    got = subspace._top_k(batch, k, subspace.DEFAULT_GAP_TOLERANCE, range(30))
+    want = _svd_top_k(batch, k, range(30))
+    assert got.shape == (30, rows, k)
+    assert np.linalg.norm(_projectors(got) - _projectors(want), axis=(1, 2)).max() <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # ppca_mle / gaussian_log_likelihood
 
