@@ -146,16 +146,23 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
     The Jacobian K_r + 3 alpha W^T diag((W q)^2) W of every row is one
     batched GEMM of the squares against the per-draw outer products
     w[n, k] w[n, l], held as (D, n, k*k).  The cube is written as products
-    because numpy's ``**3`` goes through libm ``pow``.
+    because numpy's ``**3`` goes through libm ``pow``.  The three (D, n, P)
+    arrays (the lifted rows, their squares and the scaled cubes) are
+    allocated once and filled in place at every iteration, so their pages
+    are not returned to the system and faulted in again.
     """
     q = np.array(q0, dtype=float)
     count, n, k = w.shape
     ww = (w[:, :, :, None] * w[:, :, None, :]).reshape(count, n, k * k)
+    lifted = np.empty((count, n, q.shape[1]))                            # (D, n, P)
+    sq = np.empty_like(lifted)
+    cube = np.empty_like(lifted)
     for iteration in range(max_iter + 1):
-        lifted = np.matmul(w, q.transpose(0, 2, 1))                     # (D, n, P)
-        sq = lifted * lifted
+        np.matmul(w, q.transpose(0, 2, 1), out=lifted)
+        np.multiply(lifted, lifted, out=sq)
+        np.multiply(alpha, np.multiply(sq, lifted, out=cube), out=cube)
         res = (np.matmul(q, stiffness_r.transpose(0, 2, 1))
-               + np.matmul(alpha * (sq * lifted).transpose(0, 2, 1), w) - forces_r)
+               + np.matmul(cube.transpose(0, 2, 1), w) - forces_r)
         active = np.max(np.abs(res), axis=2) > tol                       # (D, P)
         if not np.any(active):
             return q

@@ -15,6 +15,17 @@ the ensemble is split into batches.  ``batch_fractional_draws`` is the
 one sampler; ``sample_fractional`` is its one-row view.  ``_normals`` is
 the one loop that generates the streams' Gaussian matrices.
 
+``RandomStream.generator`` is the definition of a stream: a Philox
+generator whose key is ``SeedSequence(master_seed, spawn_key=(index,))
+.generate_state(2, np.uint64)`` and whose counter starts at 0.
+``_normals`` derives the keys of all its streams in one vectorized pass
+of that hash (``_philox_keys``): the seed's words are mixed into the pool
+once per call, and only the index's one or two spawn-key words and the
+output words are hashed per stream.  Each stream then re-keys this
+thread's one Philox instead of building a SeedSequence, a Philox and a
+Generator of its own.  Indices of 2**64 and above keep the
+``SeedSequence`` route.
+
 Each stream's Gaussian matrix is filled column by column, so the matrix
 of a smaller beta is a prefix of the matrix of a larger one.  This is
 load-bearing: a ``StreamCache`` holds streams 0..count-1 at the widest
@@ -24,7 +35,8 @@ a wider beta generates every stream again at its own width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,12 +111,112 @@ class RandomStream:
         return flat.reshape(cols, rows).T
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq alternative) on uint32
+# words: pool size 4, the hashmix and mix constants, and the index limit
+# below which a spawn key is one or two words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_KEYED_LIMIT = 2**64
+
+
+def _hashmix(words, const: int, mult: int = _MULT_A):
+    """``hashmix`` of uint32 array ``words``; returns the next hash constant too.
+
+    The constant's sequence does not depend on the words, so it is a
+    Python int, and the uint32 arrays wrap without a warning.  With
+    ``mult=_MULT_B`` it is the step that hashes the pool out to a state.
+    """
+    words = words ^ np.uint32(const)
+    const = const * mult & 0xFFFFFFFF
+    words = words * np.uint32(const)
+    return words ^ (words >> np.uint32(16)), const
+
+
+def _mix(x, y):
+    result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _philox_keys(seed: int, indices) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)`` of each i.
+
+    Indices lie in [0, 2**64); returns (len, 2) uint64.  The seed's words
+    are hashed into the pool once (zero-padded to the pool size, as a
+    spawned SeedSequence does); each index's low word, then the high word
+    of the indices that have one, is mixed into every pool word, and the
+    pool is hashed out to four words, read as two little-endian uint64.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    seed_words = [np.array([seed >> shift & 0xFFFFFFFF], dtype=np.uint32)
+                  for shift in range(0, max(seed.bit_length(), 1), 32)]
+    seed_words += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(seed_words))
+    const, pool = _INIT_A, []
+    for word in seed_words[:_POOL]:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in seed_words[_POOL:]:
+        for dst in range(_POOL):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    low = (indices & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    for dst in range(_POOL):
+        hashed, const = _hashmix(low, const)
+        pool[dst] = _mix(pool[dst], hashed)
+    two_words = np.flatnonzero(indices >> np.uint64(32))
+    high = (indices[two_words] >> np.uint64(32)).astype(np.uint32)
+    for dst in range(_POOL):
+        hashed, const = _hashmix(high, const)
+        pool[dst][two_words] = _mix(pool[dst][two_words], hashed)
+    const, out = _INIT_B, []
+    for word in pool:
+        word, const = _hashmix(word, const, _MULT_B)
+        out.append(word)
+    return np.stack(out, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+# each thread's one Philox generator, re-keyed for every keyed stream, so
+# that concurrent callers never draw from each other's streams
+_local = threading.local()
+
+
+@dataclass(frozen=True)
+class _KeyedStream(RandomStream):
+    """A ``RandomStream`` that carries its Philox key, from ``_philox_keys``.
+
+    ``generator()`` sets this thread's one Philox to the key at counter 0,
+    the state a fresh ``RandomStream.generator()`` starts from.
+    """
+
+    key: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def generator(self) -> np.random.Generator:
+        gen = getattr(_local, "generator", None)
+        if gen is None:
+            gen = _local.generator = np.random.Generator(np.random.Philox(0))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": self.key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen
+
+
 def _normals(seed, indices, rank: int, cols: int) -> np.ndarray:
     """The ``normal_matrix(rank, cols)`` of each stream index, (len, rank, cols)."""
     seed = int(seed)
+    keys = iter(_philox_keys(seed, [i for i in map(int, indices)
+                                    if 0 <= i < _KEYED_LIMIT]))
     z = np.empty((len(indices), rank, cols))
-    for j, i in enumerate(indices):
-        z[j] = RandomStream(seed, int(i)).normal_matrix(rank, cols)
+    for j, i in enumerate(map(int, indices)):
+        stream = (_KeyedStream(seed, i, next(keys)) if 0 <= i < _KEYED_LIMIT
+                  else RandomStream(seed, i))
+        z[j] = stream.normal_matrix(rank, cols)
     return z
 
 

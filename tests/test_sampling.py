@@ -1,3 +1,7 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +9,7 @@ import scipy.stats
 
 import stochpod as sp
 from stochpod.errors import GapError
-from stochpod.sampling import StreamCache
+from stochpod.sampling import StreamCache, _normals, _philox_keys
 
 
 def random_modes(n, r, seed=5):
@@ -308,3 +312,62 @@ def test_tied_spectrum_raises_gap_error():
     # as GapError instead of an arbitrary subspace
     with pytest.raises(GapError):
         sp.principal_subspace_map(np.eye(2), 1)
+
+
+# ---------------------------------------------------------------------------
+# stream keys in one pass
+
+@pytest.mark.parametrize("seed", [0, 11, 42, 2**40 + 7, 2**63 + 11, 2**130 + 3])
+def test_philox_keys_match_seed_sequence(seed):
+    # one and two spawn-key words, their edges, and a long consecutive run
+    indices = [0, 1, 2**32 - 1, 2**32, 10**12, 2**64 - 1, *range(70_000, 90_000)]
+    keys = _philox_keys(seed, indices)
+    expected = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                for i in indices]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(expected))
+    assert _philox_keys(seed, []).shape == (0, 2)
+
+
+def test_normals_match_per_stream_generators():
+    # one-word, two-word and beyond-two-word indices, in one list
+    indices = [3, 0, 2**32 + 5, 2**64, 7, 2**64 - 1, 2**70 + 1, 10**12, 3]
+    for seed in (5, 2**63 + 11):
+        z = _normals(seed, indices, 4, 6)
+        for j, i in enumerate(indices):
+            flat = sp.RandomStream(seed, i).generator().standard_normal(24)
+            assert np.array_equal(z[j], flat.reshape(6, 4).T), (seed, i)
+
+
+def test_normals_raise_no_warning():
+    # the hash wraps around 32 bits on purpose
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _normals(2**63 + 11, [0, 9, 2**32 + 1, 2**64 - 1], 3, 2)
+
+
+def test_normals_of_concurrent_threads_are_their_own():
+    # each thread re-keys its own generator; a short switch interval lets
+    # a thread run between another's re-keying and its draw
+    jobs = {seed: range(seed, seed + 3000) for seed in (17, 18)}
+    serial = {seed: _normals(seed, indices, 3, 4) for seed, indices in jobs.items()}
+    start = threading.Barrier(len(jobs), timeout=60)
+    got = {}
+
+    def run(seed):
+        start.wait()
+        got[seed] = _normals(seed, jobs[seed], 3, 4)
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in jobs:
+        assert np.array_equal(got[seed], serial[seed]), seed
