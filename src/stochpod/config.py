@@ -152,8 +152,8 @@ _TRAINING_SECTION = {
 _PROBLEM_FIELDS = {
     "cubic-parametric": {
         "alpha": _POSITIVE, "snapshot_count": _count(2),
-        "mu_test": (list, lambda v: len(v) == 5 and all(map(_is_number, v)),
-                    "a list of 5 numbers"),
+        "mu_test": (list, lambda v: len(v) == 5 and all(map(_is_number, v)) and any(v),
+                    "a list of 5 numbers, not all zero"),
         "newton_tol": _POSITIVE, "newton_max_iter": _count(1)},
     "linear-static-experiment": {
         "perturbation_ratio": _NONNEGATIVE, "noise_level": _NONNEGATIVE,

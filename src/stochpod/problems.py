@@ -159,28 +159,23 @@ def add_noise(x, level: float, stream: RandomStream) -> tuple[Array, float]:
     return x + sigma * stream.generator().standard_normal(x.shape[0]), sigma
 
 
-def observe_sparse(x, sensor_count: int | None = None, indices=None,
-                   domain: tuple[float, float] = (0.0, 1.0)) -> tuple[Array, Array]:
-    """Values of x at equidistant interior sensors (or explicit indices).
+def observe_sparse(x, sensor_count: int) -> tuple[Array, Array]:
+    """The indices of equidistant interior sensors, and the values of x there.
 
-    With s sensors on a domain discretized by len(x) nodes, sensor j sits
-    at the node nearest to fraction j/(s+1), boundaries excluded.
+    With s sensors on a domain discretized by len(x) equispaced nodes,
+    sensor j sits at the node nearest to fraction j/(s+1), boundaries
+    excluded.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if indices is None:
-        if sensor_count is None or sensor_count < 1:
-            raise ValueError("need sensor_count >= 1 or explicit indices")
-        fractions = np.arange(1, sensor_count + 1) / (sensor_count + 1)
-        idx = np.rint(fractions * (n - 1)).astype(int)
-        if np.unique(idx).shape[0] != idx.shape[0]:
-            raise ValueError("grid too coarse: sensors collide after rounding")
-        if idx[0] < 1 or idx[-1] > n - 2:
-            raise ValueError("sensors must lie strictly inside the domain")
-    else:
-        idx = np.asarray(indices, dtype=int)
-        if np.any(idx < 0) or np.any(idx >= n):
-            raise ValueError("sensor index out of range")
+    if sensor_count < 1:
+        raise ValueError("need sensor_count >= 1")
+    fractions = np.arange(1, sensor_count + 1) / (sensor_count + 1)
+    idx = np.rint(fractions * (n - 1)).astype(int)
+    if np.unique(idx).shape[0] != idx.shape[0]:
+        raise ValueError("grid too coarse: sensors collide after rounding")
+    if idx[0] < 1 or idx[-1] > n - 2:
+        raise ValueError("sensors must lie strictly inside the domain")
     return idx, x[idx]
 
 
@@ -191,9 +186,7 @@ class SurrogateSpec:
     n: int
     heavy_dof: int | None = None       # default: center node
     mass_ratio: float = 100.0
-    base_mass: float = 1.0
     stiffness_scale: float = 1.0e4
-    neighbor_coupling: float = 0.25    # second-neighbor spring fraction
     rayleigh_beta: float = 2.0e-4
     impulse_amplitude: float = 1.0
     impulse_duration: float = 0.05
@@ -222,14 +215,14 @@ def surrogate_dynamics(spec: SurrogateSpec) -> LinearDynamicSystem:
         k[i + 1, i + 1] += s
         k[i, i + 1] -= s
         k[i + 1, i] -= s
-    if spec.neighbor_coupling > 0.0:
-        second = spec.neighbor_coupling * spec.stiffness_scale * (1.0 + 0.4 * gen.random(n - 2))
-        for i, s in enumerate(second):
-            k[i, i] += s
-            k[i + 2, i + 2] += s
-            k[i, i + 2] -= s
-            k[i + 2, i] -= s
-    m = np.full(n, spec.base_mass)
+    # second-neighbour springs at a quarter of the nearest-neighbour scale
+    second = 0.25 * spec.stiffness_scale * (1.0 + 0.4 * gen.random(n - 2))
+    for i, s in enumerate(second):
+        k[i, i] += s
+        k[i + 2, i + 2] += s
+        k[i, i + 2] -= s
+        k[i + 2, i] -= s
+    m = np.ones(n)              # unit masses, then the heavy one
     m[heavy] *= spec.mass_ratio
     mass = np.diag(m)
     damping = spec.rayleigh_beta * k

@@ -247,8 +247,7 @@ def _load_at(load, step: int, t: float) -> Array:
     return load[step]
 
 
-def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor,
-                    gamma: float = 0.5, beta_nm: float = 0.25):
+def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor):
     """One Newmark step of M x'' + C x' + K x = f, as ``step(x, v, a, f)``.
 
     ``factor`` turns the effective stiffness K + c0 M + c1 C into its
@@ -256,15 +255,17 @@ def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor,
     c3 a) + C (c1 x + c4 v + c5 a), then a' = c0 (x' - x) - c2 v - c3 a
     and v' = v + c6 a + c7 a', and returns (x', v', a').  The operators
     may carry leading batch axes and the states extra columns.
+
+    The step is average acceleration, gamma = 1/2 and beta = 1/4, which is
+    unconditionally stable: c0 = 1/(beta dt^2), c1 = gamma/(beta dt),
+    c2 = 1/(beta dt), c3 = 1/(2 beta) - 1, c4 = gamma/beta - 1,
+    c5 = dt (gamma/(2 beta) - 1), c6 = dt (1 - gamma) and c7 = gamma dt.
     """
-    c0, c1, c2, c3, c4, c5, c6, c7 = (1.0 / (beta_nm * dt**2),
-                                      gamma / (beta_nm * dt),
-                                      1.0 / (beta_nm * dt),
-                                      1.0 / (2.0 * beta_nm) - 1.0,
-                                      gamma / beta_nm - 1.0,
-                                      dt * (gamma / (2.0 * beta_nm) - 1.0),
-                                      dt * (1.0 - gamma),
-                                      gamma * dt)
+    # to the last bit for dt > 0; the unit and zero factors stay in the step
+    # so that zeros keep their signs and a non-finite a reaches the state
+    c0, c1, c2 = 4.0 / dt**2, 2.0 / dt, 4.0 / dt
+    c3, c4, c5 = 1.0, 1.0, 0.0
+    c6 = c7 = 0.5 * dt
     solve = factor(k + c0 * m + c1 * c)
 
     def step(x, v, a, f):
@@ -274,13 +275,12 @@ def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor,
     return step
 
 
-def newmark_integrate(system, dt: float, t_end: float,
-                      gamma: float = 0.5, beta_nm: float = 0.25) -> Trajectory:
+def newmark_integrate(system, dt: float, t_end: float) -> Trajectory:
     """Implicit Newmark integration of M x'' + C x' + K x = f(t).
 
-    Defaults are the unconditionally stable average-acceleration
-    parameters.  The initial acceleration comes from the equation of
-    motion at t = 0.  Precomputed load arrays must supply
+    Each step is ``newmark_stepper``'s average-acceleration step, solved
+    with a factored effective stiffness.  The initial acceleration comes
+    from the equation of motion at t = 0.  Precomputed load arrays must supply
     floor(t_end/dt) + 1 rows.
     """
     if dt <= 0:
@@ -303,7 +303,7 @@ def newmark_integrate(system, dt: float, t_end: float,
     v[:, 0] = v0
     f0 = _load_at(load, 0, 0.0)
     a[:, 0] = _sym_solver(m)(f0 - c @ v0 - k @ x0)
-    step = newmark_stepper(m, c, k, dt, _sym_solver, gamma, beta_nm)
+    step = newmark_stepper(m, c, k, dt, _sym_solver)
     for i in range(steps):
         x[:, i + 1], v[:, i + 1], a[:, i + 1] = step(
             x[:, i], v[:, i], a[:, i], _load_at(load, i + 1, times[i + 1]))

@@ -20,11 +20,9 @@ generator whose key is ``SeedSequence(master_seed, spawn_key=(index,))
 .generate_state(2, np.uint64)`` and whose counter starts at 0.
 ``_normals`` derives the keys of all its streams in one vectorized pass
 of that hash (``_philox_keys``): the seed's words are mixed into the pool
-once per call, and only the index's one or two spawn-key words and the
-output words are hashed per stream.  Each stream then re-keys this
-thread's one Philox instead of building a SeedSequence, a Philox and a
-Generator of its own.  Indices of 2**64 and above keep the
-``SeedSequence`` route.
+once per call, and only the index's spawn-key words and the output words
+are hashed per stream.  Each stream then re-keys this thread's one Philox
+instead of building a SeedSequence, a Philox and a Generator of its own.
 
 Each stream's Gaussian matrix is filled column by column, so the matrix
 of a smaller beta is a prefix of the matrix of a larger one.  This is
@@ -40,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .subspace import DEFAULT_GAP_TOLERANCE, SubspaceBasis, _top_k
+from .subspace import SubspaceBasis, _top_k
 
 __all__ = [
     "StochasticSubspaceModel",
@@ -112,13 +110,11 @@ class RandomStream:
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq alternative) on uint32
-# words: pool size 4, the hashmix and mix constants, and the index limit
-# below which a spawn key is one or two words
+# words: pool size 4, and the hashmix and mix constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_KEYED_LIMIT = 2**64
 
 
 def _hashmix(words, const: int, mult: int = _MULT_A):
@@ -142,38 +138,44 @@ def _mix(x, y):
 def _philox_keys(seed: int, indices) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)`` of each i.
 
-    Indices lie in [0, 2**64); returns (len, 2) uint64.  The seed's words
-    are hashed into the pool once (zero-padded to the pool size, as a
-    spawned SeedSequence does); each index's low word, then the high word
-    of the indices that have one, is mixed into every pool word, and the
-    pool is hashed out to four words, read as two little-endian uint64.
+    The seed and the indices are non-negative ints of any size; returns
+    (len, 2) uint64.  numpy's entropy is the seed's 32-bit words, zero-padded
+    to the pool size, then the index's words, each low first.  The first
+    four, all the seed's, are hashed into the pool once.  Every later word
+    position is mixed into each pool word of the indices whose entropy
+    reaches it, and the pool is hashed out to four words, read as two
+    little-endian uint64.
     """
-    indices = np.asarray(indices, dtype=np.uint64)
-    seed_words = [np.array([seed >> shift & 0xFFFFFFFF], dtype=np.uint32)
+    indices = [int(i) for i in indices]
+    if seed < 0 or min(indices, default=0) < 0:
+        raise ValueError("the seed and the stream indices must be non-negative")
+    seed_words = [seed >> shift & 0xFFFFFFFF
                   for shift in range(0, max(seed.bit_length(), 1), 32)]
-    seed_words += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(seed_words))
+    seed_words += [0] * (_POOL - len(seed_words))
     const, pool = _INIT_A, []
     for word in seed_words[:_POOL]:
-        word, const = _hashmix(word, const)
+        word, const = _hashmix(np.array([word], dtype=np.uint32), const)
         pool.append(word)
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 hashed, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], hashed)
-    for word in seed_words[_POOL:]:
+    # each index's entropy past the pool as one int, low word first: the seed's
+    # words past the pool, then the index's own from word position `first` on
+    first = len(seed_words) - _POOL
+    tail = np.array([seed >> 32 * _POOL | i << 32 * first for i in indices], dtype=object)
+    pool = [np.repeat(word, len(indices)) for word in pool]
+    rows, position = np.arange(len(indices)), 0
+    while rows.size:
+        word = (tail & 0xFFFFFFFF).astype(np.uint32)
         for dst in range(_POOL):
             hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    low = (indices & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    for dst in range(_POOL):
-        hashed, const = _hashmix(low, const)
-        pool[dst] = _mix(pool[dst], hashed)
-    two_words = np.flatnonzero(indices >> np.uint64(32))
-    high = (indices[two_words] >> np.uint64(32)).astype(np.uint32)
-    for dst in range(_POOL):
-        hashed, const = _hashmix(high, const)
-        pool[dst][two_words] = _mix(pool[dst][two_words], hashed)
+            pool[dst][rows] = _mix(pool[dst][rows], hashed)
+        tail, position = tail >> 32, position + 1
+        if position > first:
+            longer = np.flatnonzero(tail)
+            rows, tail = rows[longer], tail[longer]
     const, out = _INIT_B, []
     for word in pool:
         word, const = _hashmix(word, const, _MULT_B)
@@ -210,13 +212,10 @@ class _KeyedStream(RandomStream):
 def _normals(seed, indices, rank: int, cols: int) -> np.ndarray:
     """The ``normal_matrix(rank, cols)`` of each stream index, (len, rank, cols)."""
     seed = int(seed)
-    keys = iter(_philox_keys(seed, [i for i in map(int, indices)
-                                    if 0 <= i < _KEYED_LIMIT]))
-    z = np.empty((len(indices), rank, cols))
-    for j, i in enumerate(map(int, indices)):
-        stream = (_KeyedStream(seed, i, next(keys)) if 0 <= i < _KEYED_LIMIT
-                  else RandomStream(seed, i))
-        z[j] = stream.normal_matrix(rank, cols)
+    keys = _philox_keys(seed, indices)
+    z = np.empty((len(keys), rank, cols))
+    for j, (i, key) in enumerate(zip(map(int, indices), keys)):
+        z[j] = _KeyedStream(seed, i, key).normal_matrix(rank, cols)
     return z
 
 
@@ -289,4 +288,4 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
     # two products on the Gaussian block, in the order of a fresh draw's
     scaled = z * weights
     scaled *= model.scales[:, None]
-    return _top_k(scaled, k, DEFAULT_GAP_TOLERANCE, labels=indices)
+    return _top_k(scaled, k, labels=indices)

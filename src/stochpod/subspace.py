@@ -135,8 +135,8 @@ def center(data) -> SnapshotSet:
     return SnapshotSet(data=data, mean=mean, centered=centered)
 
 
-def compact_svd(centered, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PodDecomposition:
-    """Compact SVD, discarding singular values <= rank_tolerance * sigma_1.
+def compact_svd(centered) -> PodDecomposition:
+    """Compact SVD, discarding singular values <= DEFAULT_RANK_TOLERANCE * sigma_1.
 
     Raises ValueError on an all-zero matrix and applies a deterministic
     sign convention (largest-magnitude entry of each mode made positive)
@@ -146,7 +146,7 @@ def compact_svd(centered, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> Pod
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s[0] <= 0.0:
         raise ValueError("matrix has rank zero")
-    keep = s > rank_tolerance * s[0]
+    keep = s > DEFAULT_RANK_TOLERANCE * s[0]
     r = int(np.count_nonzero(keep))
     u, s, vt = u[:, :r], s[:r], vt[:r, :]
     u, vt = _fix_signs(u, vt)
@@ -190,17 +190,17 @@ def polar_orthonormalize(m) -> SubspaceBasis:
     return SubspaceBasis(u @ vt)
 
 
-def principal_subspace_map(m, k: int, gap_tolerance: float = DEFAULT_GAP_TOLERANCE) -> SubspaceBasis:
+def principal_subspace_map(m, k: int) -> SubspaceBasis:
     """Left singular vectors of the k largest singular values.
 
     Defined only where the k-th singular value exceeds the (k+1)-th by more
-    than gap_tolerance * sigma_1; otherwise raises GapError.  The sign
+    than DEFAULT_GAP_TOLERANCE * sigma_1; otherwise raises GapError.  The sign
     convention of ``compact_svd`` makes the returned basis deterministic.
     """
     m = _as_matrix(m)
     if not 1 <= k <= min(m.shape):
         raise ValueError(f"k={k} out of range for shape {m.shape}")
-    return SubspaceBasis(_top_k(m, k, gap_tolerance))
+    return SubspaceBasis(_top_k(m, k))
 
 
 #: Gram-route singular-value gap (relative to sigma_1) above which a draw
@@ -209,7 +209,13 @@ def principal_subspace_map(m, k: int, gap_tolerance: float = DEFAULT_GAP_TOLERAN
 _GRAM_MARGIN = 1e-6
 
 
-def _top_k(a, k, gap_tolerance, labels=None):
+def _no_gap(s, k, tolerance):
+    """Where sigma_k - sigma_{k+1} <= tolerance * sigma_1, along the last axis."""
+    trailing = s[..., k] if k < s.shape[-1] else 0.0
+    return s[..., k - 1] - trailing <= tolerance * s[..., 0]
+
+
+def _top_k(a, k, labels=None):
     """The sign-fixed left singular vectors of the k largest singular values.
 
     ``a`` (r-by-c, or a stack of them) goes through its r-by-r Gram matrix
@@ -218,31 +224,28 @@ def _top_k(a, k, gap_tolerance, labels=None):
     sqrt(r eps) sigma_1 (Golub & Van Loan, *Matrix Computations*, 8.6).
     A matrix whose k-th Gram gap is within ``_GRAM_MARGIN`` sigma_1 is
     decided by the exact SVD instead: ``_check_gap`` refuses it, naming
-    its label, unless sigma_k - sigma_{k+1} > gap_tolerance * sigma_1.
+    its label, unless sigma_k - sigma_{k+1} > DEFAULT_GAP_TOLERANCE * sigma_1.
     """
     batch = a.reshape((-1,) + a.shape[-2:])
     w, v = np.linalg.eigh(batch @ batch.transpose(0, 2, 1))
     s = np.sqrt(np.maximum(w[:, ::-1], 0.0))
     u = v[:, :, ::-1][:, :, :k]
-    trailing = s[:, k] if k < s.shape[1] else 0.0
-    doubt = np.flatnonzero(s[:, k - 1] - trailing <= _GRAM_MARGIN * s[:, 0])
+    doubt = np.flatnonzero(_no_gap(s, k, _GRAM_MARGIN))
     if doubt.size:
         exact, s_exact, _ = np.linalg.svd(batch[doubt], full_matrices=False)
-        _check_gap(s_exact, k, gap_tolerance,
-                   None if labels is None else [labels[j] for j in doubt])
+        _check_gap(s_exact, k, None if labels is None else [labels[j] for j in doubt])
         u[doubt] = exact[:, :, :k]
     return _fix_signs(u).reshape(a.shape[:-1] + (k,))
 
 
-def _check_gap(s, k, gap_tolerance, labels=None):
-    """Raise GapError unless sigma_k - sigma_{k+1} > gap_tolerance * sigma_1.
+def _check_gap(s, k, labels=None):
+    """Raise GapError unless sigma_k - sigma_{k+1} > DEFAULT_GAP_TOLERANCE * sigma_1.
 
     ``s`` holds singular values along its last axis; with leading batch
     axes every row is checked, and the message names the failing rows by
     their ``labels`` when given.
     """
-    trailing = s[..., k] if k < s.shape[-1] else np.zeros(s.shape[:-1])
-    bad = s[..., k - 1] - trailing <= gap_tolerance * s[..., 0]
+    bad = _no_gap(s, k, DEFAULT_GAP_TOLERANCE)
     if np.any(bad):
         where = "" if labels is None else f" in draw(s) {[labels[j] for j in np.flatnonzero(bad)]}"
         raise GapError(f"singular values {k} and {k + 1} are not separated{where}")

@@ -333,7 +333,9 @@ def experiment_document(**problem):
     (experiment_document(force_weights=["1"]), "problem.force_weights"),
     (experiment_document(force_weights=[]), "problem.force_weights"),
     (experiment_document(force_weights=[0, 0.0]), "problem.force_weights"),
-    (experiment_document(force_weights=[1.0] * 98), "problem.force_weights")])
+    (experiment_document(force_weights=[1.0] * 98), "problem.force_weights"),
+    # an all-zero mu_test has no force direction
+    (cubic_document(mu_test=[0, 0, 0, 0, 0]), "problem.mu_test")])
 def test_problem_fields_are_checked(document, field):
     # integer fields refuse floats, strings and bools; unknown keys are refused
     with pytest.raises(ConfigError) as err:

@@ -177,12 +177,6 @@ def test_observe_sparse_coarse_grid_collision():
         observe_sparse(np.zeros(10), 19)
 
 
-def test_observe_sparse_explicit_indices():
-    x = np.arange(10.0)
-    idx, values = observe_sparse(x, indices=[2, 5, 7])
-    assert np.array_equal(values, [2.0, 5.0, 7.0])
-
-
 # ---------------------------------------------------------------------------
 # dynamics surrogate
 

@@ -319,8 +319,9 @@ def test_tied_spectrum_raises_gap_error():
 
 @pytest.mark.parametrize("seed", [0, 11, 42, 2**40 + 7, 2**63 + 11, 2**130 + 3])
 def test_philox_keys_match_seed_sequence(seed):
-    # one and two spawn-key words, their edges, and a long consecutive run
-    indices = [0, 1, 2**32 - 1, 2**32, 10**12, 2**64 - 1, *range(70_000, 90_000)]
+    # one to seven spawn-key words, their edges, and a long consecutive run
+    indices = [0, 1, 2**32 - 1, 2**32, 10**12, 2**64 - 1, 2**96 + 5, 2**128, 2**200,
+               *range(70_000, 90_000)]
     keys = _philox_keys(seed, indices)
     expected = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
                 for i in indices]
@@ -337,6 +338,11 @@ def test_normals_match_per_stream_generators():
         for j, i in enumerate(indices):
             flat = sp.RandomStream(seed, i).generator().standard_normal(24)
             assert np.array_equal(z[j], flat.reshape(6, 4).T), (seed, i)
+    # SeedSequence refuses a negative spawn key or seed, and so do the keys
+    with pytest.raises(ValueError):
+        _normals(5, [3, -1], 4, 6)
+    with pytest.raises(ValueError):
+        _normals(-5, [3], 4, 6)
 
 
 def test_normals_raise_no_warning():

@@ -178,9 +178,9 @@ def test_principal_map_sign_convention(rng):
 
 def test_gap_check_over_batch_names_failing_rows():
     spectra = np.array([[2.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-    subspace._check_gap(spectra[:1], 1, 1e-12)
+    subspace._check_gap(spectra[:1], 1)
     with pytest.raises(GapError, match=r"in draw\(s\) \[11, 12\]$"):
-        subspace._check_gap(spectra, 1, 1e-12, labels=[10, 11, 12])
+        subspace._check_gap(spectra, 1, labels=[10, 11, 12])
 
 
 def test_sign_convention_over_batch_matches_single(rng):
@@ -193,7 +193,7 @@ def test_sign_convention_over_batch_matches_single(rng):
 def _svd_top_k(a, k, labels):
     """``_top_k``'s rule through the SVD alone."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    subspace._check_gap(s, k, subspace.DEFAULT_GAP_TOLERANCE, labels)
+    subspace._check_gap(s, k, labels)
     return subspace._fix_signs(u[..., :k])
 
 
@@ -217,13 +217,13 @@ def test_top_k_gap_decisions_are_the_exact_svds(rng):
     batch = np.stack([_with_spectrum(rng, 2.0 * np.array([1.0, 0.8, 0.6, 0.6 - gaps[kind], 0.3, 0.1]), 9)
                       for kind in kinds])
     with pytest.raises(GapError, match=r"in draw\(s\) \[102, 104\]$") as got:
-        subspace._top_k(batch, 3, subspace.DEFAULT_GAP_TOLERANCE, labels)
+        subspace._top_k(batch, 3, labels)
     with pytest.raises(GapError) as want:
         _svd_top_k(batch, 3, labels)
     assert str(got.value) == str(want.value)
 
     keep = [j for j, kind in enumerate(kinds) if kind != "tied"]
-    got = subspace._top_k(batch[keep], 3, subspace.DEFAULT_GAP_TOLERANCE, [labels[j] for j in keep])
+    got = subspace._top_k(batch[keep], 3, [labels[j] for j in keep])
     want = _svd_top_k(batch[keep], 3, [labels[j] for j in keep])
     close = [i for i, j in enumerate(keep) if kinds[j] == "close"]
     assert np.array_equal(got[close], want[close])
@@ -238,14 +238,14 @@ def test_top_k_gram_route_matches_svd_over_twelve_decades(rng, monkeypatch, cols
     batch = scales[:, None] * rng.standard_normal((50, 44, cols))
     want = _svd_top_k(batch, 10, range(50))
     monkeypatch.setattr(np.linalg, "svd", None)      # no draw is in doubt
-    got = subspace._top_k(batch, 10, subspace.DEFAULT_GAP_TOLERANCE, range(50))
+    got = subspace._top_k(batch, 10, range(50))
     assert np.linalg.norm(_projectors(got) - _projectors(want), axis=(1, 2)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("rows,cols,k", [(6, 6, 6), (6, 9, 6), (8, 5, 5), (8, 5, 2)])
 def test_top_k_gram_route_at_full_k_and_few_columns(rng, rows, cols, k):
     batch = np.geomspace(1.0, 1e-3, rows)[:, None] * rng.standard_normal((30, rows, cols))
-    got = subspace._top_k(batch, k, subspace.DEFAULT_GAP_TOLERANCE, range(30))
+    got = subspace._top_k(batch, k, range(30))
     want = _svd_top_k(batch, k, range(30))
     assert got.shape == (30, rows, k)
     assert np.linalg.norm(_projectors(got) - _projectors(want), axis=(1, 2)).max() <= 1e-10
