@@ -23,20 +23,9 @@ class ConfigError(ValueError):
 
 PROBLEM_KINDS = ("cubic-parametric", "linear-static-experiment", "surrogate-dynamics")
 
-#: Defaults of the optional ``problem`` fields, per problem kind, read by
-#: the pipeline's drivers.  They are never written into a config, whose
-#: hash covers only what the document says.  The surrogate's structure
-#: defaults are those of ``problems.SurrogateSpec``.
-PROBLEM_DEFAULTS = {
-    "cubic-parametric": {"newton_tol": 1e-10, "newton_max_iter": 50},
-    "linear-static-experiment": {
-        "perturbation_ratio": 0.15, "noise_level": 0.05, "sensor_count": 19,
-        "snapshot_count": 100, "snapshot_force": "nominal",
-        "force_weights": (0.5, 0.5, 0.5, 0.5, 1.0)},
-    "surrogate-dynamics": {"snapshot_stride": 4},
-}
-
-#: config ``problem`` key -> ``problems.SurrogateSpec`` field
+#: The surrogate's structure fields: config ``problem`` key ->
+#: ``problems.SurrogateSpec`` field.  ``SurrogateSpec`` defines their
+#: defaults; ``_problem_fields`` their types and ranges.
 SURROGATE_SPEC_FIELDS = {
     "heavy_dof": "heavy_dof", "mass_ratio": "mass_ratio",
     "stiffness_scale": "stiffness_scale", "rayleigh_beta": "rayleigh_beta",
@@ -87,6 +76,15 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+    @property
+    def problem_settings(self) -> dict:
+        """The ``problem`` fields the drivers read: the document's, over the
+        defaults of ``_problem_fields``, which never enter the config's hash."""
+        fields = _problem_fields(self.problem["kind"], self.problem["n"])
+        return {**{key: default for key, (*_, default) in fields.items()
+                   if default is not None and default is not _REQUIRED},
+                **self.problem}
 
     @property
     def parametric_aggregation(self) -> str:
@@ -146,29 +144,46 @@ _TRAINING_SECTION = {
                                "'per-parameter' or 'pooled'")}
 
 
-#: The ``problem`` fields each kind reads besides ``kind`` and ``n``, as in
-#: ``_TRAINING_FIELDS``; None marks a field whose value ``parse_config``
-#: checks on its own (the DoF indices) or leaves to its reader.
-_PROBLEM_FIELDS = {
-    "cubic-parametric": {
-        "alpha": _POSITIVE, "snapshot_count": _count(2),
-        "mu_test": (list, lambda v: len(v) == 5 and all(map(_is_number, v)) and any(v),
-                    "a list of 5 numbers, not all zero"),
-        "newton_tol": _POSITIVE, "newton_max_iter": _count(1)},
-    "linear-static-experiment": {
-        "perturbation_ratio": _NONNEGATIVE, "noise_level": _NONNEGATIVE,
-        "sensor_count": _count(1), "snapshot_count": _count(2),
-        "snapshot_force": (str, lambda v: v in ("nominal", "perturbed"),
-                           "'nominal' or 'perturbed'"),
-        "force_weights": None},
-    "surrogate-dynamics": {
-        "dt": _POSITIVE, "t_end": _POSITIVE, "qoi_dof": None, "alt_dof": None,
-        "snapshot_stride": _count(1), **dict.fromkeys(SURROGATE_SPEC_FIELDS)},
-}
-#: The ``problem`` fields without a default, per kind.
-_PROBLEM_REQUIRED = {"cubic-parametric": ("alpha", "snapshot_count", "mu_test"),
-                     "linear-static-experiment": (),
-                     "surrogate-dynamics": ("dt", "t_end", "qoi_dof")}
+#: The default of a ``problem`` field that the document must set.
+_REQUIRED = object()
+
+
+def _problem_fields(kind: str, n: int) -> dict:
+    """The ``problem`` fields of ``kind`` on an ``n``-DoF model, besides
+    ``kind`` and ``n``: name -> (type, test, what the test asks for,
+    default).  A default of None leaves an omitted field to its reader:
+    the driver for ``alt_dof``, ``problems.SurrogateSpec`` for the
+    structure fields of ``SURROGATE_SPEC_FIELDS``."""
+    dof = (int, lambda v: 0 <= v < n, f"an integer DoF index in [0, {n})")
+    return {
+        "cubic-parametric": {
+            "alpha": (*_POSITIVE, _REQUIRED), "snapshot_count": (*_count(2), _REQUIRED),
+            "mu_test": (list, lambda v: len(v) == 5 and all(map(_is_number, v)) and any(v),
+                        "a list of 5 numbers, not all zero", _REQUIRED),
+            "newton_tol": (*_POSITIVE, 1e-10), "newton_max_iter": (*_count(1), 50)},
+        "linear-static-experiment": {
+            "perturbation_ratio": (*_NONNEGATIVE, 0.15), "noise_level": (*_NONNEGATIVE, 0.05),
+            # observe_sparse places at most one sensor on each interior node
+            "sensor_count": (int, lambda v: 1 <= v <= n - 2, f"an integer in [1, {n - 2}]",
+                             19),
+            "snapshot_count": (*_count(2), 100),
+            "snapshot_force": (str, lambda v: v in ("nominal", "perturbed"),
+                               "'nominal' or 'perturbed'", "nominal"),
+            # weight j scales sine mode j + 2, and there are n - 2 modes
+            "force_weights": (list, lambda v: 1 <= len(v) <= n - 3
+                              and all(map(_is_number, v)) and any(v),
+                              f"a list of 1 to {n - 3} numbers, not all zero",
+                              (0.5, 0.5, 0.5, 0.5, 1.0))},
+        "surrogate-dynamics": {
+            "dt": (*_POSITIVE, _REQUIRED), "t_end": (*_POSITIVE, _REQUIRED),
+            "qoi_dof": (*dof, _REQUIRED), "alt_dof": (*dof, None),
+            "snapshot_stride": (*_count(1), 4),
+            # a null heavy_dof is the centre node
+            "heavy_dof": (*_or_null(dof), None), "mass_ratio": (*_POSITIVE, None),
+            "stiffness_scale": (*_POSITIVE, None), "rayleigh_beta": (*_NONNEGATIVE, None),
+            "impulse_amplitude": (float, lambda v: True, "a number", None),
+            "impulse_duration": (*_POSITIVE, None), "structure_seed": (*_count(0), None)},
+    }[kind]
 
 
 def _given(document: dict, fields: dict) -> dict:
@@ -195,15 +210,15 @@ def _typed(kind, value) -> bool:
 
 
 def _check_fields(section, fields: dict, path: str) -> None:
-    """Refuse a key of ``section`` that is not in ``fields``, and a value
-    of the wrong type or range (a field whose entry is None is not
-    checked).  ``path`` is the section's field path, "" at the top level."""
+    """Refuse a key of ``section`` not in ``fields``, and a value that fails
+    its entry's (type, test, what the test asks for, ...); an entry of None
+    is not checked.  ``path`` is the section's field path, "" at the top level."""
     _require(isinstance(section, dict), path, "must be an object")
     for key, value in section.items():
         field = f"{path}.{key}" if path else key
         _require(key in fields, field, "unknown field")
         if fields[key] is not None:
-            kind, test, wanted = fields[key]
+            kind, test, wanted = fields[key][:3]
             _require(_typed(kind, value) and test(value), field, f"must be {wanted}")
 
 
@@ -216,32 +231,18 @@ def parse_config(document: dict, seed_override: int | None = None,
         _require(isinstance(document[key], dict), key, "must be an object")
 
     problem = dict(document["problem"])
-    kind = problem.get("kind")
+    kind, n = problem.get("kind"), problem.get("n")
     _require(kind in PROBLEM_KINDS, "problem.kind",
              f"must be one of {', '.join(PROBLEM_KINDS)}")
-    _require(isinstance(problem.get("n"), int) and problem["n"] >= 8,
-             "problem.n", "must be an integer >= 8")
-    for key in _PROBLEM_REQUIRED[kind]:
-        _require(key in problem, f"problem.{key}", "missing required field")
-    _check_fields(problem, {**_PROBLEM_FIELDS[kind], "kind": None, "n": None}, "problem")
-    if kind == "surrogate-dynamics":
-        n = problem["n"]
-        _require(n >= 10, "problem.n", "must be an integer >= 10 for surrogate-dynamics")
-        for key in ("qoi_dof", "alt_dof", "heavy_dof"):
-            dof = problem.get(key)
-            # alt_dof may be omitted; heavy_dof omitted or null is the centre node
-            if (key == "alt_dof" and key not in problem
-                    or key == "heavy_dof" and dof is None):
-                continue
-            _require(type(dof) is int and 0 <= dof < n, f"problem.{key}",
-                     f"must be an integer DoF index in [0, {n})")
-    if "force_weights" in problem:
-        # weight j scales sine mode j + 2, and there are n - 2 modes
-        weights, most = problem["force_weights"], problem["n"] - 3
-        _require(type(weights) is list and 1 <= len(weights) <= most
-                 and all(map(_is_number, weights)) and any(weights),
-                 "problem.force_weights",
-                 f"must be a list of 1 to {most} numbers, not all zero")
+    least = 10 if kind == "surrogate-dynamics" else 8
+    _require(_typed(int, n) and n >= least, "problem.n", f"must be an integer >= {least}")
+    fields = _problem_fields(kind, n)
+    for key, (_, test, wanted, default) in fields.items():
+        if key not in problem:
+            _require(default is not _REQUIRED, f"problem.{key}", "missing required field")
+            _require(default is None or test(default), f"problem.{key}",
+                     f"must be set: its default {default} is not {wanted}")
+    _check_fields(problem, {**fields, "kind": None, "n": None}, "problem")
 
     pod_doc = document["pod"]
     _check_fields(pod_doc, _POD_FIELDS, "pod")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rom
-from .config import PROBLEM_DEFAULTS, SURROGATE_SPEC_FIELDS, RunConfig
+from .config import SURROGATE_SPEC_FIELDS, RunConfig
 from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
 from .matrixio import (artifact_hash, load_matrix, read_csv, read_json,
@@ -280,7 +280,7 @@ class CubicDriver:
     writes_sensors = False
 
     def __init__(self, config: RunConfig):
-        p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
+        p = config.problem_settings
         self.n = p["n"]
         self.alpha = float(p["alpha"])
         self.snapshot_count = int(p["snapshot_count"])
@@ -371,7 +371,7 @@ class ExperimentDriver:
     writes_sensors = True
 
     def __init__(self, config: RunConfig):
-        p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
+        p = config.problem_settings
         self.n = p["n"]
         self.ratio = float(p["perturbation_ratio"])
         self.noise_level = float(p["noise_level"])
@@ -454,7 +454,7 @@ class SurrogateDriver:
     writes_sensors = False
 
     def __init__(self, config: RunConfig):
-        p = {**PROBLEM_DEFAULTS[self.kind], **config.problem}
+        p = config.problem_settings
         self.n = p["n"]
         self.dt = float(p["dt"])
         self.t_end = float(p["t_end"])

@@ -167,7 +167,7 @@ def refine_beta_real(beta_int: float, config: TrainingConfig,
     ref = config.refinement
     lo = max(config.beta_bounds[0], beta_int - ref.window)
     hi = min(config.beta_bounds[1], beta_int + ref.window)
-    if hi <= lo or ref.window == 0.0:
+    if hi <= lo:
         value = float(objective(float(beta_int)))
         return BetaSearchResult(beta=float(beta_int), value=value,
                                 trace=((float(beta_int), value),),

@@ -335,7 +335,20 @@ def experiment_document(**problem):
     (experiment_document(force_weights=[0, 0.0]), "problem.force_weights"),
     (experiment_document(force_weights=[1.0] * 98), "problem.force_weights"),
     # an all-zero mu_test has no force direction
-    (cubic_document(mu_test=[0, 0, 0, 0, 0]), "problem.mu_test")])
+    (cubic_document(mu_test=[0, 0, 0, 0, 0]), "problem.mu_test"),
+    # the surrogate's structure fields
+    (surrogate_document(mass_ratio=-5.0), "problem.mass_ratio"),
+    (surrogate_document(impulse_amplitude=True), "problem.impulse_amplitude"),
+    (surrogate_document(mass_ratio="100"), "problem.mass_ratio"),
+    (surrogate_document(stiffness_scale="1e4"), "problem.stiffness_scale"),
+    (surrogate_document(structure_seed=1.5), "problem.structure_seed"),
+    (surrogate_document(impulse_duration=0.0), "problem.impulse_duration"),
+    (surrogate_document(structure_seed=-3), "problem.structure_seed"),
+    (surrogate_document(rayleigh_beta=-1.0), "problem.rayleigh_beta"),
+    (surrogate_document(heavy_dof="3"), "problem.heavy_dof"),
+    # at most one sensor on each of the n - 2 interior nodes, also by default
+    (experiment_document(n=20, sensor_count=19), "problem.sensor_count"),
+    (experiment_document(n=20), "problem.sensor_count")])
 def test_problem_fields_are_checked(document, field):
     # integer fields refuse floats, strings and bools; unknown keys are refused
     with pytest.raises(ConfigError) as err:
@@ -353,6 +366,9 @@ def test_every_problem_field_parses():
         surrogate_document(alt_dof=3, snapshot_stride=2, heavy_dof=5, mass_ratio=50.0,
                            stiffness_scale=2.0, rayleigh_beta=1e-3,
                            impulse_amplitude=10.0, impulse_duration=0.05,
-                           structure_seed=4)]
+                           structure_seed=4),
+        surrogate_document(rayleigh_beta=0.0, impulse_amplitude=-1.0, structure_seed=0),
+        experiment_document(sensor_count=98),                    # n - 2 sensors
+        experiment_document(n=20, sensor_count=18)]
     for doc in documents:
         assert parse_config(doc).problem == doc["problem"]
