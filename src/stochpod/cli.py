@@ -5,7 +5,7 @@ Subcommands mirror the pipeline stages: ``run`` executes everything,
 slice given the upstream artifacts on disk.
 
 Exit codes: 0 success, 2 config/usage error, 3 missing artifact or one
-made from a different config, 4 numerical failure.
+made from a different config, 4 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     except pipeline.MissingArtifactError as exc:
         print(f"error: {exc} (run the upstream stage first)", file=sys.stderr)
         return EXIT_MISSING
-    except (ConvergenceError, GapError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, GapError, np.linalg.LinAlgError, MemoryError) as exc:
         _record_failure(config, outdir, exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .problems import SurrogateSpec
 from .training import RefinementConfig, TrainingConfig
 
 
@@ -181,7 +182,7 @@ def _problem_fields(kind: str, n: int) -> dict:
             # a null heavy_dof is the centre node
             "heavy_dof": (*_or_null(dof), None), "mass_ratio": (*_POSITIVE, None),
             "stiffness_scale": (*_POSITIVE, None), "rayleigh_beta": (*_NONNEGATIVE, None),
-            "impulse_amplitude": (float, lambda v: True, "a number", None),
+            "impulse_amplitude": (float, lambda v: v != 0, "a nonzero number", None),
             "impulse_duration": (*_POSITIVE, None), "structure_seed": (*_count(0), None)},
     }[kind]
 
@@ -243,6 +244,15 @@ def parse_config(document: dict, seed_override: int | None = None,
             _require(default is None or test(default), f"problem.{key}",
                      f"must be set: its default {default} is not {wanted}")
     _check_fields(problem, {**fields, "kind": None, "n": None}, "problem")
+    if kind == "surrogate-dynamics":
+        # the half-sine load is sampled at t = 0, dt, 2 dt, ... up to t_end and
+        # is zero at t = 0: with no second step, or a pulse that ends by
+        # t = dt, it is zero at every step, and so is the response
+        dt = problem["dt"]
+        _require(problem["t_end"] >= dt, "problem.t_end", f"must be at least dt = {dt}")
+        duration = problem.get("impulse_duration", SurrogateSpec.impulse_duration)
+        _require(duration > dt, "problem.impulse_duration",
+                 f"must exceed dt = {dt}, got {duration}")
 
     pod_doc = document["pod"]
     _check_fields(pod_doc, _POD_FIELDS, "pod")

@@ -29,7 +29,7 @@ from .problems import (SpectralStiffness, SurrogateSpec, add_noise,
 from .sampling import (RandomStream, StochasticSubspaceModel, StreamCache,
                        batch_fractional_draws)
 from .subspace import center, compact_svd, select_rank
-from .training import refine_beta_real, train_integer_beta
+from .training import refine_beta_real, refinement_bounds, train_integer_beta
 
 # fixed purposes for deriving independent sub-seeds from the config seed
 _SEED_SNAPSHOTS = 11
@@ -77,15 +77,17 @@ class RunReport:
 # batched Monte-Carlo kernels shared by training and prediction
 
 
-def _mc_draws(scales, k, seed, count, chunk, fn):
+def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
     """beta -> ``fn(draws, indices)`` over stream indices 0..count-1, concatenated.
 
     The draws go to ``fn`` in consecutive batches of at most ``chunk``,
     which bounds the kernels' temporaries without changing any draw.
     Every beta draws from the same streams (common random numbers), held
     in one ``StreamCache`` that lives as long as the returned function.
+    ``widest``, the largest beta the caller will ask for if it knows it,
+    makes the cache's first fill wide enough for every later beta.
     """
-    cache = StreamCache(seed, count)
+    cache = StreamCache(seed, count, 0 if widest is None else int(np.ceil(widest)))
     chunks = [range(start, min(start + chunk, count)) for start in range(0, count, chunk)]
 
     def run(beta):
@@ -96,7 +98,8 @@ def _mc_draws(scales, k, seed, count, chunk, fn):
     return run
 
 
-def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth):
+def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth,
+                  widest=None):
     """The Monte-Carlo objective f(beta) = E[(d(u) - d_truth)^2].
 
     ``predict(draws, indices)`` returns the predictions of a batch of
@@ -104,13 +107,13 @@ def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth):
     draw's gap is the mean of (d - d_truth)^2 over any trailing parameter
     axis, so ``d_truth`` is a scalar or holds one distance per parameter.
     f is one sum over the gaps of all draws, divided by ``count``, so its
-    value does not depend on ``chunk``.
+    value does not depend on ``chunk``.  ``widest`` goes to ``_mc_draws``.
     """
     def gaps(draws, indices):
         d = np.linalg.norm(predict(draws, indices) - reference, axis=1)
         return np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
 
-    values = _mc_draws(scales, k, seed, count, chunk, gaps)
+    values = _mc_draws(scales, k, seed, count, chunk, gaps, widest)
     return lambda beta: float(np.sum(values(beta))) / count
 
 
@@ -134,29 +137,54 @@ def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
     return np.matmul(rows_w, q)[:, :, 0]
 
 
-def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indices):
+class _NewtonWorkspace:
+    """The buffers of ``_cubic_newton_batch``, kept across a loop's chunks.
+
+    They are sized at the first call, and a call with fewer draws (a
+    loop's tail chunk) uses their leading [:D] slices, so a loop faults
+    their pages in once instead of at every chunk.  One workspace serves
+    one loop, whose calls share n, k and P; the kernel's results never
+    alias it.
+    """
+
+    def __init__(self):
+        self._held = None
+
+    def buffers(self, count, n, k, p):
+        """(D, n, k, k) for the outer products and three (D, n, P) arrays."""
+        if self._held is None or len(self._held[0]) < count:
+            self._held = (np.empty((count, n, k, k)),
+                          *(np.empty((count, n, p)) for _ in range(3)))
+        return [a[:count] for a in self._held]
+
+
+def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indices,
+                        workspace=None):
     """Newton over a batch of draws, each with a batch of right-hand sides.
 
     Draw d has basis w[d] (n, k) and residual rows
     K_r q + alpha W^T (W q)^3 - f_r, one per row of forces_r[d] (P, k).
     A row stops updating once its residual is within ``tol``.  Returns q
-    of shape (D, P, k).  ``indices`` name the draws (stream indices) in
-    the error raised when some of them stall.
+    of shape (D, P, k), a new array.  ``indices`` name the draws (stream
+    indices) in the error raised when some of them stall.
 
     The Jacobian K_r + 3 alpha W^T diag((W q)^2) W of every row is one
     batched GEMM of the squares against the per-draw outer products
     w[n, k] w[n, l], held as (D, n, k*k).  The cube is written as products
-    because numpy's ``**3`` goes through libm ``pow``.  The three (D, n, P)
-    arrays (the lifted rows, their squares and the scaled cubes) are
-    allocated once and filled in place at every iteration, so their pages
-    are not returned to the system and faulted in again.
+    because numpy's ``**3`` goes through libm ``pow``.  The outer products
+    and the three (D, n, P) arrays (the lifted rows, their squares and the
+    scaled cubes) are filled in place in the buffers of ``workspace``, a
+    ``_NewtonWorkspace`` that the calling loop holds across its chunks, so
+    their pages are not returned to the system and faulted in again at
+    every call.  Without one, the call makes a workspace of its own.
     """
     q = np.array(q0, dtype=float)
     count, n, k = w.shape
-    ww = (w[:, :, :, None] * w[:, :, None, :]).reshape(count, n, k * k)
-    lifted = np.empty((count, n, q.shape[1]))                            # (D, n, P)
-    sq = np.empty_like(lifted)
-    cube = np.empty_like(lifted)
+    if workspace is None:
+        workspace = _NewtonWorkspace()
+    outer, lifted, sq, cube = workspace.buffers(count, n, k, q.shape[1])
+    np.multiply(w[:, :, :, None], w[:, :, None, :], out=outer)
+    ww = outer.reshape(count, n, k * k)
     for iteration in range(max_iter + 1):
         np.matmul(w, q.transpose(0, 2, 1), out=lifted)
         np.multiply(lifted, lifted, out=sq)
@@ -324,22 +352,24 @@ class CubicDriver:
             "train_rom": rom_train,
         }
 
-    def _solve_draws(self, modes, draws, forces, guesses, indices):
+    def _solve_draws(self, modes, draws, forces, guesses, indices, workspace=None):
         """Reduced Newton solves on the bases modes @ draws.
 
         ``forces`` and ``guesses`` are (P, n): one right-hand side per row,
         each warm-started from the projection of its guess.  Returns the
-        lifted solutions, shape (D, n, P).
+        lifted solutions, shape (D, n, P), a new array.  ``workspace`` is
+        the Newton kernel's, held by the calling loop.
         """
         w = np.matmul(modes, draws)
         stiffness_r = np.matmul(w.transpose(0, 2, 1),
                                 np.matmul(self.system.stiffness, w))
         q = _cubic_newton_batch(w, stiffness_r, self.alpha, np.matmul(forces, w),
                                 np.matmul(guesses, w), self.newton_tol,
-                                self.newton_max_iter, indices)
+                                self.newton_max_iter, indices, workspace)
         return np.matmul(w, q.transpose(0, 2, 1))
 
-    def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=32):
+    def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=32,
+                          widest=None):
         rom_train = refs["train_rom"]
         truth = refs["train_truth"]
         forces = np.stack([self.system.force_map(mu) for mu in self.params])
@@ -347,19 +377,22 @@ class CubicDriver:
         # pooled: one distance over all parameters; else one per parameter
         d_truth = np.linalg.norm(truth - rom_train, axis=None if pooled else 0)
         shape = (-1,) if pooled else rom_train.shape
+        workspace = _NewtonWorkspace()          # the loop's, across its chunks
         return _mc_objective(
             scales, k, seed, mc_samples, chunk,
             lambda draws, indices: self._solve_draws(
-                modes, draws, forces, rom_train.T, indices).reshape(len(draws), *shape),
-            rom_train.reshape(shape), d_truth)
+                modes, draws, forces, rom_train.T, indices,
+                workspace).reshape(len(draws), *shape),
+            rom_train.reshape(shape), d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
         force = self.system.force_map(self.mu_test)[None]
         guess = refs["rom"][None]
+        workspace = _NewtonWorkspace()
         return _mc_ensembles(
             scales, k, betas, seed, count, chunk,
             lambda draws, indices: self._solve_draws(modes, draws, force, guess,
-                                                     indices)[:, :, 0])
+                                                     indices, workspace)[:, :, 0])
 
 
 class ExperimentDriver:
@@ -423,7 +456,8 @@ class ExperimentDriver:
             "observed_noisy": self.observed_noisy,
         }
 
-    def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=8192):
+    def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=8192,
+                          widest=None):
         idx = refs["sensor_indices"]
         reference = refs["rom"][idx]
         d_truth = np.linalg.norm(refs["observed_noisy"] - reference)
@@ -433,7 +467,7 @@ class ExperimentDriver:
             scales, k, seed, mc_samples, chunk,
             lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
                                                            red.force, qoi_rows),
-            reference, d_truth)
+            reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
         red = rom.galerkin_reduce(self.system, modes)
@@ -502,7 +536,7 @@ class SurrogateDriver:
         return refs
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
-                          chunk=512):
+                          chunk=512, widest=None):
         reduced = rom.galerkin_reduce(self.system, modes)
         reference = refs["rom"]
         d_truth = np.linalg.norm(refs["truth"] - reference)
@@ -511,7 +545,7 @@ class SurrogateDriver:
             scales, k, seed, mc_samples, chunk,
             lambda draws, indices: _dynamic_qoi_predictions(
                 draws, reduced, modes, self.dt, self.steps, primary)[:, 0],
-            reference, d_truth)
+            reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
         reduced = rom.galerkin_reduce(self.system, modes)
@@ -611,8 +645,11 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     objective_refined = None
     refined_converged = None
     if tcfg.refinement.enabled:
-        objective = driver.integer_evaluator(scales, k, modes, refs,
-                                             tcfg.refinement.mc_samples, train_seed)
+        # the refinement asks for no beta above its window's top, so its
+        # streams are generated once, at that beta's width
+        objective = driver.integer_evaluator(
+            scales, k, modes, refs, tcfg.refinement.mc_samples, train_seed,
+            widest=refinement_bounds(integer_result.beta, tcfg)[1])
         refined = refine_beta_real(integer_result.beta, tcfg, objective)
         beta_star = float(refined.beta)
         objective_refined = float(refined.value)

@@ -27,8 +27,11 @@ instead of building a SeedSequence, a Philox and a Generator of its own.
 Each stream's Gaussian matrix is filled column by column, so the matrix
 of a smaller beta is a prefix of the matrix of a larger one.  This is
 load-bearing: a ``StreamCache`` holds streams 0..count-1 at the widest
-beta asked for so far and every narrower beta slices them, bit for bit;
-a wider beta generates every stream again at its own width.
+beta asked for so far and every narrower beta slices them, bit for bit.
+A loop that knows the widest beta it can reach (the refinement's window
+top) has its streams filled once, at that beta's width, on its first
+request; otherwise a wider beta generates every stream again at its own
+width.
 """
 
 from __future__ import annotations
@@ -223,14 +226,18 @@ class StreamCache:
     """The Gaussian matrices of streams 0..count-1 of one master seed.
 
     They are held in one (count, rank, width) block, filled whole on the
-    first request at that request's width.  Asking for more columns
-    regenerates every stream at the new width; fewer columns slice the
-    held block (the column-major prefix of ``normal_matrix``).
+    first request, at that request's width or at ``width``, whichever is
+    wider.  A loop that knows the widest beta it can reach passes its
+    ceiling as ``width``, and its streams are generated once.  Asking for
+    more columns than are held regenerates every stream at the new width;
+    fewer columns slice the held block (the column-major prefix of
+    ``normal_matrix``).
     """
 
-    def __init__(self, master_seed: int, count: int):
+    def __init__(self, master_seed: int, count: int, width: int = 0):
         self.master_seed = int(master_seed)
         self.count = int(count)
+        self.width = int(width)
         self._z = None
 
     def normals(self, rank: int, cols: int, indices: range) -> np.ndarray:
@@ -246,7 +253,9 @@ class StreamCache:
             raise ValueError(f"cache holds {self._z.shape[1]}-row matrices, not {rank}")
         if self._z is None or cols > self._z.shape[2]:
             self._z = None                      # free the narrower block first
-            self._z = _normals(self.master_seed, range(self.count), rank, cols)
+            # past the first fill, cols exceeds the held width >= self.width
+            self._z = _normals(self.master_seed, range(self.count), rank,
+                               max(cols, self.width))
         return self._z[indices.start:indices.stop, :, :cols]
 
 

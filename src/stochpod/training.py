@@ -156,6 +156,14 @@ def train_integer_beta(config: TrainingConfig,
                                  converged=result.converged)
 
 
+def refinement_bounds(beta_int: float, config: TrainingConfig) -> tuple[float, float]:
+    """[beta_int - w, beta_int + w] clipped to the training bounds: the
+    betas the refinement can ask its objective for."""
+    lo, hi = config.beta_bounds
+    window = config.refinement.window
+    return max(lo, beta_int - window), min(hi, beta_int + window)
+
+
 def refine_beta_real(beta_int: float, config: TrainingConfig,
                      objective: Callable[[float], float]) -> BetaSearchResult:
     """Real-valued refinement around the integer optimum.
@@ -165,8 +173,7 @@ def refine_beta_real(beta_int: float, config: TrainingConfig,
     A degenerate window returns beta_int unchanged.
     """
     ref = config.refinement
-    lo = max(config.beta_bounds[0], beta_int - ref.window)
-    hi = min(config.beta_bounds[1], beta_int + ref.window)
+    lo, hi = refinement_bounds(beta_int, config)
     if hi <= lo:
         value = float(objective(float(beta_int)))
         return BetaSearchResult(beta=float(beta_int), value=value,

@@ -88,6 +88,27 @@ def test_surrogate_index_out_of_range_exit_code_2(tmp_path, capsys, field, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fields,field", [
+    ({"impulse_duration": 0.005}, "impulse_duration"),
+    ({"dt": 0.05}, "impulse_duration"),          # the default duration is 0.05
+    ({"impulse_amplitude": 0.0}, "impulse_amplitude"),
+    ({"impulse_amplitude": float("inf")}, "impulse_amplitude"),
+    ({"t_end": 0.004}, "t_end")])                # no step after t = 0
+def test_zero_surrogate_load_exit_code_2(tmp_path, capsys, fields, field):
+    # the load is sampled at t = 0, dt, ...; these configs make it zero at every step
+    problem = {"kind": "surrogate-dynamics", "n": 40, "dt": 0.005, "t_end": 0.1,
+               "qoi_dof": 10, **fields}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "problem": problem, "pod": {"k": 3},
+        "ensemble": {"count": 10, "level": 0.95, "seed": 1},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert run_cli("run", "--config", bad) == 2
+    assert f"'problem.{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("ensemble", "level", "0.9"), ("training", "mc_samples", 2.7),
     ("training", "beta_max", 3), ("problem", "snapshot_count", 20.7),
@@ -215,6 +236,18 @@ def test_numerical_failure_exit_code_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "error" in report and "Newton" in report["error"]
+
+
+@pytest.mark.parametrize("stage", ["stage_train", "stage_sample"])
+def test_out_of_memory_exit_code_4(tiny_config, tmp_path, capsys, monkeypatch, stage):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(cli.pipeline, stage, exhausted)
+    assert run_cli("run", "--config", tiny_config) == 4
+    assert "Unable to allocate" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"] == "MemoryError: Unable to allocate 64.0 GiB"
 
 
 def test_bundled_configs_parse():

@@ -139,6 +139,67 @@ def test_cubic_newton_batch_rows_do_not_couple():
     assert np.array_equal(batch[2, 1], solved[2, 1])
 
 
+def cubic_draws(count, n=30, k=3):
+    """``count`` draws of ``cubic_batch``'s problem, with its three loads."""
+    stiffness = spd(n, 41)
+    loads = (np.random.default_rng(42).normal(size=(3, n))
+             * np.array([1.0, 30.0, 300.0])[:, None])
+    w = np.stack([orthonormal(n, k, seed) for seed in range(1, count + 1)])
+    stiffness_r = np.matmul(w.transpose(0, 2, 1), np.matmul(stiffness, w))
+    return w, stiffness_r, np.matmul(loads, w)
+
+
+LOOP_CHUNKS = (range(0, 32), range(32, 64), range(64, 72))
+
+
+def test_newton_workspace_chunks_equal_fresh_calls():
+    # one loop's chunks of 32, 32 and 8 through one workspace: the tail
+    # chunk runs on the leading slices of buffers sized for 32 draws
+    w, stiffness_r, forces_r = cubic_draws(72)
+    q0 = np.zeros_like(forces_r)
+    workspace = pipeline._NewtonWorkspace()
+    results, copies = [], []
+    for c in LOOP_CHUNKS:
+        part = slice(c.start, c.stop)
+        q = pipeline._cubic_newton_batch(w[part], stiffness_r[part], 1e3, forces_r[part],
+                                         q0[part], 1e-10, 20, c, workspace)
+        results.append(q)
+        copies.append(q.copy())
+    for c, q, copy in zip(LOOP_CHUNKS, results, copies):
+        part = slice(c.start, c.stop)
+        fresh = pipeline._cubic_newton_batch(w[part], stiffness_r[part], 1e3,
+                                             forces_r[part], q0[part], 1e-10, 20, c)
+        assert np.array_equal(q, fresh), c
+        # the later calls left an earlier chunk's result as it was
+        assert np.array_equal(q, copy), c
+        assert not any(np.shares_memory(q, buffer) for buffer in workspace._held)
+    assert all(buffer.shape[0] == 32 for buffer in workspace._held)
+
+
+def test_newton_workspace_names_the_same_stalled_draws():
+    # zero loads start converged; draws 5, 17, 40 and 66 carry loads too
+    # large to solve in two Newton steps
+    n, k = 30, 3
+    w, stiffness_r, _ = cubic_draws(72, n, k)
+    scale = np.zeros(72)
+    scale[[5, 17, 40, 66]] = 1e4
+    forces_r = np.matmul(np.ones(n)[None], w) * scale[:, None, None]
+    workspace = pipeline._NewtonWorkspace()
+    named = []
+    for c in LOOP_CHUNKS:
+        part = slice(c.start, c.stop)
+        messages = []
+        for held in (workspace, None):
+            with pytest.raises(ConvergenceError) as err:
+                pipeline._cubic_newton_batch(w[part], stiffness_r[part], 1e3,
+                                             forces_r[part], np.zeros((len(c), 1, k)),
+                                             1e-10, 2, c, held)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        named.append(messages[0].rsplit(" in draw(s) ", 1)[1])
+    assert named == ["[5, 17]", "[40]", "[66]"]
+
+
 # ---------------------------------------------------------------------------
 # summarize
 

@@ -348,7 +348,18 @@ def experiment_document(**problem):
     (surrogate_document(heavy_dof="3"), "problem.heavy_dof"),
     # at most one sensor on each of the n - 2 interior nodes, also by default
     (experiment_document(n=20, sensor_count=19), "problem.sensor_count"),
-    (experiment_document(n=20), "problem.sensor_count")])
+    (experiment_document(n=20), "problem.sensor_count"),
+    # a half-sine load that is zero at every time step: a pulse that ends
+    # by t = dt, given or by its default of 0.05, or a zero amplitude
+    (surrogate_document(impulse_duration=0.005), "problem.impulse_duration"),
+    (surrogate_document(impulse_duration=0.001), "problem.impulse_duration"),
+    (surrogate_document(dt=0.05), "problem.impulse_duration"),
+    (surrogate_document(dt=0.08), "problem.impulse_duration"),
+    (surrogate_document(impulse_amplitude=0.0), "problem.impulse_amplitude"),
+    (surrogate_document(impulse_amplitude=0), "problem.impulse_amplitude"),
+    (surrogate_document(impulse_amplitude=float("inf")), "problem.impulse_amplitude"),
+    (surrogate_document(impulse_amplitude=float("nan")), "problem.impulse_amplitude"),
+    (surrogate_document(t_end=0.004), "problem.t_end")])
 def test_problem_fields_are_checked(document, field):
     # integer fields refuse floats, strings and bools; unknown keys are refused
     with pytest.raises(ConfigError) as err:
@@ -369,6 +380,9 @@ def test_every_problem_field_parses():
                            structure_seed=4),
         surrogate_document(rayleigh_beta=0.0, impulse_amplitude=-1.0, structure_seed=0),
         experiment_document(sensor_count=98),                    # n - 2 sensors
-        experiment_document(n=20, sensor_count=18)]
+        experiment_document(n=20, sensor_count=18),
+        surrogate_document(impulse_duration=0.006),              # just past dt
+        surrogate_document(dt=0.049),                            # the default 0.05
+        surrogate_document(t_end=0.005)]                         # one step of dt
     for doc in documents:
         assert parse_config(doc).problem == doc["problem"]

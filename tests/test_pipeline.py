@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -520,6 +521,33 @@ def test_objective_generates_each_stream_once(monkeypatch):
     # a wider beta regenerates every held stream once more
     objective(12)
     assert sorted(calls[count:]) == list(range(count))
+
+
+def test_refinement_generates_each_stream_once(tmp_path, monkeypatch):
+    # the refinement's streams are filled once, at the width of the top of
+    # its window, however many widths its betas need
+    calls = []
+    normal_matrix = sp.RandomStream.normal_matrix
+    refine = pipeline.refine_beta_real
+    seen = {}
+
+    def counted(stream, rows, cols):
+        calls.append(stream.stream_index)
+        return normal_matrix(stream, rows, cols)
+
+    def counted_refine(*args):
+        start = len(calls)
+        result = refine(*args)
+        seen["streams"] = sorted(calls[start:])
+        seen["widths"] = {math.ceil(beta) for beta, _ in result.trace}
+        return result
+
+    monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted)
+    monkeypatch.setattr(pipeline, "refine_beta_real", counted_refine)
+    cfg = refined(tiny_ex2_config())
+    pipeline.stage_train(cfg, tmp_path)
+    assert len(seen["widths"]) > 1
+    assert seen["streams"] == list(range(cfg.training["refinement"]["mc_samples"]))
 
 
 def test_per_parameter_objective_is_mean_of_parameter_gaps():

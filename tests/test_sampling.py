@@ -285,6 +285,21 @@ def test_cache_serves_every_chunking_like_fresh_draws(chunk):
                                   sp.batch_fractional_draws(model, 42, indices))
 
 
+def test_cache_first_fill_at_its_width_serves_narrower_betas():
+    # a loop that passes the width of its widest beta fills the block once
+    scales = np.array([3.0, 1.0, 0.5, 0.2])
+    cache = StreamCache(42, 10, width=7)
+    held = None
+    for beta in (4.5, 6.25, 3, 7, 7.5):
+        model = sp.StochasticSubspaceModel(scales, 2, beta)
+        assert np.array_equal(sp.batch_fractional_draws(model, cache, range(2, 9)),
+                              sp.batch_fractional_draws(model, 42, range(2, 9)))
+        if held is None:
+            held = cache._z
+        assert (cache._z is held) == (beta <= 7), beta
+    assert cache._z.shape == (10, 4, 8)
+
+
 def test_cache_refuses_streams_outside_a_unit_step_range():
     cache = StreamCache(42, 10)
     for outside in (range(-1, 3), range(8, 11), range(0, 10, 2), [3], [3, 4]):
