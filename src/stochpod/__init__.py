@@ -18,12 +18,10 @@ from .rom import (LinearDynamicSystem, LinearStaticSystem,
                   solve_rom_nonlinear)
 from .sampling import (RandomStream, StochasticSubspaceModel,
                        batch_fractional_draws, sample_fractional)
-from .subspace import (CovarianceModel, PodDecomposition, SnapshotSet,
-                       SubspaceBasis, center, compact_svd,
-                       gaussian_log_likelihood, macg_log_pdf,
-                       polar_orthonormalize, ppca_mle,
-                       principal_subspace_map, projector_distance,
-                       select_rank)
+from .subspace import (CovarianceModel, PodDecomposition, SubspaceBasis,
+                       center, compact_svd, macg_log_pdf,
+                       polar_orthonormalize, principal_subspace_map,
+                       projector_distance, select_rank)
 from .training import (BetaSearchResult, ObjectiveCache, RefinementConfig,
                        TrainingConfig, interpolated_objective, optimize_beta,
                        refine_beta_real, train_integer_beta)

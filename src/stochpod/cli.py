@@ -4,8 +4,9 @@ Subcommands mirror the pipeline stages: ``run`` executes everything,
 ``train``/``sample``/``predict``/``report`` reproduce the corresponding
 slice given the upstream artifacts on disk.
 
-Exit codes: 0 success, 2 config/usage error, 3 missing artifact or one
-made from a different config, 4 numerical failure or out of memory.
+Exit codes: 0 success, 2 config/usage error, 3 a missing or unreadable
+artifact or one made from a different config, 4 numerical failure or out
+of memory.
 """
 
 from __future__ import annotations
@@ -78,37 +79,36 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    outdir = args.out if args.out is not None else config.output_dir
     try:
         if args.command == "run":
-            report = pipeline.run_pipeline(config, outdir, threads=args.threads)
+            report = pipeline.run_pipeline(config, threads=args.threads)
             _log(args, f"beta*={report.beta_star} coverage={report.coverage:.4f}")
             print(json.dumps({"beta_star": report.beta_star,
                               "coverage": report.coverage,
                               "mean_pi_width": report.mean_pi_width,
-                              "output_dir": str(pipeline._outdir(config, outdir))}))
+                              "output_dir": str(pipeline._outdir(config, None))}))
         elif args.command == "train":
-            doc = pipeline.stage_train(config, outdir)
+            doc = pipeline.stage_train(config)
             _log(args, f"trained beta_integer={doc['beta_integer']} "
                        f"beta_star={doc['beta_star']}")
             print(json.dumps({"beta_integer": doc["beta_integer"],
                               "beta_star": doc["beta_star"]}))
         elif args.command == "sample":
-            shapes = pipeline.stage_sample(config, outdir, threads=args.threads)
+            shapes = pipeline.stage_sample(config, threads=args.threads)
             _log(args, f"ensembles: {shapes}")
             print(json.dumps({name: list(shape) for name, shape in shapes.items()}))
         elif args.command == "predict":
-            produced = pipeline.stage_predict(config, outdir)
+            produced = pipeline.stage_predict(config)
             print(json.dumps(produced))
         elif args.command == "report":
-            report = pipeline.stage_report(config, outdir)
+            report = pipeline.stage_report(config)
             print(json.dumps({"coverage": report["coverage"],
                               "mean_pi_width": report["mean_pi_width"]}))
     except pipeline.MissingArtifactError as exc:
         print(f"error: {exc} (run the upstream stage first)", file=sys.stderr)
         return EXIT_MISSING
     except (ConvergenceError, GapError, np.linalg.LinAlgError, MemoryError) as exc:
-        _record_failure(config, outdir, exc)
+        _record_failure(config, exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
@@ -117,10 +117,10 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-def _record_failure(config, outdir, exc) -> None:
+def _record_failure(config, exc) -> None:
     """Keep partial artifacts and leave a machine-readable failure note."""
     try:
-        write_json(pipeline._outdir(config, outdir) / pipeline.REPORT_FILE, {
+        write_json(pipeline._outdir(config, None) / pipeline.REPORT_FILE, {
             "schema_version": 1,
             "config_hash": config.config_hash(),
             "error": f"{type(exc).__name__}: {exc}",

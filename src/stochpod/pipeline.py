@@ -68,8 +68,6 @@ class RunReport:
     coverage: float
     mean_pi_width: float
     wall_times: dict
-    config_echo: dict
-    library_version: str
     details: dict
 
 
@@ -594,10 +592,19 @@ def _outdir(config: RunConfig, outdir) -> Path:
 
 
 def _need(path: Path, chash: str) -> Path:
-    """``path``, if it exists and was made from the config with hash ``chash``."""
-    if not path.exists():
-        raise MissingArtifactError(f"missing artifact: {path}")
-    found = artifact_hash(path)
+    """``path``, if it exists and was made from the config with hash ``chash``.
+
+    A ``.bin`` matrix needs its JSON sidecar too, and an artifact whose
+    config hash cannot be read counts as made from another config.
+    """
+    for part in (path, path.with_suffix(".json")) if path.suffix == ".bin" else (path,):
+        if not part.exists():
+            raise MissingArtifactError(f"missing artifact: {part}")
+    try:
+        found = artifact_hash(path)
+    except (ValueError, AttributeError) as exc:
+        raise StaleArtifactError(
+            f"stale artifact: {path} has no readable config_hash ({exc})") from exc
     if found != chash:
         raise StaleArtifactError(
             f"stale artifact: {path} has config_hash {found}, this config is {chash}")
@@ -612,7 +619,7 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
 
     snapshots = driver.snapshots()
     source = config.pod.source or driver.pod_source
-    operand = snapshots if source == "raw" else center(snapshots).centered
+    operand = snapshots if source == "raw" else center(snapshots)
     pod = compact_svd(operand)
     if config.pod.k is not None:
         k = config.pod.k
@@ -833,5 +840,4 @@ def run_pipeline(config: RunConfig, outdir=None, threads: int = 1) -> RunReport:
                 **{k: float(v) for k, v in times.items()}})
     return RunReport(beta_star=report["beta_star"], coverage=report["coverage"],
                      mean_pi_width=report["mean_pi_width"], wall_times=times,
-                     config_echo=config.canonical_dict(),
-                     library_version=__version__, details=report)
+                     details=report)

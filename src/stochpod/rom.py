@@ -36,9 +36,6 @@ class _ProjectionCounter:
     def bump(self):
         self.count += 1
 
-    def reset(self):
-        self.count = 0
-
 
 projection_counter = _ProjectionCounter()
 

@@ -2,8 +2,8 @@
 
 Centering and compact SVD of snapshot matrices, energy-based rank
 selection, the two orthonormalization maps (polar and principal-subspace),
-the closed-form probabilistic-PCA covariance estimate, and the matrix
-angular central Gaussian log-density on the Grassmann manifold.
+and the matrix angular central Gaussian log-density on the Grassmann
+manifold.
 
 Everything here is a pure function; the dataclasses are frozen and safe
 to share between threads.
@@ -32,27 +32,16 @@ def _as_matrix(a, name="matrix"):
 
 
 @dataclass(frozen=True)
-class SnapshotSet:
-    """A snapshot matrix together with its column mean and centered form."""
-
-    data: np.ndarray      # (n, m), columns are state samples
-    mean: np.ndarray      # (n,)
-    centered: np.ndarray  # (n, m) = data - mean 1^T
-
-
-@dataclass(frozen=True)
 class PodDecomposition:
     """Compact SVD of a centered snapshot matrix.
 
     ``modes`` has orthonormal columns, ``singular_values`` is strictly
-    positive and non-increasing.  ``right_factors`` holds the matching
-    right singular vectors so the decomposition reconstructs its input.
+    positive and non-increasing.
     """
 
     modes: np.ndarray            # (n, r)
     singular_values: np.ndarray  # (r,)
     rank: int
-    right_factors: np.ndarray    # (m, r)
 
 
 @dataclass(frozen=True)
@@ -67,10 +56,6 @@ class SubspaceBasis:
         gram = m.T @ m
         if not np.allclose(gram, np.eye(m.shape[1]), atol=1e-9):
             raise ValueError("basis columns are not orthonormal")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
     def projector(self) -> np.ndarray:
         return self.matrix @ self.matrix.T
@@ -117,22 +102,15 @@ class CovarianceModel:
         n, r = self.dim, self.rank
         return np.concatenate([self.eigvals, np.full(n - r, self.noise_floor)])
 
-    def dense(self) -> np.ndarray:
-        """Materialize the n-by-n covariance (small problems only)."""
-        v, w, e = self.eigvecs, self.eigvals, self.noise_floor
-        return (v * (w - e)) @ v.T + e * np.eye(self.dim)
-
     def is_positive_definite(self) -> bool:
         spectrum = self.full_spectrum()
         return bool(np.all(spectrum > 0))
 
 
-def center(data) -> SnapshotSet:
+def center(data) -> np.ndarray:
     """Subtract the column mean from a snapshot matrix."""
     data = _as_matrix(data, "snapshot matrix")
-    mean = data.mean(axis=1)
-    centered = data - mean[:, None]
-    return SnapshotSet(data=data, mean=mean, centered=centered)
+    return data - data.mean(axis=1)[:, None]
 
 
 def compact_svd(centered) -> PodDecomposition:
@@ -143,17 +121,14 @@ def compact_svd(centered) -> PodDecomposition:
     so outputs are reproducible across backends.
     """
     centered = _as_matrix(centered, "centered matrix")
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
+    u, s, _ = np.linalg.svd(centered, full_matrices=False)
     if s[0] <= 0.0:
         raise ValueError("matrix has rank zero")
-    keep = s > DEFAULT_RANK_TOLERANCE * s[0]
-    r = int(np.count_nonzero(keep))
-    u, s, vt = u[:, :r], s[:r], vt[:r, :]
-    u, vt = _fix_signs(u, vt)
-    return PodDecomposition(modes=u, singular_values=s, rank=r, right_factors=vt.T)
+    r = int(np.count_nonzero(s > DEFAULT_RANK_TOLERANCE * s[0]))
+    return PodDecomposition(modes=_fix_signs(u[:, :r]), singular_values=s[:r], rank=r)
 
 
-def _fix_signs(u, vt=None):
+def _fix_signs(u):
     """Make the largest-magnitude entry of each left vector positive.
 
     ``u`` may carry leading batch axes; its columns are the vectors.
@@ -161,10 +136,7 @@ def _fix_signs(u, vt=None):
     lead = np.argmax(np.abs(u), axis=-2)
     signs = np.sign(np.take_along_axis(u, lead[..., None, :], axis=-2))[..., 0, :]
     signs[signs == 0] = 1.0
-    u = u * signs[..., None, :]
-    if vt is None:
-        return u
-    return u, vt * signs[..., :, None]
+    return u * signs[..., None, :]
 
 
 def select_rank(singular_values, energy_threshold: float) -> int:
@@ -251,54 +223,12 @@ def _check_gap(s, k, labels=None):
         raise GapError(f"singular values {k} and {k + 1} are not separated{where}")
 
 
-def ppca_mle(eigvals, k: int, eigvecs=None) -> CovarianceModel:
-    """Closed-form maximum-likelihood covariance for a rank-k latent model.
-
-    ``eigvals`` are the sample-covariance eigenvalues (length n,
-    non-increasing).  The retained block keeps the k leading eigenvalues
-    unchanged; the noise floor is the mean of the remaining n - k.
-    When ``eigvecs`` is omitted the canonical basis is used.
-    """
-    w = np.asarray(eigvals, dtype=float)
-    n = w.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}, got {k}")
-    if np.any(np.diff(w) > 1e-12 * max(1.0, abs(w[0]))):
-        raise ValueError("eigvals must be non-increasing")
-    noise = float(w[k:].mean())
-    if eigvecs is None:
-        eigvecs = np.eye(n, k)
-    return CovarianceModel(eigvecs=np.asarray(eigvecs, dtype=float)[:, :k],
-                           eigvals=w[:k].copy(), noise_floor=noise)
-
-
-def gaussian_log_likelihood(sample_cov_eigvals, model: CovarianceModel, m: int) -> float:
-    """Gaussian log-likelihood of m samples, -(m/2)[n ln 2pi + ln|C| + tr(C^-1 S)].
-
-    Evaluated through the shared eigenbasis: ``sample_cov_eigvals`` must be
-    the sample-covariance spectrum expressed in the model's eigenvector
-    order, which holds by construction for models built by ``ppca_mle``
-    from that same spectrum.  No dense n-by-n matrix is formed.
-    """
-    lam = np.asarray(sample_cov_eigvals, dtype=float)
-    n = model.dim
-    if lam.shape[0] != n:
-        raise ValueError("sample spectrum length must match model dimension")
-    c = model.full_spectrum()
-    if np.any(c <= 0):
-        raise np.linalg.LinAlgError("model covariance is singular")
-    log_det = float(np.sum(np.log(c)))
-    trace = float(np.sum(lam / c))
-    return -0.5 * m * (n * np.log(2.0 * np.pi) + log_det + trace)
-
-
 def macg_log_pdf(subspace, model: CovarianceModel) -> float:
     """Log-density of the matrix angular central Gaussian on Gr(n, k).
 
     log p = -(n/2) ln|X^T C^-1 X| - (k/2) ln|C| for any orthonormal basis X
     of the subspace; invariant under right-multiplication of X by an
-    orthogonal matrix.  C must be positive definite (regularize
-    rank-deficient sample covariances through ``ppca_mle`` first).
+    orthogonal matrix.  C must be positive definite.
     """
     x = subspace.matrix if isinstance(subspace, SubspaceBasis) else _as_matrix(subspace, "basis")
     n, k = x.shape

@@ -177,6 +177,10 @@ def test_stale_upstream_artifact_exit_code_3(tiny_config, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "stale" in err and str(tmp_path / "out" / stale) in err, command
     assert not (tmp_path / "out" / "report.json").exists()
+    # an artifact that is not JSON has no config_hash to compare
+    (tmp_path / "out" / "model.json").write_text("{")
+    assert run_cli("sample", "--config", tiny_config) == 3
+    assert str(tmp_path / "out" / "model.json") in capsys.readouterr().err
 
 
 def test_sample_count_flag_is_refused(tiny_config, tmp_path, capsys):

@@ -67,7 +67,7 @@ def test_pipeline_produces_complete_report(tmp_path):
     report = pipeline.run_pipeline(tiny_ex2_config(), tmp_path)
     assert 0.0 <= report.coverage <= 1.0
     assert report.mean_pi_width > 0
-    assert report.library_version
+    assert report.details["library_version"]
     assert set(report.wall_times) >= {"train_s", "sample_s", "predict_s",
                                       "report_s", "total_s"}
     details = report.details
@@ -121,15 +121,32 @@ def test_stage_sample_requires_train(tmp_path):
         pipeline.stage_sample(tiny_ex2_config(), tmp_path)
 
 
-@pytest.mark.parametrize("stale", ["model.json", "pod_modes.bin", "observations.csv"])
-def test_stage_sample_refuses_artifacts_of_another_config(stale, tmp_path):
-    ours, theirs = tiny_ex2_config(), tiny_ex2_config(seed=99)
+# "theirs" copies the artifact of a run with another seed over ours,
+# "delete" removes it, and any other text becomes its content
+@pytest.mark.parametrize("stale,damage,error", [
+    pytest.param("model.json", "theirs", pipeline.StaleArtifactError, id="model.json"),
+    pytest.param("pod_modes.bin", "theirs", pipeline.StaleArtifactError, id="pod_modes.bin"),
+    pytest.param("observations.csv", "theirs", pipeline.StaleArtifactError,
+                 id="observations.csv"),
+    pytest.param("pod_modes.json", "delete", pipeline.MissingArtifactError,
+                 id="sidecar-deleted"),
+    pytest.param("model.json", "[1,2]", pipeline.StaleArtifactError, id="model-not-an-object"),
+    pytest.param("model.json", "{", pipeline.StaleArtifactError, id="model-not-json"),
+])
+def test_stage_sample_refuses_artifacts_of_another_config(stale, damage, error, tmp_path):
+    ours = tiny_ex2_config()
     pipeline.stage_train(ours, tmp_path / "ours")
-    pipeline.stage_train(theirs, tmp_path / "theirs")
-    for name in (stale, stale.replace(".bin", ".json")):
-        (tmp_path / "ours" / name).write_bytes((tmp_path / "theirs" / name).read_bytes())
-    with pytest.raises(pipeline.StaleArtifactError, match=stale):
+    if damage == "theirs":
+        pipeline.stage_train(tiny_ex2_config(seed=99), tmp_path / "theirs")
+        for name in (stale, stale.replace(".bin", ".json")):
+            (tmp_path / "ours" / name).write_bytes((tmp_path / "theirs" / name).read_bytes())
+    elif damage == "delete":
+        (tmp_path / "ours" / stale).unlink()
+    else:
+        (tmp_path / "ours" / stale).write_text(damage)
+    with pytest.raises(pipeline.MissingArtifactError, match=stale) as refused:
         pipeline.stage_sample(ours, tmp_path / "ours")
+    assert type(refused.value) is error
     assert not (tmp_path / "ours" / "ensemble.bin").exists()
 
 
@@ -260,7 +277,7 @@ def ensemble_inputs(cfg, k):
     """Driver, spectrum scales, modes and references of a tiny config."""
     driver = pipeline.make_driver(cfg)
     snapshots = driver.snapshots()
-    pod = sp.compact_svd(sp.center(snapshots).centered)
+    pod = sp.compact_svd(sp.center(snapshots))
     scales = pod.singular_values / np.sqrt(snapshots.shape[1])
     return driver, scales, pod.modes, driver.references(pod.modes, k, snapshots)
 

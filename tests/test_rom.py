@@ -105,12 +105,12 @@ def test_staged_path_has_no_full_space_products_after_stage_one():
     n, r = 200, 8
     a = random_spd(n, seed=15)
     modes = random_orthonormal(n, r, seed=16)
-    rom.projection_counter.reset()
+    before = rom.projection_counter.count
     staged = sp.galerkin_reduce(rom.LinearStaticSystem(a, np.ones(n)), modes)
-    assert rom.projection_counter.count == 1
+    assert rom.projection_counter.count - before == 1
     for i in range(500):
         sp.inner_reduce(staged, random_orthonormal(r, 3, seed=i))
-    assert rom.projection_counter.count == 1
+    assert rom.projection_counter.count - before == 1
 
 
 def test_two_stage_rejects_nonlinear():
@@ -410,7 +410,7 @@ def test_constraint_inheritance_through_reduction():
     # snapshots satisfying the constraints exactly
     gen = np.random.default_rng(57)
     snaps = stiff.modes[:, :6] @ gen.normal(size=(6, 12))
-    pod = sp.compact_svd(sp.center(snaps).centered)
+    pod = sp.compact_svd(sp.center(snaps))
     basis = pod.modes[:, :3]
     sys = rom.LinearStaticSystem(stiff.matrix,
                                  stiff.mode_combination_force([1.0, 0.5, 0.2]),

@@ -231,7 +231,9 @@ def test_samples_concentrate_at_mode():
     r, k = 6, 2
     scales = np.array([3.0, 2.5, 1.0, 0.8, 0.5, 0.3])
     model = sp.StochasticSubspaceModel(scales, k, 50.0 * k)
-    cov = sp.ppca_mle(scales**2, k)
+    # the rank-k probabilistic-PCA estimate: the leading k variances and
+    # the mean of the rest as the noise floor
+    cov = sp.CovarianceModel(np.eye(r, k), scales[:k]**2, float(np.mean(scales[k:]**2)))
     at_mode = sp.macg_log_pdf(np.eye(r, k), cov)
     below = 0
     count = 500
