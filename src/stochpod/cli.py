@@ -119,8 +119,10 @@ def main(argv=None) -> int:
 
 def _record_failure(config, exc) -> None:
     """Keep partial artifacts and leave a machine-readable failure note."""
+    out = pipeline._outdir(config, None)
     try:
-        write_json(pipeline._outdir(config, None) / pipeline.REPORT_FILE, {
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / pipeline.REPORT_FILE, {
             "schema_version": 1,
             "config_hash": config.config_hash(),
             "error": f"{type(exc).__name__}: {exc}",

@@ -586,9 +586,8 @@ def _series(model_doc: dict) -> list:
 
 
 def _outdir(config: RunConfig, outdir) -> Path:
-    path = Path(outdir if outdir is not None else (config.output_dir or "."))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; only ``stage_train``, the first writer, creates it."""
+    return Path(outdir if outdir is not None else (config.output_dir or "."))
 
 
 def _need(path: Path, chash: str) -> Path:
@@ -611,9 +610,40 @@ def _need(path: Path, chash: str) -> Path:
     return path
 
 
+# the model.json fields that the stages after train read, with their JSON
+# types (a bool is no int); scales holds floats, problem_kind names a driver
+_MODEL_FIELDS = {"problem_kind": str, "k": int, "scales": list, "beta_integer": int,
+                 "beta_star": float, "objective_integer": float,
+                 "objective_refined": (float, type(None))}
+
+
+def _read_model(out: Path, chash: str) -> dict:
+    """``model.json`` of the config with hash ``chash``, its fields checked.
+
+    A field that is missing or of the wrong type makes the document as
+    unusable as one made from another config: ``StaleArtifactError``.
+    """
+    path = _need(out / MODEL_FILE, chash)
+    doc = read_json(path)
+    for name, kind in _MODEL_FIELDS.items():
+        if name not in doc:
+            raise StaleArtifactError(f"stale artifact: {path} has no field {name!r}")
+        value = doc[name]
+        valid = isinstance(value, kind) and not isinstance(value, bool)
+        if name == "scales":
+            valid = valid and value != [] and all(type(v) is float for v in value)
+        elif name == "problem_kind":
+            valid = valid and value in _DRIVERS
+        if not valid:
+            raise StaleArtifactError(
+                f"stale artifact: {path} has an invalid {name!r}: {value!r}")
+    return doc
+
+
 def stage_train(config: RunConfig, outdir=None) -> dict:
     """Steps 1-4: snapshots, POD, deterministic references, beta training."""
     out = _outdir(config, outdir)
+    out.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash()
     driver = make_driver(config)
 
@@ -716,7 +746,7 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
     """
     out = _outdir(config, outdir)
     chash = config.config_hash()
-    model_doc = read_json(_need(out / MODEL_FILE, chash))
+    model_doc = _read_model(out, chash)
     modes = load_matrix(_need(out / POD_MODES_FILE, chash))
     # the references solved by the train stage (its rom is the cubic warm start)
     refs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
@@ -739,7 +769,7 @@ def stage_predict(config: RunConfig, outdir=None) -> dict:
     out = _outdir(config, outdir)
     chash = config.config_hash()
     obs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
-    model_doc = read_json(_need(out / MODEL_FILE, chash))
+    model_doc = _read_model(out, chash)
     produced = {}
     for name in _series(model_doc):
         samples = load_matrix(_need(out / f"{_named('ensemble', name)}.bin", chash))
@@ -766,7 +796,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     """Coverage and sharpness of the prediction intervals; write report.json."""
     out = _outdir(config, outdir)
     chash = config.config_hash()
-    model_doc = read_json(_need(out / MODEL_FILE, chash))
+    model_doc = _read_model(out, chash)
     driver = _DRIVERS[model_doc["problem_kind"]]
     level = config.ensemble.level
 

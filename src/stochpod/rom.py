@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError
 from .subspace import SubspaceBasis
@@ -137,7 +136,13 @@ def _canonical_constraint_indices(b: Array) -> np.ndarray | None:
 
 
 def _sym_solver(a: Array) -> Callable[[Array], Array]:
-    """The dense solve with symmetric ``a``: Cholesky, or LU if ``a`` is indefinite."""
+    """The dense solve with symmetric ``a``: Cholesky, or LU if ``a`` is indefinite.
+
+    Only the full-model solves (``newmark_integrate``, ``solve_linear_static``)
+    come here, so scipy is imported here and not when stochpod is.
+    """
+    import scipy.linalg
+
     try:
         factor = scipy.linalg.cho_factor(a, lower=True)
     except np.linalg.LinAlgError:
@@ -158,6 +163,8 @@ def solve_linear_static(system) -> Array:
         x = np.zeros(k.shape[0])
         x[keep] = _sym_solver(k[np.ix_(keep, keep)])(f[keep])
         return x
+    import scipy.linalg
+
     nullbasis = scipy.linalg.null_space(np.asarray(b, dtype=float).T)
     y = _sym_solver(nullbasis.T @ k @ nullbasis)(nullbasis.T @ f)
     return nullbasis @ y

@@ -7,9 +7,13 @@ Its Monte-Carlo estimate (common random numbers across beta) is
 ``pipeline._mc_objective`` of a driver's predictions, at one seed and
 sample count per search.  Here it is memoized at integer beta (one
 ``ObjectiveCache`` per integer search), linearly interpolated in
-between, and minimized with a bounded golden-section/parabolic scalar
-search.  An optional refinement stage re-optimizes over real-valued
-beta with a larger sample budget.
+between, and minimized with Brent's bounded search (golden-section
+steps with parabolic interpolation; Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 5).  ``_bounded_brent`` is a port of
+scipy 1.17.1's ``minimize_scalar(method="bounded")``: it makes the same
+queries in the same order, to the bit, so that importing stochpod loads
+no scipy module.  An optional refinement stage re-optimizes over
+real-valued beta with a larger sample budget.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy.optimize import minimize_scalar
+# scipy's constants (2.2e-16, not float epsilon), so that every step has its bits
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 class ObjectiveCache:
@@ -89,6 +95,82 @@ def interpolated_objective(beta: float, cache: ObjectiveCache,
     return (1.0 - t) * f_lo + t * f_hi
 
 
+def _bounded_brent(func: Callable[[float], float], lo: float, hi: float,
+                   xatol: float, maxiter: int) -> tuple[float, float, bool]:
+    """Minimize ``func`` on [lo, hi]: (x, f(x), converged).
+
+    Each step is a parabola through the three best points when it is
+    acceptable, and a golden-section step otherwise; no step is shorter
+    than tol1 = sqrt(eps) |x| + xatol / 3.  The search stops when the
+    bracket around x is within 2 tol1, unconverged when ``maxiter``
+    queries have been made or when x or a value is NaN.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"bounds must be finite and ordered, got ({lo}, {hi})")
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    capped = False
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        # a zero step counts as positive; rat is finite (finite bounds)
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            capped = True
+            break
+    converged = not (capped or math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
+    return xf, fx, converged
+
+
 @dataclass(frozen=True)
 class BetaSearchResult:
     beta: float
@@ -101,7 +183,7 @@ def optimize_beta(config: TrainingConfig, objective: Callable[[float], float],
                   bounds: tuple[float, float] | None = None,
                   tolerance: float | None = None,
                   max_iter: int | None = None) -> BetaSearchResult:
-    """Bounded scalar minimization (golden section + parabolic steps).
+    """Bounded scalar minimization (``_bounded_brent``).
 
     Records every (beta, f) query.  When the minimizer lands within the
     tolerance of an integer, the result snaps to that integer so grid
@@ -118,16 +200,14 @@ def optimize_beta(config: TrainingConfig, objective: Callable[[float], float],
         trace.append((float(b), value))
         return value
 
-    res = minimize_scalar(traced, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol, "maxiter": cap})
-    beta_star, f_star = float(res.x), float(res.fun)
+    beta_star, f_star, converged = _bounded_brent(traced, lo, hi, xatol, cap)
     snapped = round(beta_star)
     if abs(beta_star - snapped) <= 2.0 * xatol and lo <= snapped <= hi:
         f_snapped = traced(float(snapped))
         if f_snapped <= f_star + 1e-15 * max(1.0, abs(f_star)):
             beta_star, f_star = float(snapped), f_snapped
     return BetaSearchResult(beta=beta_star, value=f_star, trace=tuple(trace),
-                            converged=bool(res.success))
+                            converged=converged)
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,19 @@ import pytest
 from stochpod import cli
 
 
+TINY_EXPERIMENT = {
+    "problem": {"kind": "linear-static-experiment", "n": 100,
+                "snapshot_count": 20, "sensor_count": 9},
+    "pod": {"k": 3},
+    "training": {"mc_samples": 60},
+    "ensemble": {"count": 80, "level": 0.95, "seed": 5},
+}
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
-    doc = {
-        "problem": {"kind": "linear-static-experiment", "n": 100,
-                    "snapshot_count": 20, "sensor_count": 9},
-        "pod": {"k": 3},
-        "training": {"mc_samples": 60},
-        "ensemble": {"count": 80, "level": 0.95, "seed": 5},
-        "output_dir": str(tmp_path / "out"),
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({**TINY_EXPERIMENT, "output_dir": str(tmp_path / "out")}))
     return path
 
 
@@ -52,6 +53,43 @@ def test_module_entry_point_runs_from_source(tiny_config, tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["output_dir"] == str(tmp_path / "out")
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_cubic_and_experiment_runs_load_no_scipy(tmp_path):
+    # scipy serves only the full-model dense solves of the dynamics problem
+    docs = {
+        "cubic": {"problem": {"kind": "cubic-parametric", "n": 80, "alpha": 1.0e4,
+                              "snapshot_count": 16,
+                              "mu_test": [0.5, 0.5, 0.5, 0.5, 1.0]},
+                  "pod": {"k": 4}, "training": {"mc_samples": 80},
+                  "ensemble": {"count": 200, "level": 0.95, "seed": 21}},
+        "experiment": TINY_EXPERIMENT,
+    }
+    paths = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / name)}))
+        paths.append(str(path))
+    script = "\n".join([
+        "import json, sys",
+        "import stochpod, stochpod.cli",
+        "def scipy_modules():",
+        "    print(json.dumps(sorted(m for m in sys.modules",
+        "                            if m.split('.')[0] == 'scipy')))",
+        "scipy_modules()",
+        "for path in sys.argv[1:]:",
+        "    assert stochpod.cli.main(['run', '--config', path]) == 0",
+        "scipy_modules()"])
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script, *paths],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4      # the import, two runs, the runs' end
+    assert json.loads(lines[0]) == [] and json.loads(lines[-1]) == []
+    for name in docs:
+        assert (tmp_path / name / "report.json").exists()
 
 
 def test_malformed_config_exit_code_2(tmp_path, capsys):
@@ -163,6 +201,45 @@ def test_missing_config_file_exit_code_2(tmp_path):
 def test_sample_before_train_exit_code_3(tiny_config, capsys):
     assert run_cli("sample", "--config", tiny_config) == 3
     assert "upstream" in capsys.readouterr().err
+
+
+def test_refused_stage_creates_no_output_directory(tiny_config, tmp_path):
+    # only train, the first writer, creates the output directory
+    for command in ("sample", "predict", "report"):
+        assert run_cli(command, "--config", tiny_config, "--out", tmp_path / "nowhere") == 3
+    assert not (tmp_path / "nowhere").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    pytest.param("scales", None, id="scales-missing"),
+    pytest.param("problem_kind", None, id="problem_kind-missing"),
+    pytest.param("objective_refined", None, id="objective_refined-missing"),
+    pytest.param("scales", "1.0", id="scales-string"),
+    pytest.param("scales", [], id="scales-empty"),
+    pytest.param("scales", [1.0, "2"], id="scales-element"),
+    pytest.param("k", 3.0, id="k-float"),
+    pytest.param("k", True, id="k-bool"),
+    pytest.param("beta_star", "12", id="beta_star-string"),
+    pytest.param("objective_refined", "x", id="objective_refined-string"),
+    pytest.param("problem_kind", "cubic", id="problem_kind-unknown"),
+    pytest.param("problem_kind", [1], id="problem_kind-list")])
+def test_damaged_model_json_exit_code_3(tiny_config, tmp_path, capsys, field, value):
+    # a model.json with this config's hash but a missing (None here) or
+    # mistyped field is refused by every stage that reads it, naming both
+    assert run_cli("train", "--config", tiny_config) == 0
+    model = tmp_path / "out" / "model.json"
+    doc = json.loads(model.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("sample", "predict", "report"):
+        assert run_cli(command, "--config", tiny_config) == 3, command
+        err = capsys.readouterr().err
+        assert str(model) in err and repr(field) in err, command
+    assert not (tmp_path / "out" / "ensemble.bin").exists()
 
 
 def test_stale_upstream_artifact_exit_code_3(tiny_config, tmp_path, capsys):

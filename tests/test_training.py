@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import stochpod as sp
 from stochpod.pipeline import _mc_objective
-from stochpod.training import ObjectiveCache, RefinementConfig, TrainingConfig
+from stochpod.training import (ObjectiveCache, RefinementConfig, TrainingConfig,
+                               _bounded_brent)
 
 
 def make_config(lo=4.0, hi=20.0, **kw):
@@ -88,6 +92,59 @@ def test_interpolant_is_convex_combination():
     for beta in (7.1, 7.5, 7.9):
         v = sp.interpolated_objective(beta, cache, lambda b: table[b])
         assert 2.0 <= v <= 9.0
+
+
+# ---------------------------------------------------------------------------
+# the bounded Brent search against scipy's
+
+
+def interpolated_table(b):
+    """A piecewise-linear interpolant of a noisy integer table, as in training."""
+    table = np.random.default_rng(3).random(64) * 1e-7 + 1e-6
+    return sp.interpolated_objective(b, ObjectiveCache(), lambda i: float(table[i]))
+
+
+def nan_above_nine(b):
+    return math.nan if b > 9.0 else (b - 10.0)**2
+
+
+@pytest.mark.parametrize("func,lo,hi,xatol,maxiter", [
+    pytest.param(lambda b: (b - 7.3)**2 + 0.1 * math.sin(3.0 * b), 4.0, 20.0, 1e-3, 100,
+                 id="smooth"),
+    pytest.param(lambda b: (b - 4.32)**2, 4.0, 6.0, 1e-10, 100, id="smooth-refinement"),
+    pytest.param(interpolated_table, 3.0, 60.0, 1e-3, 100, id="interpolant"),
+    pytest.param(interpolated_table, 10.0, 12.0, 1e-10, 100, id="interpolant-window"),
+    pytest.param(lambda b: 1.0, 4.0, 20.0, 1e-3, 100, id="constant"),
+    pytest.param(lambda b: (b - 7.3)**2, 4.0, 20.0, 1e-12, 5, id="maxiter"),
+    pytest.param(nan_above_nine, 4.0, 20.0, 1e-3, 100, id="nan"),
+    pytest.param(lambda b: math.nan, 4.0, 20.0, 1e-3, 100, id="all-nan"),
+])
+def test_bounded_search_is_scipys(func, lo, hi, xatol, maxiter):
+    # the same queries in the same order, bit for bit, and the same result
+    def recorder(queries):
+        def f(b):
+            value = func(float(b))
+            queries.append((float(b).hex(), float(value).hex()))
+            return value
+        return f
+
+    ours, theirs = [], []
+    x, fx, converged = _bounded_brent(recorder(ours), lo, hi, xatol, maxiter)
+    res = minimize_scalar(recorder(theirs), bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    assert ours == theirs
+    assert (x.hex(), float(fx).hex(), converged) == (
+        float(res.x).hex(), float(res.fun).hex(), bool(res.success))
+
+
+def test_bounded_search_flags():
+    assert not _bounded_brent(lambda b: (b - 7.3)**2, 4.0, 20.0, 1e-12, 5)[2]
+    assert not _bounded_brent(nan_above_nine, 4.0, 20.0, 1e-3, 100)[2]
+    assert _bounded_brent(lambda b: (b - 7.3)**2, 4.0, 20.0, 1e-3, 100)[2]
+    with pytest.raises(ValueError):
+        _bounded_brent(lambda b: b, 5.0, 4.0, 1e-3, 100)
+    with pytest.raises(ValueError):
+        _bounded_brent(lambda b: b, 4.0, math.inf, 1e-3, 100)
 
 
 # ---------------------------------------------------------------------------
