@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -238,9 +237,7 @@ def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
 
     f0 = np.matmul(load_r[0], draws)[:, :, None]
     a = np.linalg.solve(m_w, f0 - np.matmul(c_w, v) - np.matmul(k_w, x))
-    # the step on (count, k, columns) states solves by each draw's inverse
-    step = rom.newmark_stepper(m_w, c_w, k_w, dt,
-                               lambda k_eff: partial(np.matmul, np.linalg.inv(k_eff)))
+    step = rom.newmark_stepper(m_w, c_w, k_w, dt)
 
     rows = [np.matmul(modes[dof], draws) for dof, _ in series]
     out = np.empty((count, len(series), steps + 1))
@@ -611,8 +608,9 @@ def _need(path: Path, chash: str) -> Path:
 
 
 # the model.json fields that the stages after train read, with their JSON
-# types (a bool is no int); scales holds floats, problem_kind names a driver
-_MODEL_FIELDS = {"problem_kind": str, "k": int, "scales": list, "beta_integer": int,
+# types (a bool is no int), in the order they are checked: scales holds
+# floats, problem_kind names a driver, and a range may use a field before it
+_MODEL_FIELDS = {"problem_kind": str, "scales": list, "k": int, "beta_integer": int,
                  "beta_star": float, "objective_integer": float,
                  "objective_refined": (float, type(None))}
 
@@ -620,8 +618,10 @@ _MODEL_FIELDS = {"problem_kind": str, "k": int, "scales": list, "beta_integer": 
 def _read_model(out: Path, chash: str) -> dict:
     """``model.json`` of the config with hash ``chash``, its fields checked.
 
-    A field that is missing or of the wrong type makes the document as
-    unusable as one made from another config: ``StaleArtifactError``.
+    A field that is missing, of the wrong type or out of range makes the
+    document as unusable as one made from another config:
+    ``StaleArtifactError``.  In range means finite, positive and
+    non-increasing scales, 1 <= k <= len(scales), and finite betas >= k.
     """
     path = _need(out / MODEL_FILE, chash)
     doc = read_json(path)
@@ -631,9 +631,15 @@ def _read_model(out: Path, chash: str) -> dict:
         value = doc[name]
         valid = isinstance(value, kind) and not isinstance(value, bool)
         if name == "scales":
-            valid = valid and value != [] and all(type(v) is float for v in value)
+            valid = (valid and value != []
+                     and all(type(v) is float and 0.0 < v < np.inf for v in value)
+                     and all(a >= b for a, b in zip(value, value[1:])))
         elif name == "problem_kind":
             valid = valid and value in _DRIVERS
+        elif name == "k":
+            valid = valid and 1 <= value <= len(doc["scales"])
+        elif name.startswith("beta_"):
+            valid = valid and np.isfinite(value) and value >= doc["k"]
         if not valid:
             raise StaleArtifactError(
                 f"stale artifact: {path} has an invalid {name!r}: {value!r}")

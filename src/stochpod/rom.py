@@ -11,6 +11,8 @@ stochastic ensembles affordable.  The cubic system is reduced inside
 ``newmark_stepper`` is the one Newmark update: ``newmark_integrate``
 steps a full or reduced system with it, and the batched ensemble
 kernel (``pipeline._dynamic_qoi_predictions``) steps stacked draws.
+Every dense solve is numpy's (LU, or the inverse of the Newmark
+effective stiffness), so numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -135,39 +137,25 @@ def _canonical_constraint_indices(b: Array) -> np.ndarray | None:
     return np.unique(np.asarray(idx, dtype=int))
 
 
-def _sym_solver(a: Array) -> Callable[[Array], Array]:
-    """The dense solve with symmetric ``a``: Cholesky, or LU if ``a`` is indefinite.
-
-    Only the full-model solves (``newmark_integrate``, ``solve_linear_static``)
-    come here, so scipy is imported here and not when stochpod is.
-    """
-    import scipy.linalg
-
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError:
-        return lambda rhs: np.linalg.solve(a, rhs)
-    return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
-
-
 def solve_linear_static(system) -> Array:
     """Solve K x = f with the constraints honored."""
     if not isinstance(system, LinearStaticSystem):
         raise TypeError(f"expected a linear static system, got {type(system).__name__}")
     k, f, b = system.stiffness, system.force, system.constraints
     if b is None:
-        return _sym_solver(k)(f)
-    fixed = _canonical_constraint_indices(np.asarray(b, dtype=float))
+        return np.linalg.solve(k, f)
+    b = np.asarray(b, dtype=float)
+    fixed = _canonical_constraint_indices(b)
     if fixed is not None:
         keep = np.setdiff1d(np.arange(k.shape[0]), fixed)
         x = np.zeros(k.shape[0])
-        x[keep] = _sym_solver(k[np.ix_(keep, keep)])(f[keep])
+        x[keep] = np.linalg.solve(k[np.ix_(keep, keep)], f[keep])
         return x
-    import scipy.linalg
-
-    nullbasis = scipy.linalg.null_space(np.asarray(b, dtype=float).T)
-    y = _sym_solver(nullbasis.T @ k @ nullbasis)(nullbasis.T @ f)
-    return nullbasis @ y
+    # the null space of B^T: right singular vectors beyond the numerical rank
+    _, s, vt = np.linalg.svd(b.T)
+    rank = np.count_nonzero(s > max(b.shape) * np.finfo(float).eps * s[0])
+    nullbasis = vt[rank:].T
+    return nullbasis @ np.linalg.solve(nullbasis.T @ k @ nullbasis, nullbasis.T @ f)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +239,15 @@ def _load_at(load, step: int, t: float) -> Array:
     return load[step]
 
 
-def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor):
+def newmark_stepper(m: Array, c: Array, k: Array, dt: float):
     """One Newmark step of M x'' + C x' + K x = f, as ``step(x, v, a, f)``.
 
-    ``factor`` turns the effective stiffness K + c0 M + c1 C into its
-    solve.  The step solves (K + c0 M + c1 C) x' = f + M (c0 x + c2 v +
-    c3 a) + C (c1 x + c4 v + c5 a), then a' = c0 (x' - x) - c2 v - c3 a
-    and v' = v + c6 a + c7 a', and returns (x', v', a').  The operators
-    may carry leading batch axes and the states extra columns.
+    The effective stiffness K + c0 M + c1 C is inverted once, and each
+    step multiplies by the inverse to solve (K + c0 M + c1 C) x' = f +
+    M (c0 x + c2 v + c3 a) + C (c1 x + c4 v + c5 a), then a' = c0 (x' - x)
+    - c2 v - c3 a and v' = v + c6 a + c7 a', and returns (x', v', a').
+    The operators may carry leading batch axes and the states extra
+    columns.
 
     The step is average acceleration, gamma = 1/2 and beta = 1/4, which is
     unconditionally stable: c0 = 1/(beta dt^2), c1 = gamma/(beta dt),
@@ -270,10 +259,10 @@ def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor):
     c0, c1, c2 = 4.0 / dt**2, 2.0 / dt, 4.0 / dt
     c3, c4, c5 = 1.0, 1.0, 0.0
     c6 = c7 = 0.5 * dt
-    solve = factor(k + c0 * m + c1 * c)
+    inverse = np.linalg.inv(k + c0 * m + c1 * c)
 
     def step(x, v, a, f):
-        x_new = solve(f + m @ (c0 * x + c2 * v + c3 * a) + c @ (c1 * x + c4 * v + c5 * a))
+        x_new = inverse @ (f + m @ (c0 * x + c2 * v + c3 * a) + c @ (c1 * x + c4 * v + c5 * a))
         a_new = c0 * (x_new - x) - c2 * v - c3 * a
         return x_new, v + c6 * a + c7 * a_new, a_new
     return step
@@ -282,10 +271,10 @@ def newmark_stepper(m: Array, c: Array, k: Array, dt: float, factor):
 def newmark_integrate(system, dt: float, t_end: float) -> Trajectory:
     """Implicit Newmark integration of M x'' + C x' + K x = f(t).
 
-    Each step is ``newmark_stepper``'s average-acceleration step, solved
-    with a factored effective stiffness.  The initial acceleration comes
-    from the equation of motion at t = 0.  Precomputed load arrays must supply
-    floor(t_end/dt) + 1 rows.
+    Each step is ``newmark_stepper``'s average-acceleration step, with
+    the arithmetic of the batched ensemble kernel.  The initial
+    acceleration comes from the equation of motion at t = 0.  Precomputed
+    load arrays must supply floor(t_end/dt) + 1 rows.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -306,8 +295,8 @@ def newmark_integrate(system, dt: float, t_end: float) -> Trajectory:
     x[:, 0] = x0
     v[:, 0] = v0
     f0 = _load_at(load, 0, 0.0)
-    a[:, 0] = _sym_solver(m)(f0 - c @ v0 - k @ x0)
-    step = newmark_stepper(m, c, k, dt, _sym_solver)
+    a[:, 0] = np.linalg.solve(m, f0 - c @ v0 - k @ x0)
+    step = newmark_stepper(m, c, k, dt)
     for i in range(steps):
         x[:, i + 1], v[:, i + 1], a[:, i + 1] = step(
             x[:, i], v[:, i], a[:, i], _load_at(load, i + 1, times[i + 1]))

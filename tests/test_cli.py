@@ -55,8 +55,8 @@ def test_module_entry_point_runs_from_source(tiny_config, tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-def test_cubic_and_experiment_runs_load_no_scipy(tmp_path):
-    # scipy serves only the full-model dense solves of the dynamics problem
+def test_runs_of_every_problem_kind_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests alone
     docs = {
         "cubic": {"problem": {"kind": "cubic-parametric", "n": 80, "alpha": 1.0e4,
                               "snapshot_count": 16,
@@ -64,6 +64,10 @@ def test_cubic_and_experiment_runs_load_no_scipy(tmp_path):
                   "pod": {"k": 4}, "training": {"mc_samples": 80},
                   "ensemble": {"count": 200, "level": 0.95, "seed": 21}},
         "experiment": TINY_EXPERIMENT,
+        "dynamics": {"problem": {"kind": "surrogate-dynamics", "n": 40, "dt": 0.005,
+                                 "t_end": 0.1, "qoi_dof": 10},
+                     "pod": {"k": 3}, "training": {"mc_samples": 20},
+                     "ensemble": {"count": 20, "level": 0.95, "seed": 1}},
     }
     paths = []
     for name, doc in docs.items():
@@ -86,7 +90,7 @@ def test_cubic_and_experiment_runs_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 4      # the import, two runs, the runs' end
+    assert len(lines) == 5      # the import, three runs, the runs' end
     assert json.loads(lines[0]) == [] and json.loads(lines[-1]) == []
     for name in docs:
         assert (tmp_path / name / "report.json").exists()
@@ -222,10 +226,15 @@ def test_refused_stage_creates_no_output_directory(tiny_config, tmp_path):
     pytest.param("beta_star", "12", id="beta_star-string"),
     pytest.param("objective_refined", "x", id="objective_refined-string"),
     pytest.param("problem_kind", "cubic", id="problem_kind-unknown"),
-    pytest.param("problem_kind", [1], id="problem_kind-list")])
+    pytest.param("problem_kind", [1], id="problem_kind-list"),
+    pytest.param("k", 99, id="k-above-scales"),
+    pytest.param("beta_star", 1.0, id="beta_star-below-k"),
+    pytest.param("scales", [1.0, 2.0, 3.0], id="scales-increasing"),
+    pytest.param("beta_integer", 0, id="beta_integer-below-k")])
 def test_damaged_model_json_exit_code_3(tiny_config, tmp_path, capsys, field, value):
-    # a model.json with this config's hash but a missing (None here) or
-    # mistyped field is refused by every stage that reads it, naming both
+    # a model.json with this config's hash but a missing (None here),
+    # mistyped or out-of-range field is refused by every stage that reads
+    # it, naming both
     assert run_cli("train", "--config", tiny_config) == 0
     model = tmp_path / "out" / "model.json"
     doc = json.loads(model.read_text())

@@ -166,6 +166,15 @@ def test_solve_with_general_constraints():
     f -= b @ np.linalg.lstsq(b, f, rcond=None)[0]
     x = sp.solve_linear_static(rom.LinearStaticSystem(k, f, b))
     assert np.linalg.norm(b.T @ x) <= 1e-9 * np.linalg.norm(x)
+    # the residual is orthogonal to the admissible set, whose basis Z is
+    # the trailing columns of B's complete QR
+    z = np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
+    assert np.linalg.norm(z.T @ (k @ x - f)) <= 1e-10 * np.linalg.norm(f)
+    # a repeated column leaves the admissible set and so the solution as
+    # they were: the null space's rank rule drops the zero singular value
+    repeated = np.column_stack([b, b[:, 0]])
+    x_rep = sp.solve_linear_static(rom.LinearStaticSystem(k, f, repeated))
+    assert np.linalg.norm(x_rep - x) <= 1e-10 * np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +334,8 @@ def test_newmark_conserves_discrete_energy():
 
 
 def test_indefinite_systems_solve_through_lu():
-    # Cholesky refuses both matrices below, so both solves take the LU path
+    # Cholesky refuses both matrices below; the static solve (LU) and the
+    # Newmark step (the inverse of the effective stiffness) need no definiteness
     gen = np.random.default_rng(45)
     n = 4
     sym = gen.normal(size=(n, n))
