@@ -24,16 +24,6 @@ class ConfigError(ValueError):
 
 PROBLEM_KINDS = ("cubic-parametric", "linear-static-experiment", "surrogate-dynamics")
 
-#: The surrogate's structure fields: config ``problem`` key ->
-#: ``problems.SurrogateSpec`` field.  ``SurrogateSpec`` defines their
-#: defaults; ``_problem_fields`` their types and ranges.
-SURROGATE_SPEC_FIELDS = {
-    "heavy_dof": "heavy_dof", "mass_ratio": "mass_ratio",
-    "stiffness_scale": "stiffness_scale", "rayleigh_beta": "rayleigh_beta",
-    "impulse_amplitude": "impulse_amplitude",
-    "impulse_duration": "impulse_duration", "structure_seed": "seed",
-}
-
 #: How the cubic objective combines its training parameters when the
 #: config does not say: "pooled" (one distance over all of them) or
 #: "per-parameter" (the mean of per-parameter distance gaps).
@@ -80,11 +70,11 @@ class RunConfig:
 
     @property
     def problem_settings(self) -> dict:
-        """The ``problem`` fields the drivers read: the document's, over the
+        """Every ``problem`` field of the run's kind: the document's, over the
         defaults of ``_problem_fields``, which never enter the config's hash."""
         fields = _problem_fields(self.problem["kind"], self.problem["n"])
         return {**{key: default for key, (*_, default) in fields.items()
-                   if default is not None and default is not _REQUIRED},
+                   if default is not _REQUIRED},
                 **self.problem}
 
     @property
@@ -152,9 +142,9 @@ _REQUIRED = object()
 def _problem_fields(kind: str, n: int) -> dict:
     """The ``problem`` fields of ``kind`` on an ``n``-DoF model, besides
     ``kind`` and ``n``: name -> (type, test, what the test asks for,
-    default).  A default of None leaves an omitted field to its reader:
-    the driver for ``alt_dof``, ``problems.SurrogateSpec`` for the
-    structure fields of ``SURROGATE_SPEC_FIELDS``."""
+    default).  The surrogate's structure fields are the ``SurrogateSpec``
+    fields of the same names, with its defaults; an omitted ``alt_dof`` is
+    None, which the driver derives from ``qoi_dof``."""
     dof = (int, lambda v: 0 <= v < n, f"an integer DoF index in [0, {n})")
     return {
         "cubic-parametric": {
@@ -180,10 +170,14 @@ def _problem_fields(kind: str, n: int) -> dict:
             "qoi_dof": (*dof, _REQUIRED), "alt_dof": (*dof, None),
             "snapshot_stride": (*_count(1), 4),
             # a null heavy_dof is the centre node
-            "heavy_dof": (*_or_null(dof), None), "mass_ratio": (*_POSITIVE, None),
-            "stiffness_scale": (*_POSITIVE, None), "rayleigh_beta": (*_NONNEGATIVE, None),
-            "impulse_amplitude": (float, lambda v: v != 0, "a nonzero number", None),
-            "impulse_duration": (*_POSITIVE, None), "structure_seed": (*_count(0), None)},
+            "heavy_dof": (*_or_null(dof), SurrogateSpec.heavy_dof),
+            "mass_ratio": (*_POSITIVE, SurrogateSpec.mass_ratio),
+            "stiffness_scale": (*_POSITIVE, SurrogateSpec.stiffness_scale),
+            "rayleigh_beta": (*_NONNEGATIVE, SurrogateSpec.rayleigh_beta),
+            "impulse_amplitude": (float, lambda v: v != 0, "a nonzero number",
+                                  SurrogateSpec.impulse_amplitude),
+            "impulse_duration": (*_POSITIVE, SurrogateSpec.impulse_duration),
+            "structure_seed": (*_count(0), SurrogateSpec.structure_seed)},
     }[kind]
 
 
@@ -250,7 +244,7 @@ def parse_config(document: dict, seed_override: int | None = None,
         # t = dt, it is zero at every step, and so is the response
         dt = problem["dt"]
         _require(problem["t_end"] >= dt, "problem.t_end", f"must be at least dt = {dt}")
-        duration = problem.get("impulse_duration", SurrogateSpec.impulse_duration)
+        duration = problem.get("impulse_duration", fields["impulse_duration"][-1])
         _require(duration > dt, "problem.impulse_duration",
                  f"must exceed dt = {dt}, got {duration}")
 

@@ -68,13 +68,17 @@ def write_csv(path, columns: dict, config_hash: str | None = None) -> None:
 
 
 def read_csv(path) -> dict:
-    """Read a table written by ``write_csv`` back into float columns."""
+    """Read a table written by ``write_csv`` back into float columns; a row
+    whose cell count is not the header's is refused."""
     lines = Path(path).read_text().splitlines()
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     names = rows[0].split(",")
     values = [[] for _ in names]
     for ln in rows[1:]:
-        for slot, cell in zip(values, ln.split(",")):
+        cells = ln.split(",")
+        if len(cells) != len(names):
+            raise ValueError(f"a row of {len(cells)} cells under {len(names)} column names")
+        for slot, cell in zip(values, cells):
             slot.append(float(cell))
     return {name: np.asarray(vals) for name, vals in zip(names, values)}
 

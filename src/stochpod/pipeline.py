@@ -11,13 +11,13 @@ config document.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, rom
-from .config import SURROGATE_SPEC_FIELDS, RunConfig
+from .config import RunConfig
 from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
 from .matrixio import (artifact_hash, load_matrix, read_csv, read_json,
@@ -410,9 +410,7 @@ class ExperimentDriver:
         self.seed = config.seed
         self.stiff = SpectralStiffness.sine_basis(self.n)
         self.force = self.stiff.mode_combination_force(self.force_weights)
-        self.system = rom.LinearStaticSystem(stiffness=self.stiff.matrix,
-                                             force=self.force,
-                                             constraints=self.stiff.constraints)
+        self.system = rom.LinearStaticSystem(stiffness=self.stiff.matrix, force=self.force)
         self.grid = np.arange(self.n) / (self.n - 1)
 
         truth_stiff = perturb_stiffness(
@@ -488,18 +486,16 @@ class SurrogateDriver:
         self.dt = float(p["dt"])
         self.t_end = float(p["t_end"])
         self.qoi_dof = int(p["qoi_dof"])
-        self.alt_dof = int(p.get("alt_dof", (self.qoi_dof + self.n // 3) % self.n))
+        alt = p["alt_dof"]           # None: a third of the chain past qoi_dof
+        self.alt_dof = (self.qoi_dof + self.n // 3) % self.n if alt is None else int(alt)
         self.stride = int(p["snapshot_stride"])
-        # the SurrogateSpec defaults stand for every field the config omits
-        self.spec = SurrogateSpec(n=self.n, **{
-            field: p[key] for key, field in SURROGATE_SPEC_FIELDS.items() if key in p})
+        self.spec = SurrogateSpec(**{f.name: p[f.name] for f in dataclass_fields(SurrogateSpec)})
         self.seed = config.seed
-        self.steps = int(np.floor(self.t_end / self.dt + 1e-12))
-        self.times = np.arange(self.steps + 1) * self.dt
         # the load sampled once on the time grid, for the full model and
         # every reduction
-        chain = surrogate_dynamics(self.spec)
-        self.system = replace(chain, load=np.stack([chain.load(t) for t in self.times]))
+        self.system, self.times = rom.on_time_grid(surrogate_dynamics(self.spec),
+                                                   self.dt, self.t_end)
+        self.steps = self.times.size - 1
         self._hdm = None
 
     def _hdm_trajectory(self) -> rom.Trajectory:
@@ -555,11 +551,7 @@ class SurrogateDriver:
         return out
 
 
-_DRIVERS = {
-    "cubic-parametric": CubicDriver,
-    "linear-static-experiment": ExperimentDriver,
-    "surrogate-dynamics": SurrogateDriver,
-}
+_DRIVERS = {d.kind: d for d in (CubicDriver, ExperimentDriver, SurrogateDriver)}
 
 
 def make_driver(config: RunConfig):
@@ -587,13 +579,15 @@ def _outdir(config: RunConfig, outdir) -> Path:
     return Path(outdir if outdir is not None else (config.output_dir or "."))
 
 
-def _need(path: Path, chash: str) -> Path:
-    """``path``, if it exists and was made from the config with hash ``chash``.
-
-    A ``.bin`` matrix needs its JSON sidecar too, and an artifact whose
-    config hash cannot be read counts as made from another config.
+def _need(path: Path, chash: str, read):
+    """``read(path)``, if ``path`` exists and was made from the config with
+    hash ``chash``.  A ``.bin`` matrix needs its JSON sidecar too.  An
+    artifact whose config hash cannot be read, or that ``read`` refuses
+    with a ``LookupError``, ``TypeError`` or ``ValueError``, counts as made
+    from another config: ``StaleArtifactError``, naming its files.
     """
-    for part in (path, path.with_suffix(".json")) if path.suffix == ".bin" else (path,):
+    parts = (path, path.with_suffix(".json")) if path.suffix == ".bin" else (path,)
+    for part in parts:
         if not part.exists():
             raise MissingArtifactError(f"missing artifact: {part}")
     try:
@@ -604,7 +598,12 @@ def _need(path: Path, chash: str) -> Path:
     if found != chash:
         raise StaleArtifactError(
             f"stale artifact: {path} has config_hash {found}, this config is {chash}")
-    return path
+    try:
+        return read(path)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise StaleArtifactError(
+            f"unreadable artifact: {' with '.join(map(str, parts))} "
+            f"({type(exc).__name__}: {exc})") from exc
 
 
 # the model.json fields that the stages after train read, with their JSON
@@ -623,8 +622,8 @@ def _read_model(out: Path, chash: str) -> dict:
     ``StaleArtifactError``.  In range means finite, positive and
     non-increasing scales, 1 <= k <= len(scales), and finite betas >= k.
     """
-    path = _need(out / MODEL_FILE, chash)
-    doc = read_json(path)
+    path = out / MODEL_FILE
+    doc = _need(path, chash, read_json)
     for name, kind in _MODEL_FIELDS.items():
         if name not in doc:
             raise StaleArtifactError(f"stale artifact: {path} has no field {name!r}")
@@ -753,9 +752,9 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
     out = _outdir(config, outdir)
     chash = config.config_hash()
     model_doc = _read_model(out, chash)
-    modes = load_matrix(_need(out / POD_MODES_FILE, chash))
+    modes = _need(out / POD_MODES_FILE, chash, load_matrix)
     # the references solved by the train stage (its rom is the cubic warm start)
-    refs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
+    refs = _need(out / OBSERVATIONS_FILE, chash, read_csv)
     driver = make_driver(config)
 
     betas = {"primary": float(model_doc["beta_star"])}
@@ -774,11 +773,11 @@ def stage_predict(config: RunConfig, outdir=None) -> dict:
     """Summarize ensembles into pointwise prediction intervals."""
     out = _outdir(config, outdir)
     chash = config.config_hash()
-    obs = read_csv(_need(out / OBSERVATIONS_FILE, chash))
+    obs = _need(out / OBSERVATIONS_FILE, chash, read_csv)
     model_doc = _read_model(out, chash)
     produced = {}
     for name in _series(model_doc):
-        samples = load_matrix(_need(out / f"{_named('ensemble', name)}.bin", chash))
+        samples = _need(out / f"{_named('ensemble', name)}.bin", chash, load_matrix)
         s = summarize_matrix(samples, obs["grid"], config.ensemble.level)
         ref = "primary" if name == "integer" else name    # same beta-free curves
         path = f"{_named('summary', name)}.csv"
@@ -806,7 +805,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     driver = _DRIVERS[model_doc["problem_kind"]]
     level = config.ensemble.level
 
-    tables = {name: read_csv(_need(out / f"{_named('summary', name)}.csv", chash))
+    tables = {name: _need(out / f"{_named('summary', name)}.csv", chash, read_csv)
               for name in _series(model_doc)}
     cov = {name: _coverage(t, t["truth"], level) for name, t in tables.items()}
 
@@ -829,7 +828,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
 
     # only a run with sensors reports on its integer-beta intervals
     if driver.writes_sensors:
-        sensors = read_csv(_need(out / SENSORS_FILE, chash))
+        sensors = _need(out / SENSORS_FILE, chash, read_csv)
         idx = sensors["index"].astype(int)
         noisy = _coverage(tables["primary"], sensors["observed_noisy"], level, idx)
         report["coverage_noisy"] = noisy.coverage

@@ -185,7 +185,7 @@ class SurrogateSpec:
     rayleigh_beta: float = 2.0e-4
     impulse_amplitude: float = 1.0
     impulse_duration: float = 0.05
-    seed: int = 60301
+    structure_seed: int = 60301
 
 
 def surrogate_dynamics(spec: SurrogateSpec) -> LinearDynamicSystem:
@@ -202,7 +202,7 @@ def surrogate_dynamics(spec: SurrogateSpec) -> LinearDynamicSystem:
     heavy = spec.heavy_dof if spec.heavy_dof is not None else n // 2
     if not 0 <= heavy < n:
         raise ValueError("heavy_dof out of range")
-    gen = RandomStream(spec.seed).generator()
+    gen = RandomStream(spec.structure_seed).generator()
     springs = spec.stiffness_scale * (1.0 + 0.4 * gen.random(n - 1))
     k = np.zeros((n, n))
     for i, s in enumerate(springs):

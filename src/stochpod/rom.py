@@ -17,7 +17,7 @@ effective stiffness), so numpy is the only dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -125,16 +125,19 @@ def inner_reduce(staged, inner):
 # ---------------------------------------------------------------------------
 # constraint handling
 
-def _canonical_constraint_indices(b: Array) -> np.ndarray | None:
-    """Indices i where B's columns are (+/-) standard basis vectors, else None."""
-    idx = []
-    for j in range(b.shape[1]):
-        col = b[:, j]
+def _free_dofs(b, n: int) -> Array | None:
+    """The DoFs of an n-DoF system that the constraints B leave free: all n
+    without B; when every column of B is a (+/-) standard basis vector, all
+    but the DoFs those pick out; else None."""
+    if b is None:
+        return np.arange(n)
+    fixed = []
+    for col in np.asarray(b, dtype=float).T:
         nz = np.flatnonzero(col)
         if nz.size != 1 or abs(col[nz[0]]) != 1.0:
             return None
-        idx.append(nz[0])
-    return np.unique(np.asarray(idx, dtype=int))
+        fixed.append(nz[0])
+    return np.setdiff1d(np.arange(n), fixed)
 
 
 def solve_linear_static(system) -> Array:
@@ -142,15 +145,12 @@ def solve_linear_static(system) -> Array:
     if not isinstance(system, LinearStaticSystem):
         raise TypeError(f"expected a linear static system, got {type(system).__name__}")
     k, f, b = system.stiffness, system.force, system.constraints
-    if b is None:
-        return np.linalg.solve(k, f)
-    b = np.asarray(b, dtype=float)
-    fixed = _canonical_constraint_indices(b)
-    if fixed is not None:
-        keep = np.setdiff1d(np.arange(k.shape[0]), fixed)
+    free = _free_dofs(b, k.shape[0])
+    if free is not None:
         x = np.zeros(k.shape[0])
-        x[keep] = np.linalg.solve(k[np.ix_(keep, keep)], f[keep])
+        x[free] = np.linalg.solve(k[np.ix_(free, free)], f[free])
         return x
+    b = np.asarray(b, dtype=float)
     # the null space of B^T: right singular vectors beyond the numerical rank
     _, s, vt = np.linalg.svd(b.T)
     rank = np.count_nonzero(s > max(b.shape) * np.finfo(float).eps * s[0])
@@ -185,12 +185,9 @@ def solve_nonlinear_cubic(system: NonlinearCubicSystem, mu, guess=None,
     a = system.cubic_coeff
     f = system.force_map(mu)
     n = k.shape[0]
-    keep = np.arange(n)
-    if system.constraints is not None:
-        fixed = _canonical_constraint_indices(np.asarray(system.constraints, dtype=float))
-        if fixed is None:
-            raise NotImplementedError("non-canonical constraints on the cubic system")
-        keep = np.setdiff1d(keep, fixed)
+    keep = _free_dofs(system.constraints, n)
+    if keep is None:
+        raise NotImplementedError("non-canonical constraints on the cubic system")
     kc = k[np.ix_(keep, keep)]
     fc = f[keep]
     y0 = np.zeros(keep.size) if guess is None else np.asarray(guess, dtype=float)[keep]
@@ -233,10 +230,20 @@ class Trajectory:
     accelerations: Array
 
 
-def _load_at(load, step: int, t: float) -> Array:
+def on_time_grid(system: LinearDynamicSystem, dt: float, t_end: float):
+    """``(system, times)``: the times 0, dt, ..., floor(t_end/dt) dt, and
+    ``system`` with its load sampled there, one row per time.  A callable
+    load is evaluated once per time; a load array must have a row for
+    each time."""
+    steps = int(np.floor(t_end / dt + 1e-12))
+    times = np.arange(steps + 1) * dt
+    load = system.load
     if callable(load):
-        return np.asarray(load(t), dtype=float)
-    return load[step]
+        return replace(system, load=np.stack([np.asarray(load(t), dtype=float)
+                                              for t in times])), times
+    if load.shape[0] < steps + 1:
+        raise ValueError("precomputed load has fewer rows than time steps")
+    return system, times
 
 
 def newmark_stepper(m: Array, c: Array, k: Array, dt: float):
@@ -272,21 +279,18 @@ def newmark_integrate(system, dt: float, t_end: float) -> Trajectory:
     """Implicit Newmark integration of M x'' + C x' + K x = f(t).
 
     Each step is ``newmark_stepper``'s average-acceleration step, with
-    the arithmetic of the batched ensemble kernel.  The initial
-    acceleration comes from the equation of motion at t = 0.  Precomputed
-    load arrays must supply floor(t_end/dt) + 1 rows.
+    the arithmetic of the batched ensemble kernel, on the time grid and
+    load of ``on_time_grid``.  The initial acceleration comes from the
+    equation of motion at t = 0.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not isinstance(system, LinearDynamicSystem):
         raise TypeError(f"expected a dynamic system, got {type(system).__name__}")
-    m, c, k = system.mass, system.damping, system.stiffness
-    load = system.load
+    system, times = on_time_grid(system, dt, t_end)
+    m, c, k, load = system.mass, system.damping, system.stiffness, system.load
     x0, v0 = system.initial_state
-    steps = int(np.floor(t_end / dt + 1e-12))
-    times = np.arange(steps + 1) * dt
-    if not callable(load) and load.shape[0] < steps + 1:
-        raise ValueError("precomputed load has fewer rows than time steps")
+    steps = times.size - 1
 
     dim = m.shape[0]
     x = np.empty((dim, steps + 1))
@@ -294,12 +298,10 @@ def newmark_integrate(system, dt: float, t_end: float) -> Trajectory:
     a = np.empty((dim, steps + 1))
     x[:, 0] = x0
     v[:, 0] = v0
-    f0 = _load_at(load, 0, 0.0)
-    a[:, 0] = np.linalg.solve(m, f0 - c @ v0 - k @ x0)
+    a[:, 0] = np.linalg.solve(m, load[0] - c @ v0 - k @ x0)
     step = newmark_stepper(m, c, k, dt)
     for i in range(steps):
-        x[:, i + 1], v[:, i + 1], a[:, i + 1] = step(
-            x[:, i], v[:, i], a[:, i], _load_at(load, i + 1, times[i + 1]))
+        x[:, i + 1], v[:, i + 1], a[:, i + 1] = step(x[:, i], v[:, i], a[:, i], load[i + 1])
 
     return Trajectory(times=times, states=x, velocities=v, accelerations=a)
 

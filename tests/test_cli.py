@@ -269,6 +269,43 @@ def test_stale_upstream_artifact_exit_code_3(tiny_config, tmp_path, capsys):
     assert str(tmp_path / "out" / "model.json") in capsys.readouterr().err
 
 
+def _cut(size):
+    return lambda path: path.write_bytes(path.read_bytes()[:size])
+
+
+def _without_rows(path):
+    doc = json.loads(path.read_text())
+    del doc["rows"]
+    path.write_text(json.dumps(doc))
+
+
+def _last_row(edit):
+    def damage(path):
+        lines = path.read_text().splitlines()
+        lines[-1] = edit(lines[-1])
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+@pytest.mark.parametrize("command,name,damage", [
+    pytest.param("predict", "ensemble.bin", _cut(100), id="ensemble-bin-cut"),
+    pytest.param("predict", "ensemble.json", _without_rows, id="ensemble-sidecar-no-rows"),
+    pytest.param("predict", "observations.csv",
+                 _last_row(lambda row: "abc" + row[row.index(","):]), id="observations-text-cell"),
+    pytest.param("report", "summary.csv", _last_row(lambda row: row.rsplit(",", 1)[0]),
+                 id="summary-short-row"),
+    pytest.param("sample", "pod_modes.bin", _cut(64), id="pod-modes-bin-cut")])
+def test_damaged_artifact_exit_code_3(tiny_config, tmp_path, capsys, command, name, damage):
+    # an artifact with this config's hash that its stage cannot read is
+    # refused like a stale one, naming the file
+    assert run_cli("run", "--config", tiny_config) == 0
+    path = tmp_path / "out" / name
+    damage(path)
+    capsys.readouterr()
+    assert run_cli(command, "--config", tiny_config) == 3
+    assert str(path) in capsys.readouterr().err
+
+
 def test_sample_count_flag_is_refused(tiny_config, tmp_path, capsys):
     # the ensemble size is the config's: an override would write an
     # ensemble under the hash of a config that names another count

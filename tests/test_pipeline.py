@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import stochpod as sp
-from stochpod import pipeline, rom
+from stochpod import config, pipeline, rom
 from stochpod.config import DEFAULT_PARAMETRIC_AGGREGATION, parse_config
 from stochpod.matrixio import read_csv
 from stochpod.problems import SurrogateSpec, surrogate_dynamics
@@ -648,9 +649,33 @@ def test_problem_defaults_fill_omitted_fields():
     assert d.spec == SurrogateSpec(n=40)
     assert (d.spec.mass_ratio, d.spec.stiffness_scale, d.spec.rayleigh_beta,
             d.spec.impulse_amplitude, d.spec.impulse_duration,
-            d.spec.seed) == (100.0, 1.0e4, 2.0e-4, 1.0, 0.05, 60301)
+            d.spec.structure_seed) == (100.0, 1.0e4, 2.0e-4, 1.0, 0.05, 60301)
+    # the settings name every field of the kind's table; an omitted
+    # structure field is the SurrogateSpec default, an omitted alt_dof None
+    for cfg in configs:
+        kind, n = cfg.problem["kind"], cfg.problem["n"]
+        assert set(cfg.problem_settings) == {"kind", "n", *config._problem_fields(kind, n)}
+    settings = surrogate.problem_settings
+    assert settings["alt_dof"] is None and d.alt_dof == 10 + 40 // 3
+    for field in dataclasses.fields(SurrogateSpec):
+        if field.name != "n":
+            assert settings[field.name] == field.default, field.name
     # the defaults are never written into the config, so its hash is unchanged
     assert [(cfg.config_hash(), cfg.problem) for cfg in configs] == before
+
+
+def test_each_problem_kind_has_one_driver():
+    assert set(config.PROBLEM_KINDS) == set(pipeline._DRIVERS)
+
+
+def test_energy_threshold_picks_the_smallest_rank_that_reaches_it(tmp_path):
+    doc = tiny_ex1_config().canonical_dict()      # its 16 snapshots have rank 16
+    doc["pod"] = {"energy_threshold": 0.99}
+    model = pipeline.stage_train(parse_config(doc), tmp_path)
+    energy = np.cumsum(read_csv(tmp_path / "pod_spectrum.csv")["singular_value"]**2)
+    reached = [k for k in range(1, energy.size + 1) if energy[k - 1] >= 0.99 * energy[-1]]
+    assert model["k"] == reached[0]
+    assert 1 < model["k"] < energy.size
 
 
 def test_tracing_entry_points_stay_looked_up_by_name(monkeypatch):

@@ -5,7 +5,7 @@ import scipy.linalg
 import stochpod as sp
 from stochpod import rom
 from stochpod.errors import ConvergenceError
-from stochpod.problems import SpectralStiffness
+from stochpod.problems import SpectralStiffness, SurrogateSpec, surrogate_dynamics
 
 
 def random_spd(n, seed=0):
@@ -367,6 +367,21 @@ def test_indefinite_systems_solve_through_lu():
     for got, want in zip((traj.states, traj.velocities, traj.accelerations),
                          (np.array(e).T for e in zip(*expected))):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_callable_load_integrates_as_its_samples_on_the_time_grid():
+    # floor(0.365 / 0.01) = 36 steps; the load is sampled at each time once
+    dynamic = surrogate_dynamics(SurrogateSpec(n=12, impulse_duration=0.1))
+    dt, t_end = 0.01, 0.365
+    sampled, times = rom.on_time_grid(dynamic, dt, t_end)
+    assert times.tobytes() == (np.arange(37) * dt).tobytes()
+    assert sampled.load.tobytes() == np.stack([dynamic.load(t) for t in times]).tobytes()
+    assert rom.on_time_grid(sampled, dt, t_end)[0] is sampled     # an array passes as it is
+    called, stepped = (sp.newmark_integrate(s, dt, t_end) for s in (dynamic, sampled))
+    for field in ("times", "states", "velocities", "accelerations"):
+        assert getattr(called, field).tobytes() == getattr(stepped, field).tobytes(), field
+    with pytest.raises(ValueError, match="fewer rows"):
+        rom.on_time_grid(sampled, dt, t_end + dt)
 
 
 def test_newmark_rejects_bad_dt():
