@@ -26,7 +26,7 @@ from .problems import (SpectralStiffness, SurrogateSpec, add_noise,
                        build_cubic_problem, lhs_sample, observe_sparse,
                        perturb_stiffness, surrogate_dynamics)
 from .sampling import (RandomStream, StochasticSubspaceModel, StreamCache,
-                       batch_fractional_draws)
+                       _in_pieces, batch_fractional_draws)
 from .subspace import center, compact_svd, select_rank
 from .training import refine_beta_real, refinement_bounds, train_integer_beta
 
@@ -83,6 +83,16 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
     in one ``StreamCache`` that lives as long as the returned function.
     ``widest``, the largest beta the caller will ask for if it knows it,
     makes the cache's first fill wide enough for every later beta.
+
+    Each chunk is one call of the sampler and one of ``fn``, on the
+    calling thread.  Inside them, the sampler's top-k rule, the batched
+    kernels and ``_mc_objective``'s gaps split the chunk into one piece per
+    CPU this process may use (``sampling._in_pieces``), so no more draws
+    are in flight than in one chunk; the streams are generated, scaled or
+    sliced on the calling thread before the pieces start.  The bits do not
+    move: a draw depends only on its stream index, the sampler and the
+    kernels treat the draws of a batch one by one, and the pieces are put
+    back together in index order.
     """
     cache = StreamCache(seed, count, 0 if widest is None else int(np.ceil(widest)))
     chunks = [range(start, min(start + chunk, count)) for start in range(0, count, chunk)]
@@ -95,6 +105,12 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
     return run
 
 
+#: Doubles per block of ``_mc_objective``'s distance temporaries.  A piece
+#: on a helper thread allocates from that thread's malloc arena, which
+#: keeps what it frees, so the blocks are small.
+_GAP_BLOCK = 1 << 15
+
+
 def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth,
                   widest=None):
     """The Monte-Carlo objective f(beta) = E[(d(u) - d_truth)^2].
@@ -105,10 +121,21 @@ def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth,
     axis, so ``d_truth`` is a scalar or holds one distance per parameter.
     f is one sum over the gaps of all draws, divided by ``count``, so its
     value does not depend on ``chunk``.  ``widest`` goes to ``_mc_draws``.
+    The gaps of a batch are computed in pieces (``_in_pieces``), each in
+    blocks of rows, and a draw's gap does not depend on either.
     """
     def gaps(draws, indices):
-        d = np.linalg.norm(predict(draws, indices) - reference, axis=1)
-        return np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
+        predictions = predict(draws, indices)
+        rows = max(1, _GAP_BLOCK // max(1, int(np.prod(predictions.shape[1:]))))
+
+        def gap(part):
+            d = np.concatenate([
+                np.linalg.norm(predictions[start:min(start + rows, part.stop)] - reference,
+                               axis=1)
+                for start in range(part.start, part.stop, rows)])
+            return np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
+
+        return np.concatenate(_in_pieces(gap, len(predictions)))
 
     values = _mc_draws(scales, k, seed, count, chunk, gaps, widest)
     return lambda beta: float(np.sum(values(beta))) / count
@@ -125,13 +152,18 @@ def _mc_ensembles(scales, k, betas, seed, count, chunk, predict):
 
 
 def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
-    """Reduced static solves for stacked draws; returns (count, grid) values."""
-    ut = draws.transpose(0, 2, 1)
-    k_w = np.matmul(np.matmul(ut, stiffness_r), draws)
-    f_w = np.matmul(ut, force_r)
-    q = np.linalg.solve(k_w, f_w[:, :, None])
-    rows_w = np.matmul(qoi_rows, draws)            # (count, s, k)
-    return np.matmul(rows_w, q)[:, :, 0]
+    """Reduced static solves for stacked draws, in pieces (``_in_pieces``);
+    returns (count, grid) values."""
+    def solve(part):
+        w = draws[part]
+        ut = w.transpose(0, 2, 1)
+        k_w = np.matmul(np.matmul(ut, stiffness_r), w)
+        f_w = np.matmul(ut, force_r)
+        q = np.linalg.solve(k_w, f_w[:, :, None])
+        rows_w = np.matmul(qoi_rows, w)            # (count, s, k)
+        return np.matmul(rows_w, q)[:, :, 0]
+
+    return np.concatenate(_in_pieces(solve, len(draws)))
 
 
 class _NewtonWorkspace:
@@ -163,14 +195,11 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
     K_r q + alpha W^T (W q)^3 - f_r, one per row of forces_r[d] (P, k).
     A row stops updating once its residual is within ``tol``.  Returns q
     of shape (D, P, k), a new array.  ``indices`` name the draws (stream
-    indices) in the error raised when some of them stall.
+    indices) in the error raised when some of them stall: every stalled
+    draw of the batch, whichever piece it is in.
 
-    The Jacobian K_r + 3 alpha W^T diag((W q)^2) W of every row is one
-    batched GEMM of the squares against the per-draw outer products
-    w[n, k] w[n, l], held as (D, n, k*k).  The cube is written as products
-    because numpy's ``**3`` goes through libm ``pow``.  The outer products
-    and the three (D, n, P) arrays (the lifted rows, their squares and the
-    scaled cubes) are filled in place in the buffers of ``workspace``, a
+    The draws are solved in pieces (``_in_pieces``), each by
+    ``_newton_rows`` on its own slices of the buffers of ``workspace``, a
     ``_NewtonWorkspace`` that the calling loop holds across its chunks, so
     their pages are not returned to the system and faulted in again at
     every call.  Without one, the call makes a workspace of its own.
@@ -179,7 +208,35 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
     count, n, k = w.shape
     if workspace is None:
         workspace = _NewtonWorkspace()
-    outer, lifted, sq, cube = workspace.buffers(count, n, k, q.shape[1])
+    buffers = workspace.buffers(count, n, k, q.shape[1])
+
+    def solve(part):
+        stalled, worst = _newton_rows(w[part], stiffness_r[part], alpha, forces_r[part],
+                                      q[part], tol, max_iter, [b[part] for b in buffers])
+        return [indices[part.start + j] for j in stalled], worst
+
+    outcomes = _in_pieces(solve, count)
+    stalled = [i for names, _ in outcomes for i in names]
+    if stalled:
+        worst = max(worst for names, worst in outcomes if names)
+        raise ConvergenceError(
+            f"batched Newton stalled at residual {worst:.3e} in draw(s) {stalled}",
+            residual=worst, iterations=max_iter)
+    return q
+
+
+def _newton_rows(w, stiffness_r, alpha, forces_r, q, tol, max_iter, buffers):
+    """Newton steps on q (D, P, k) in place; (stalled draws' positions, worst residual).
+
+    The Jacobian K_r + 3 alpha W^T diag((W q)^2) W of every row is one
+    batched GEMM of the squares against the per-draw outer products
+    w[n, k] w[n, l], held as (D, n, k*k).  The cube is written as products
+    because numpy's ``**3`` goes through libm ``pow``.  The outer products
+    and the three (D, n, P) arrays (the lifted rows, their squares and the
+    scaled cubes) are filled in place in ``buffers``.
+    """
+    count, n, k = w.shape
+    outer, lifted, sq, cube = buffers
     np.multiply(w[:, :, :, None], w[:, :, None, :], out=outer)
     ww = outer.reshape(count, n, k * k)
     for iteration in range(max_iter + 1):
@@ -190,18 +247,14 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
                + np.matmul(cube.transpose(0, 2, 1), w) - forces_r)
         active = np.max(np.abs(res), axis=2) > tol                       # (D, P)
         if not np.any(active):
-            return q
+            return [], 0.0
         if iteration == max_iter:
             break
         d, p = np.nonzero(active)
         curvature = np.matmul(sq.transpose(0, 2, 1), ww)                 # (D, P, k*k)
         jac = stiffness_r[d] + 3.0 * alpha * curvature[d, p].reshape(-1, k, k)
         q[d, p] -= np.linalg.solve(jac, res[d, p][:, :, None])[:, :, 0]
-    stalled = [indices[j] for j in np.flatnonzero(np.any(active, axis=1))]
-    worst = float(np.max(np.abs(res)))
-    raise ConvergenceError(
-        f"batched Newton stalled at residual {worst:.3e} in draw(s) {stalled}",
-        residual=worst, iterations=max_iter)
+    return np.flatnonzero(np.any(active, axis=1)), float(np.max(np.abs(res)))
 
 
 #: Rows (time steps x series) of the observation stack of the free phase
@@ -215,7 +268,17 @@ def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
 
     ``reduced`` is the rank-r reduced dynamic system with a precomputed
     load matrix (steps+1, r).  ``series`` lists (dof, derivative order)
-    pairs.  Returns a (count, len(series), steps+1) array.
+    pairs.  Returns a (count, len(series), steps+1) array, which
+    ``_dynamic_rows`` fills in pieces (``_in_pieces``).
+    """
+    out = np.empty((len(draws), len(series), steps + 1))
+    _in_pieces(lambda part: _dynamic_rows(draws[part], reduced, modes, dt, steps,
+                                          series, out[part]), len(draws))
+    return out
+
+
+def _dynamic_rows(draws, reduced, modes, dt, steps, series, out):
+    """``_dynamic_qoi_predictions`` of ``draws``, written into ``out``.
 
     The recurrence is stepped while the load acts, up to its last
     non-zero row.  From there on each state s = (x, v, a) is T^m of the
@@ -240,7 +303,6 @@ def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
     step = rom.newmark_stepper(m_w, c_w, k_w, dt)
 
     rows = [np.matmul(modes[dof], draws) for dof, _ in series]
-    out = np.empty((count, len(series), steps + 1))
     loaded = np.flatnonzero(np.any(load_r[1:steps + 1] != 0.0, axis=1))
     forced = loaded[-1] + 1 if loaded.size else 0     # steps the load acts in
     for i in range(forced):
@@ -268,7 +330,6 @@ def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
         y = np.matmul(obs[:, :size * width], state)
         out[:, :, t:t + size] = y.reshape(count, size, width).transpose(0, 2, 1)
         state = np.matmul(power, state)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +807,10 @@ def _write_observations(out: Path, driver, refs: dict, chash: str) -> None:
 def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
     """Step 5: draw the SROM prediction ensemble(s) at the trained beta.
 
-    ``threads`` is accepted for compatibility and has no effect: the
-    ensembles are drawn in batches on the calling thread.
+    ``threads`` is accepted for compatibility and has no effect.  The
+    ensembles are drawn in chunks, and the draws of each chunk are split
+    over the CPUs this process may use (``_mc_draws``); a draw depends
+    only on its stream index, so the number of CPUs moves no bit.
     """
     out = _outdir(config, outdir)
     chash = config.config_hash()
@@ -775,9 +838,18 @@ def stage_predict(config: RunConfig, outdir=None) -> dict:
     chash = config.config_hash()
     obs = _need(out / OBSERVATIONS_FILE, chash, read_csv)
     model_doc = _read_model(out, chash)
+    shape = (config.ensemble.count, len(obs["grid"]))
+
+    def load_ensemble(path):
+        samples = load_matrix(path)
+        if samples.shape != shape:
+            raise ValueError(f"shape {samples.shape}, not (ensemble.count, "
+                             f"grid points of {OBSERVATIONS_FILE}) = {shape}")
+        return samples
+
     produced = {}
     for name in _series(model_doc):
-        samples = _need(out / f"{_named('ensemble', name)}.bin", chash, load_matrix)
+        samples = _need(out / f"{_named('ensemble', name)}.bin", chash, load_ensemble)
         s = summarize_matrix(samples, obs["grid"], config.ensemble.level)
         ref = "primary" if name == "integer" else name    # same beta-free curves
         path = f"{_named('summary', name)}.csv"
@@ -804,8 +876,15 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     model_doc = _read_model(out, chash)
     driver = _DRIVERS[model_doc["problem_kind"]]
     level = config.ensemble.level
+    grid = _need(out / OBSERVATIONS_FILE, chash, read_csv)["grid"]
 
-    tables = {name: _need(out / f"{_named('summary', name)}.csv", chash, read_csv)
+    def read_summary(path):
+        table = read_csv(path)
+        if not np.array_equal(table["grid"], grid):
+            raise ValueError(f"its grid column is not the one of {OBSERVATIONS_FILE}")
+        return table
+
+    tables = {name: _need(out / f"{_named('summary', name)}.csv", chash, read_summary)
               for name in _series(model_doc)}
     cov = {name: _coverage(t, t["truth"], level) for name, t in tables.items()}
 
@@ -858,7 +937,9 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
 def run_pipeline(config: RunConfig, outdir=None, threads: int = 1) -> RunReport:
     """Execute all stages in order; identical artifacts to stage-wise runs.
 
-    ``threads`` has no effect (see ``stage_sample``).
+    ``threads`` has no effect.  Training and sampling split their
+    Monte-Carlo draws over the CPUs this process may use, and the
+    artifacts do not depend on how many there are (see ``_mc_draws``).
     """
     times = {}
     t0 = time.perf_counter()

@@ -36,6 +36,7 @@ width.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -222,6 +223,54 @@ def _normals(seed, indices, rank: int, cols: int) -> np.ndarray:
     return z
 
 
+#: Threads that share one batch of draws: the calling thread and
+#: ``_WORKERS - 1`` helpers, one per CPU this process may use (every CPU
+#: where the platform cannot tell which).
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_helpers = None
+_helpers_lock = threading.Lock()      # callers on several threads make one pool
+
+
+def _in_pieces(fn, count):
+    """``fn(part)`` of each piece ``part`` of slice(0, count), a list in order.
+
+    The pieces are up to ``_WORKERS`` consecutive slices of
+    ceil(count / _WORKERS) items (one empty slice if count is 0).  The
+    first runs on the calling thread, the others on a pool of
+    ``_WORKERS - 1`` helper threads made at the first call with more than
+    one piece; numpy releases the GIL in its array loops, so the pieces'
+    array work runs at once.  Every piece has ended when this returns or
+    raises, and a failure is the lowest-index failing piece's, as a loop
+    over the pieces would raise it.  ``fn`` must not call ``_in_pieces``:
+    a helper waiting for the pool it runs on could wait forever.
+
+    The sampler, the batched kernels and the objective's gaps call it
+    inside themselves, so each of them is entered once per batch, on the
+    calling thread: a wrapper that times them by name
+    (``perfbench/tracer.py``, one span stack per process) sees the same
+    calls at any worker count.
+    """
+    global _helpers
+    size = -(-count // _WORKERS) or 1
+    parts = ([slice(start, min(start + size, count)) for start in range(0, count, size)]
+             or [slice(0, 0)])
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    with _helpers_lock:
+        if _helpers is None:
+            # imported here: a process that only sets up does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+            _helpers = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="stochpod")
+    futures = [_helpers.submit(fn, part) for part in parts[1:]]
+    try:
+        first = fn(parts[0])
+    finally:
+        for future in futures:
+            future.exception()          # waits, and raises nothing
+    return [first, *(future.result() for future in futures)]
+
+
 class StreamCache:
     """The Gaussian matrices of streams 0..count-1 of one master seed.
 
@@ -284,7 +333,11 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
 
     ``seed_or_cache`` is a master seed, for any list of stream indices,
     or a ``StreamCache`` of one, for a unit-step range of its streams;
-    the draws are the same either way.
+    the draws are the same either way.  The streams are generated or
+    sliced, and scaled, on the calling thread, and the top-k rule runs in
+    pieces (``_in_pieces``).  Scaled on a helper thread, a piece's block
+    would stay in that thread's malloc arena: 12 MB more peak memory on
+    the ex3-dynamics benchmark workload.
     """
     r, k, beta = model.rank, model.k, model.beta
     cols = int(np.ceil(beta))
@@ -297,4 +350,5 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
     # two products on the Gaussian block, in the order of a fresh draw's
     scaled = z * weights
     scaled *= model.scales[:, None]
-    return _top_k(scaled, k, labels=indices)
+    return np.concatenate(_in_pieces(
+        lambda part: _top_k(scaled[part], k, labels=indices[part]), len(indices)))

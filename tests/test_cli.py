@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from stochpod import cli
+from stochpod.matrixio import artifact_hash, load_matrix, save_matrix
 
 
 TINY_EXPERIMENT = {
@@ -287,8 +288,21 @@ def _last_row(edit):
     return damage
 
 
+def _narrowed(path):
+    # three quarters of the columns, the sidecar and its hash consistent
+    samples = load_matrix(path)
+    save_matrix(path, samples[:, :samples.shape[1] * 3 // 4], artifact_hash(path))
+
+
+def _without_last_rows(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-30]) + "\n")
+
+
 @pytest.mark.parametrize("command,name,damage", [
     pytest.param("predict", "ensemble.bin", _cut(100), id="ensemble-bin-cut"),
+    pytest.param("predict", "ensemble.bin", _narrowed, id="ensemble-bin-narrow"),
+    pytest.param("report", "summary.csv", _without_last_rows, id="summary-rows-cut"),
     pytest.param("predict", "ensemble.json", _without_rows, id="ensemble-sidecar-no-rows"),
     pytest.param("predict", "observations.csv",
                  _last_row(lambda row: "abc" + row[row.index(","):]), id="observations-text-cell"),

@@ -1,8 +1,12 @@
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
 import stochpod as sp
-from stochpod import pipeline, rom
+from stochpod import pipeline, rom, sampling
 from stochpod.errors import ConvergenceError
 
 
@@ -198,6 +202,74 @@ def test_newton_workspace_names_the_same_stalled_draws():
         assert messages[0] == messages[1]
         named.append(messages[0].rsplit(" in draw(s) ", 1)[1])
     assert named == ["[5, 17]", "[40]", "[66]"]
+
+
+@pytest.mark.parametrize("loaded,named", [([17], "[17]"), ([5, 17], "[5, 17]")])
+def test_stalled_draws_are_named_whichever_piece_holds_them(monkeypatch, loaded, named):
+    # two workers split a 32-draw batch into draws 0-15, on the calling
+    # thread, and 16-31, on a helper; only the loaded draws carry a load
+    # too large to solve in two Newton steps
+    monkeypatch.setattr(sampling, "_WORKERS", 2)
+    n, k = 30, 3
+    w, stiffness_r, _ = cubic_draws(32, n, k)
+    scale = np.zeros(32)
+    scale[loaded] = 1e4
+    forces_r = np.matmul(np.ones(n)[None], w) * scale[:, None, None]
+    with pytest.raises(ConvergenceError) as err:
+        pipeline._cubic_newton_batch(w, stiffness_r, 1e3, forces_r, np.zeros((32, 1, k)),
+                                     1e-10, 2, range(32), pipeline._NewtonWorkspace())
+    assert str(err.value).endswith(f" in draw(s) {named}")
+
+
+def test_more_threads_than_cores_solve_as_one_thread(monkeypatch):
+    # the pieces of one call fill disjoint slices of one workspace's
+    # buffers; the threads switch as often as the interpreter allows
+    w, stiffness_r, forces_r = cubic_draws(72)
+    q0 = np.zeros_like(forces_r)
+
+    def loop():
+        workspace = pipeline._NewtonWorkspace()
+        return [pipeline._cubic_newton_batch(w[c.start:c.stop], stiffness_r[c.start:c.stop],
+                                             1e3, forces_r[c.start:c.stop],
+                                             q0[c.start:c.stop], 1e-10, 20, c, workspace)
+                for c in LOOP_CHUNKS]
+
+    monkeypatch.setattr(sampling, "_WORKERS", 1)
+    alone = loop()
+    monkeypatch.setattr(sampling, "_WORKERS", len(os.sched_getaffinity(0)) + 3)
+    monkeypatch.setattr(sampling, "_helpers", None)      # a pool of _WORKERS - 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pieces = loop()
+    finally:
+        sys.setswitchinterval(interval)
+        if sampling._helpers is not None:
+            sampling._helpers.shutdown()
+    for a, b in zip(pieces, alone):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("failing,raised", [({0, 6}, 0), ({3, 6}, 3)])
+def test_pieces_end_before_the_lowest_index_failure_is_raised(monkeypatch, failing,
+                                                              raised):
+    # three workers split 9 items into pieces starting at 0 (the calling
+    # thread's), 3 and 6; piece 3 is the slowest, and pieces 0 and 6 fail
+    # at once
+    monkeypatch.setattr(sampling, "_WORKERS", 3)
+    ended = []
+
+    def piece(part):
+        if part.start == 3:
+            time.sleep(0.2)
+        ended.append(part.start)
+        if part.start in failing:
+            raise ValueError(f"piece {part.start}")
+        return part
+
+    with pytest.raises(ValueError, match=f"piece {raised}"):
+        sampling._in_pieces(piece, 9)
+    assert sorted(ended) == [0, 3, 6]
 
 
 # ---------------------------------------------------------------------------

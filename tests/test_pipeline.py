@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import stochpod as sp
-from stochpod import config, pipeline, rom
+from stochpod import config, pipeline, rom, sampling
 from stochpod.config import DEFAULT_PARAMETRIC_AGGREGATION, parse_config
 from stochpod.matrixio import read_csv
 from stochpod.problems import SurrogateSpec, surrogate_dynamics
@@ -268,6 +269,51 @@ def test_artifacts_of_each_problem_kind(make_config, files, keys, refine, tmp_pa
     assert {p.name for p in tmp_path.iterdir()} == COMMON_ARTIFACTS | files
     assert set(report) == COMMON_REPORT_KEYS | keys
     assert set(json.loads((tmp_path / "report.json").read_text())) == set(report)
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("make_config", [tiny_ex1_config, tiny_ex2_config,
+                                         tiny_ex3_config])
+def test_worker_count_changes_no_artifact(make_config, refine, tmp_path, monkeypatch):
+    # the sampler, the kernels and the objective's gaps split each batch
+    # into one piece per worker; 3 workers make uneven pieces, and can make
+    # more helper pieces than the helper pool has threads
+    cfg = refined(make_config()) if refine else make_config()
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        out = tmp_path / str(workers)
+        pipeline.run_pipeline(cfg, out)
+        runs[workers] = {p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "timings.json"}
+    for workers in (2, 3):
+        assert runs[workers].keys() == runs[1].keys()
+        for name, data in runs[1].items():
+            assert runs[workers][name] == data, (workers, name)
+
+
+@pytest.mark.parametrize("make_config", [tiny_ex1_config, tiny_ex2_config,
+                                         tiny_ex3_config])
+def test_only_the_calling_thread_enters_the_traced_names(make_config, tmp_path,
+                                                         monkeypatch):
+    # the benchmark's tracer wraps these names and keeps one span stack per
+    # process: a call from a helper thread would corrupt its counts
+    monkeypatch.setattr(sampling, "_WORKERS", 3)
+    threads = set()
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("batch_fractional_draws", "_cubic_newton_batch",
+                 "_linear_qoi_predictions", "_dynamic_qoi_predictions"):
+        monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name)))
+    monkeypatch.setattr(sp.RandomStream, "normal_matrix",
+                        recorded(sp.RandomStream.normal_matrix))
+    pipeline.run_pipeline(make_config(), tmp_path)
+    assert threads == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------
