@@ -5,8 +5,8 @@ Subcommands mirror the pipeline stages: ``run`` executes everything,
 slice given the upstream artifacts on disk.
 
 Exit codes: 0 success, 2 config/usage error, 3 a missing or unreadable
-artifact or one made from a different config, 4 numerical failure or out
-of memory.
+artifact, one made from a different config or one whose content does not
+fit the run, 4 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _record_failure(config, exc) -> None:
     out = pipeline._outdir(config, None)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / pipeline.REPORT_FILE, {
+        write_json(out / pipeline.artifact_file("report"), {
             "schema_version": 1,
             "config_hash": config.config_hash(),
             "error": f"{type(exc).__name__}: {exc}",

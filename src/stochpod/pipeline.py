@@ -20,8 +20,8 @@ from . import __version__, rom
 from .config import RunConfig
 from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
-from .matrixio import (artifact_hash, load_matrix, read_csv, read_json,
-                       save_matrix, write_csv, write_json)
+from .matrixio import (artifact_hash, save_matrix, write_csv, write_json,
+                       load_matrix, read_csv, read_json)     # called by name: _ARTIFACTS
 from .problems import (SpectralStiffness, SurrogateSpec, add_noise,
                        build_cubic_problem, lhs_sample, observe_sparse,
                        perturb_stiffness, surrogate_dynamics)
@@ -37,17 +37,6 @@ _SEED_NOISE = 13
 _SEED_TRAINING = 14
 _SEED_ENSEMBLE = 15
 _SEED_FORCES = 16
-
-SNAPSHOTS_FILE = "snapshots.bin"
-POD_MODES_FILE = "pod_modes.bin"
-POD_SPECTRUM_FILE = "pod_spectrum.csv"
-MODEL_FILE = "model.json"
-TRACE_FILE = "training_trace.csv"
-OBSERVATIONS_FILE = "observations.csv"
-SENSORS_FILE = "sensors.csv"
-REPORT_FILE = "report.json"
-TIMINGS_FILE = "timings.json"
-
 
 class MissingArtifactError(FileNotFoundError):
     """A stage was invoked before its upstream artifacts exist."""
@@ -343,9 +332,9 @@ def _dynamic_rows(draws, reduced, modes, dt, steps, series, out):
 # (count, grid) sample matrix per named beta.
 # ``references`` solves the deterministic ROM with the same kernel at the
 # identity draw (``_mode_draw``); only the train stage calls it, and
-# sampling gets observations.csv.
+# sampling reads its observations artifact.
 # The stages read what a driver writes from its class attributes, so that
-# predict and report construct no driver.
+# predict and report construct no driver (``grid_of(problem settings)``).
 
 
 def _mode_draw(modes, k):
@@ -362,6 +351,7 @@ class CubicDriver:
     pod_source = "raw"
     extra_series = {}
     writes_sensors = False
+    grid_of = staticmethod(lambda p: np.arange(p["n"]) / (p["n"] - 1))   # n nodes on [0, 1]
 
     def __init__(self, config: RunConfig):
         p = config.problem_settings
@@ -375,7 +365,7 @@ class CubicDriver:
         self.aggregation = config.parametric_aggregation
         self.system = build_cubic_problem(self.n, self.alpha)
         self.seed = config.seed
-        self.grid = np.arange(self.n) / (self.n - 1)
+        self.grid = self.grid_of(p)
         self.params = lhs_sample(5, self.snapshot_count,
                                  RandomStream(derive_seed(self.seed, _SEED_SNAPSHOTS)))
 
@@ -458,6 +448,7 @@ class ExperimentDriver:
     pod_source = "centered"
     extra_series = {}
     writes_sensors = True
+    grid_of = staticmethod(CubicDriver.grid_of)
 
     def __init__(self, config: RunConfig):
         p = config.problem_settings
@@ -472,7 +463,7 @@ class ExperimentDriver:
         self.stiff = SpectralStiffness.sine_basis(self.n)
         self.force = self.stiff.mode_combination_force(self.force_weights)
         self.system = rom.LinearStaticSystem(stiffness=self.stiff.matrix, force=self.force)
-        self.grid = np.arange(self.n) / (self.n - 1)
+        self.grid = self.grid_of(p)
 
         truth_stiff = perturb_stiffness(
             self.stiff, self.ratio, RandomStream(derive_seed(self.seed, _SEED_TRUTH)))
@@ -540,6 +531,7 @@ class SurrogateDriver:
     extra_series = {"acceleration": ("qoi_dof", 2), "displacement": ("qoi_dof", 0),
                     "velocity_alt": ("alt_dof", 1)}
     writes_sensors = False
+    grid_of = staticmethod(lambda p: rom.time_grid(float(p["dt"]), float(p["t_end"])))
 
     def __init__(self, config: RunConfig):
         p = config.problem_settings
@@ -631,8 +623,18 @@ def _series(model_doc: dict) -> list:
             *_DRIVERS[model_doc["problem_kind"]].extra_series]
 
 
+def _observation_columns(driver) -> list:
+    """The observations' columns: grid, then rom and truth of each series."""
+    return ["grid", *(_named(stem, name) for name in ("primary", *driver.extra_series)
+                      for stem in ("rom", "truth"))]
+
+
+_SENSOR_COLUMNS = ("index", "position", "observed_noisy", "truth", "rom")
+_SUMMARY_COLUMNS = ("grid", "mean", "std", "lower", "upper", "rom", "truth")
+
+
 # ---------------------------------------------------------------------------
-# stages
+# artifacts
 
 
 def _outdir(config: RunConfig, outdir) -> Path:
@@ -640,54 +642,17 @@ def _outdir(config: RunConfig, outdir) -> Path:
     return Path(outdir if outdir is not None else (config.output_dir or "."))
 
 
-def _need(path: Path, chash: str, read):
-    """``read(path)``, if ``path`` exists and was made from the config with
-    hash ``chash``.  A ``.bin`` matrix needs its JSON sidecar too.  An
-    artifact whose config hash cannot be read, or that ``read`` refuses
-    with a ``LookupError``, ``TypeError`` or ``ValueError``, counts as made
-    from another config: ``StaleArtifactError``, naming its files.
-    """
-    parts = (path, path.with_suffix(".json")) if path.suffix == ".bin" else (path,)
-    for part in parts:
-        if not part.exists():
-            raise MissingArtifactError(f"missing artifact: {part}")
-    try:
-        found = artifact_hash(path)
-    except (ValueError, AttributeError) as exc:
-        raise StaleArtifactError(
-            f"stale artifact: {path} has no readable config_hash ({exc})") from exc
-    if found != chash:
-        raise StaleArtifactError(
-            f"stale artifact: {path} has config_hash {found}, this config is {chash}")
-    try:
-        return read(path)
-    except (LookupError, TypeError, ValueError) as exc:
-        raise StaleArtifactError(
-            f"unreadable artifact: {' with '.join(map(str, parts))} "
-            f"({type(exc).__name__}: {exc})") from exc
-
-
-# the model.json fields that the stages after train read, with their JSON
-# types (a bool is no int), in the order they are checked: scales holds
-# floats, problem_kind names a driver, and a range may use a field before it
+# the model's fields that the stages after train read, with their JSON types
+# (a bool is no int), in the order they are checked: a range may use a field
+# before it.  In range means the run's problem kind, finite, positive and
+# non-increasing scales, 1 <= k <= len(scales), and finite betas >= k.
 _MODEL_FIELDS = {"problem_kind": str, "scales": list, "k": int, "beta_integer": int,
                  "beta_star": float, "objective_integer": float,
                  "objective_refined": (float, type(None))}
 
 
-def _read_model(out: Path, chash: str) -> dict:
-    """``model.json`` of the config with hash ``chash``, its fields checked.
-
-    A field that is missing, of the wrong type or out of range makes the
-    document as unusable as one made from another config:
-    ``StaleArtifactError``.  In range means finite, positive and
-    non-increasing scales, 1 <= k <= len(scales), and finite betas >= k.
-    """
-    path = out / MODEL_FILE
-    doc = _need(path, chash, read_json)
+def _check_model(doc: dict, up) -> None:
     for name, kind in _MODEL_FIELDS.items():
-        if name not in doc:
-            raise StaleArtifactError(f"stale artifact: {path} has no field {name!r}")
         value = doc[name]
         valid = isinstance(value, kind) and not isinstance(value, bool)
         if name == "scales":
@@ -695,15 +660,106 @@ def _read_model(out: Path, chash: str) -> dict:
                      and all(type(v) is float and 0.0 < v < np.inf for v in value)
                      and all(a >= b for a, b in zip(value, value[1:])))
         elif name == "problem_kind":
-            valid = valid and value in _DRIVERS
+            valid = valid and value == up.driver.kind
         elif name == "k":
             valid = valid and 1 <= value <= len(doc["scales"])
         elif name.startswith("beta_"):
             valid = valid and np.isfinite(value) and value >= doc["k"]
         if not valid:
+            raise ValueError(f"an invalid {name!r}: {value!r}")
+
+
+def _check_shape(matrix, shape: tuple, meaning: str) -> None:
+    if matrix.shape != shape:
+        raise ValueError(f"shape {matrix.shape}, not ({meaning}) = {shape}")
+
+
+def _check_table(table: dict, columns, grid=None, index_below=None) -> None:
+    """Refuse other columns than ``columns``, a grid column other than
+    ``grid``, or an index column that is not integers in [0, index_below)."""
+    if list(table) != list(columns):
+        raise ValueError(f"columns {list(table)}, not {list(columns)}")
+    if grid is not None and not np.array_equal(table["grid"], grid):
+        raise ValueError("its grid column is not the run's grid")
+    if index_below is not None:
+        idx = table["index"]
+        if not np.all((idx == np.floor(idx)) & (idx >= 0) & (idx < index_below)):
+            raise ValueError(f"an index that is not a grid point 0..{index_below - 1}")
+
+
+#: stem -> (suffix, reader, check) of every artifact.  ``_Upstream.read``
+#: reads one with the function of this module named by its entry, looked up
+#: at the read (the benchmark's tracer wraps these names), and refuses it
+#: as damaged if ``check(content, upstream)`` raises.
+_ARTIFACTS = {
+    "snapshots": (".bin", None, None),
+    "pod_modes": (".bin", "load_matrix", lambda modes, up: _check_shape(
+        modes, (up.config.problem["n"], len(up.model["scales"])), "problem n, len(scales)")),
+    "pod_spectrum": (".csv", None, None),
+    "training_trace": (".csv", None, None),
+    "model": (".json", "read_json", _check_model),
+    "observations": (".csv", "read_csv", lambda obs, up: _check_table(
+        obs, _observation_columns(up.driver), up.driver.grid_of(up.config.problem_settings))),
+    "sensors": (".csv", "read_csv", lambda table, up: _check_table(
+        table, _SENSOR_COLUMNS, index_below=up.observations["grid"].size)),
+    "ensemble": (".bin", "load_matrix", lambda samples, up: _check_shape(
+        samples, (up.config.ensemble.count, up.observations["grid"].size), "count, grid")),
+    "summary": (".csv", "read_csv", lambda table, up: _check_table(
+        table, _SUMMARY_COLUMNS, up.observations["grid"])),
+    "report": (".json", None, None),
+    "timings": (".json", None, None),
+}
+
+
+def artifact_file(stem: str, name: str = "primary") -> str:
+    """The file name of an artifact, or of series ``name``'s ensemble or summary."""
+    return _named(stem, name) + _ARTIFACTS[stem][0]
+
+
+class _Upstream:
+    """A stage's reads of the artifacts made before it; ``model`` and
+    ``observations`` are kept once read, for the checks after them."""
+
+    def __init__(self, config: RunConfig, outdir):
+        self.config = config
+        self.driver = _DRIVERS[config.problem["kind"]]      # the class: no set-up
+        self.out = _outdir(config, outdir)
+        self.chash = config.config_hash()
+
+    def read(self, stem: str, name: str = "primary"):
+        """The artifact, if it exists (a ``.bin`` with its JSON sidecar) and
+        was made from this config.  One whose config hash cannot be read,
+        or that its reader or check refuses with a ``LookupError``,
+        ``TypeError`` or ``ValueError``, counts as made from another
+        config: ``StaleArtifactError``, naming its files."""
+        _, reader, check = _ARTIFACTS[stem]
+        path = self.out / artifact_file(stem, name)
+        parts = (path, path.with_suffix(".json")) if path.suffix == ".bin" else (path,)
+        for part in parts:
+            if not part.exists():
+                raise MissingArtifactError(f"missing artifact: {part}")
+        try:
+            found = artifact_hash(path)
+        except (ValueError, AttributeError) as exc:
             raise StaleArtifactError(
-                f"stale artifact: {path} has an invalid {name!r}: {value!r}")
-    return doc
+                f"stale artifact: {path} has no readable config_hash ({exc})") from exc
+        if found != self.chash:
+            raise StaleArtifactError(f"stale artifact: {path} has config_hash {found}, "
+                                     f"this config is {self.chash}")
+        try:
+            content = globals()[reader](path)
+            check(content, self)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise StaleArtifactError(
+                f"damaged artifact: {' with '.join(map(str, parts))} "
+                f"({type(exc).__name__}: {exc})") from exc
+        if stem in ("model", "observations"):
+            setattr(self, stem, content)
+        return content
+
+
+# ---------------------------------------------------------------------------
+# stages
 
 
 def stage_train(config: RunConfig, outdir=None) -> dict:
@@ -728,15 +784,21 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     m = snapshots.shape[1]
     scales = pod.singular_values / np.sqrt(m)
     modes = pod.modes
-    save_matrix(out / SNAPSHOTS_FILE, snapshots, chash)
-    save_matrix(out / POD_MODES_FILE, modes, chash)
-    write_csv(out / POD_SPECTRUM_FILE,
+    save_matrix(out / artifact_file("snapshots"), snapshots, chash)
+    save_matrix(out / artifact_file("pod_modes"), modes, chash)
+    write_csv(out / artifact_file("pod_spectrum"),
               {"index": np.arange(1, pod.rank + 1),
                "singular_value": pod.singular_values},
               chash)
 
     refs = driver.references(modes, k, snapshots)
-    _write_observations(out, driver, refs, chash)
+    write_csv(out / artifact_file("observations"),
+              {key: refs[key] for key in _observation_columns(driver)}, chash)
+    if driver.writes_sensors:
+        idx = refs["sensor_indices"]
+        write_csv(out / artifact_file("sensors"), dict(zip(_SENSOR_COLUMNS, (
+            idx, refs["grid"][idx], refs["observed_noisy"], refs["truth"][idx],
+            refs["rom"][idx]))), chash)
 
     train_seed = derive_seed(config.seed, _SEED_TRAINING)
     evaluator = driver.integer_evaluator(scales, k, modes, refs,
@@ -759,7 +821,7 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
         refined_converged = bool(refined.converged)
         trace_rows += [(b, f, tcfg.refinement.mc_samples) for b, f in refined.trace]
 
-    write_csv(out / TRACE_FILE, {
+    write_csv(out / artifact_file("training_trace"), {
         "iteration": np.arange(1, len(trace_rows) + 1),
         "beta": np.asarray([r[0] for r in trace_rows]),
         "f_estimate": np.asarray([r[1] for r in trace_rows]),
@@ -785,23 +847,8 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
         "training_seed": int(train_seed),
         "integer_evaluations": len(integer_result.cache.entries),
     }
-    write_json(out / MODEL_FILE, model_doc)
+    write_json(out / artifact_file("model"), model_doc)
     return model_doc
-
-
-def _write_observations(out: Path, driver, refs: dict, chash: str) -> None:
-    keys = [_named(stem, name) for name in ("primary", *driver.extra_series)
-            for stem in ("rom", "truth")]
-    write_csv(out / OBSERVATIONS_FILE, {key: refs[key] for key in ("grid", *keys)}, chash)
-    if driver.writes_sensors:
-        idx = refs["sensor_indices"]
-        write_csv(out / SENSORS_FILE, {
-            "index": idx,
-            "position": refs["grid"][idx],
-            "observed_noisy": refs["observed_noisy"],
-            "truth": refs["truth"][idx],
-            "rom": refs["rom"][idx],
-        }, chash)
 
 
 def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
@@ -812,12 +859,11 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
     over the CPUs this process may use (``_mc_draws``); a draw depends
     only on its stream index, so the number of CPUs moves no bit.
     """
-    out = _outdir(config, outdir)
-    chash = config.config_hash()
-    model_doc = _read_model(out, chash)
-    modes = _need(out / POD_MODES_FILE, chash, load_matrix)
+    up = _Upstream(config, outdir)
+    model_doc = up.read("model")
+    modes = up.read("pod_modes")
     # the references solved by the train stage (its rom is the cubic warm start)
-    refs = _need(out / OBSERVATIONS_FILE, chash, read_csv)
+    refs = up.read("observations")
     driver = make_driver(config)
 
     betas = {"primary": float(model_doc["beta_star"])}
@@ -828,69 +874,47 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
                                       config.ensemble.count,
                                       derive_seed(config.seed, _SEED_ENSEMBLE))
     for name in _series(model_doc):
-        save_matrix(out / f"{_named('ensemble', name)}.bin", ensembles[name], chash)
+        save_matrix(up.out / artifact_file("ensemble", name), ensembles[name], up.chash)
     return {name: ensembles[name].shape for name in _series(model_doc)}
 
 
 def stage_predict(config: RunConfig, outdir=None) -> dict:
     """Summarize ensembles into pointwise prediction intervals."""
-    out = _outdir(config, outdir)
-    chash = config.config_hash()
-    obs = _need(out / OBSERVATIONS_FILE, chash, read_csv)
-    model_doc = _read_model(out, chash)
-    shape = (config.ensemble.count, len(obs["grid"]))
-
-    def load_ensemble(path):
-        samples = load_matrix(path)
-        if samples.shape != shape:
-            raise ValueError(f"shape {samples.shape}, not (ensemble.count, "
-                             f"grid points of {OBSERVATIONS_FILE}) = {shape}")
-        return samples
-
+    up = _Upstream(config, outdir)
+    obs = up.read("observations")
+    model_doc = up.read("model")
     produced = {}
     for name in _series(model_doc):
-        samples = _need(out / f"{_named('ensemble', name)}.bin", chash, load_ensemble)
-        s = summarize_matrix(samples, obs["grid"], config.ensemble.level)
+        s = summarize_matrix(up.read("ensemble", name), obs["grid"], config.ensemble.level)
         ref = "primary" if name == "integer" else name    # same beta-free curves
-        path = f"{_named('summary', name)}.csv"
-        write_csv(out / path, {
-            "grid": s.grid, "mean": s.mean, "std": s.std, "lower": s.lower,
-            "upper": s.upper, "rom": obs[_named("rom", ref)],
-            "truth": obs[_named("truth", ref)],
-        }, chash)
+        path = artifact_file("summary", name)
+        write_csv(up.out / path, dict(zip(_SUMMARY_COLUMNS, (
+            s.grid, s.mean, s.std, s.lower, s.upper, obs[_named("rom", ref)],
+            obs[_named("truth", ref)]))), up.chash)
         produced[_named("summary", name)] = path
     return produced
 
 
 def _coverage(table: dict, truth, level: float, rows=slice(None)):
     """Coverage of ``truth`` by the intervals of a summary table, at ``rows``."""
-    fields = ("grid", "mean", "std", "lower", "upper")
+    fields = _SUMMARY_COLUMNS[:5]               # those of a PredictionSummary
     return coverage(PredictionSummary(level=level, **{f: table[f][rows] for f in fields}),
                     truth)
 
 
 def stage_report(config: RunConfig, outdir=None) -> dict:
-    """Coverage and sharpness of the prediction intervals; write report.json."""
-    out = _outdir(config, outdir)
-    chash = config.config_hash()
-    model_doc = _read_model(out, chash)
-    driver = _DRIVERS[model_doc["problem_kind"]]
+    """Coverage and sharpness of the prediction intervals; write the report."""
+    up = _Upstream(config, outdir)
+    model_doc = up.read("model")
+    driver = up.driver
     level = config.ensemble.level
-    grid = _need(out / OBSERVATIONS_FILE, chash, read_csv)["grid"]
-
-    def read_summary(path):
-        table = read_csv(path)
-        if not np.array_equal(table["grid"], grid):
-            raise ValueError(f"its grid column is not the one of {OBSERVATIONS_FILE}")
-        return table
-
-    tables = {name: _need(out / f"{_named('summary', name)}.csv", chash, read_summary)
-              for name in _series(model_doc)}
+    up.read("observations")             # for the checks of the summaries and sensors
+    tables = {name: up.read("summary", name) for name in _series(model_doc)}
     cov = {name: _coverage(t, t["truth"], level) for name, t in tables.items()}
 
     report = {
         "schema_version": 1,
-        "config_hash": chash,
+        "config_hash": up.chash,
         "config": config.canonical_dict(),
         "library_version": __version__,
         "problem_kind": model_doc["problem_kind"],
@@ -907,7 +931,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
 
     # only a run with sensors reports on its integer-beta intervals
     if driver.writes_sensors:
-        sensors = _need(out / SENSORS_FILE, chash, read_csv)
+        sensors = up.read("sensors")
         idx = sensors["index"].astype(int)
         noisy = _coverage(tables["primary"], sensors["observed_noisy"], level, idx)
         report["coverage_noisy"] = noisy.coverage
@@ -930,7 +954,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     if extras:
         report["extra_qois"] = extras
 
-    write_json(out / REPORT_FILE, report)
+    write_json(up.out / artifact_file("report"), report)
     return report
 
 
@@ -951,7 +975,7 @@ def run_pipeline(config: RunConfig, outdir=None, threads: int = 1) -> RunReport:
         times[f"{name}_s"] = time.perf_counter() - start
     times["total_s"] = time.perf_counter() - t0
     out = _outdir(config, outdir)
-    write_json(out / TIMINGS_FILE,
+    write_json(out / artifact_file("timings"),
                {"config_hash": config.config_hash(),
                 **{k: float(v) for k, v in times.items()}})
     return RunReport(beta_star=report["beta_star"], coverage=report["coverage"],

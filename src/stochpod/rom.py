@@ -230,18 +230,21 @@ class Trajectory:
     accelerations: Array
 
 
+def time_grid(dt: float, t_end: float) -> Array:
+    """The times 0, dt, ..., floor(t_end/dt) dt."""
+    return np.arange(int(np.floor(t_end / dt + 1e-12)) + 1) * dt
+
+
 def on_time_grid(system: LinearDynamicSystem, dt: float, t_end: float):
-    """``(system, times)``: the times 0, dt, ..., floor(t_end/dt) dt, and
-    ``system`` with its load sampled there, one row per time.  A callable
-    load is evaluated once per time; a load array must have a row for
-    each time."""
-    steps = int(np.floor(t_end / dt + 1e-12))
-    times = np.arange(steps + 1) * dt
+    """``(system, times)``: the times of ``time_grid``, and ``system`` with
+    its load sampled there, one row per time.  A callable load is
+    evaluated once per time; a load array must have a row for each time."""
+    times = time_grid(dt, t_end)
     load = system.load
     if callable(load):
         return replace(system, load=np.stack([np.asarray(load(t), dtype=float)
                                               for t in times])), times
-    if load.shape[0] < steps + 1:
+    if load.shape[0] < times.size:
         raise ValueError("precomputed load has fewer rows than time steps")
     return system, times
 

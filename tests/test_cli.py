@@ -228,6 +228,7 @@ def test_refused_stage_creates_no_output_directory(tiny_config, tmp_path):
     pytest.param("objective_refined", "x", id="objective_refined-string"),
     pytest.param("problem_kind", "cubic", id="problem_kind-unknown"),
     pytest.param("problem_kind", [1], id="problem_kind-list"),
+    pytest.param("problem_kind", "cubic-parametric", id="problem_kind-other"),
     pytest.param("k", 99, id="k-above-scales"),
     pytest.param("beta_star", 1.0, id="beta_star-below-k"),
     pytest.param("scales", [1.0, 2.0, 3.0], id="scales-increasing"),
@@ -288,30 +289,60 @@ def _last_row(edit):
     return damage
 
 
-def _narrowed(path):
-    # three quarters of the columns, the sidecar and its hash consistent
-    samples = load_matrix(path)
-    save_matrix(path, samples[:, :samples.shape[1] * 3 // 4], artifact_hash(path))
+def _resaved(edit):
+    # the matrix edited, the sidecar and its hash consistent
+    def damage(path):
+        save_matrix(path, edit(load_matrix(path)), artifact_hash(path))
+    return damage
 
 
-def _without_last_rows(path):
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-30]) + "\n")
+def _without_last_rows(count):
+    def damage(path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-count]) + "\n")
+    return damage
+
+
+def _without_column(name):
+    def damage(path):
+        stamp, header, *rows = path.read_text().splitlines()
+        drop = header.split(",").index(name)
+        kept = [",".join(c for j, c in enumerate(line.split(",")) if j != drop)
+                for line in (header, *rows)]
+        path.write_text("\n".join([stamp, *kept]) + "\n")
+    return damage
+
+
+def _first_cell(text):
+    return _last_row(lambda row: text + row[row.index(","):])
 
 
 @pytest.mark.parametrize("command,name,damage", [
     pytest.param("predict", "ensemble.bin", _cut(100), id="ensemble-bin-cut"),
-    pytest.param("predict", "ensemble.bin", _narrowed, id="ensemble-bin-narrow"),
-    pytest.param("report", "summary.csv", _without_last_rows, id="summary-rows-cut"),
+    pytest.param("predict", "ensemble.bin", _resaved(lambda m: m[:, :m.shape[1] * 3 // 4]),
+                 id="ensemble-bin-narrow"),
+    pytest.param("report", "summary.csv", _without_last_rows(30), id="summary-rows-cut"),
     pytest.param("predict", "ensemble.json", _without_rows, id="ensemble-sidecar-no-rows"),
-    pytest.param("predict", "observations.csv",
-                 _last_row(lambda row: "abc" + row[row.index(","):]), id="observations-text-cell"),
+    pytest.param("predict", "observations.csv", _first_cell("abc"),
+                 id="observations-text-cell"),
     pytest.param("report", "summary.csv", _last_row(lambda row: row.rsplit(",", 1)[0]),
                  id="summary-short-row"),
-    pytest.param("sample", "pod_modes.bin", _cut(64), id="pod-modes-bin-cut")])
+    pytest.param("sample", "pod_modes.bin", _cut(64), id="pod-modes-bin-cut"),
+    # content that parses but does not fit the run
+    pytest.param("sample", "pod_modes.bin", _resaved(lambda m: m[:, :-1]),
+                 id="pod-modes-narrow"),
+    pytest.param("sample", "pod_modes.bin", _resaved(lambda m: m[:-1]), id="pod-modes-short"),
+    pytest.param("report", "sensors.csv", _first_cell("100"), id="sensors-index-off-grid"),
+    pytest.param("report", "sensors.csv", _first_cell("-1"), id="sensors-index-negative"),
+    pytest.param("predict", "observations.csv", _without_column("truth"),
+                 id="observations-no-truth"),
+    pytest.param("report", "summary.csv", _without_column("upper"), id="summary-no-upper"),
+    pytest.param("sample", "observations.csv", _without_last_rows(10),
+                 id="observations-rows-cut")])
 def test_damaged_artifact_exit_code_3(tiny_config, tmp_path, capsys, command, name, damage):
-    # an artifact with this config's hash that its stage cannot read is
-    # refused like a stale one, naming the file
+    # an artifact with this config's hash that its stage cannot read, or
+    # whose content does not fit the run, is refused like a stale one,
+    # naming the file
     assert run_cli("run", "--config", tiny_config) == 0
     path = tmp_path / "out" / name
     damage(path)

@@ -759,6 +759,28 @@ def test_tracing_entry_points_stay_looked_up_by_name(monkeypatch):
     assert seen == {"streams": 14, "batches": 5}
 
 
+def test_stage_reads_stay_looked_up_by_name(monkeypatch, tmp_path):
+    # matrixio.read_s and matrixio.bytes_read wrap these module globals of
+    # pipeline; a read table that bound them at import would read zero there
+    cfg = refined(tiny_ex2_config())
+    pipeline.stage_train(cfg, tmp_path)
+    reads = []
+    for name in ("load_matrix", "read_csv", "read_json"):
+        def counted(path, reader=getattr(pipeline, name)):
+            reads.append(path.name)
+            return reader(path)
+        monkeypatch.setattr(pipeline, name, counted)
+    for stage, files in (
+            (pipeline.stage_sample, ["model.json", "pod_modes.bin", "observations.csv"]),
+            (pipeline.stage_predict, ["observations.csv", "model.json", "ensemble.bin",
+                                      "ensemble_integer.bin"]),
+            (pipeline.stage_report, ["model.json", "observations.csv", "summary.csv",
+                                     "summary_integer.csv", "sensors.csv"])):
+        reads.clear()
+        stage(cfg, tmp_path)
+        assert reads == files, stage.__name__
+
+
 # ---------------------------------------------------------------------------
 # seed derivation
 
