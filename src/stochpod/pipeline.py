@@ -74,14 +74,15 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
     makes the cache's first fill wide enough for every later beta.
 
     Each chunk is one call of the sampler and one of ``fn``, on the
-    calling thread.  Inside them, the sampler's top-k rule, the batched
-    kernels and ``_mc_objective``'s gaps split the chunk into one piece per
-    CPU this process may use (``sampling._in_pieces``), so no more draws
-    are in flight than in one chunk; the streams are generated, scaled or
-    sliced on the calling thread before the pieces start.  The bits do not
-    move: a draw depends only on its stream index, the sampler and the
-    kernels treat the draws of a batch one by one, and the pieces are put
-    back together in index order.
+    calling thread.  Inside them, three sites split the chunk into one
+    piece per CPU this process may use (``sampling._in_pieces``), so no
+    more draws are in flight than in one chunk: the sampler's top-k rule,
+    the Newton kernel and the Newmark kernel.  The linear kernel and
+    ``_mc_objective``'s gaps run whole, and the streams are generated,
+    scaled or sliced before the pieces start.  The bits do not move: a
+    draw depends only on its stream index, the sampler and the kernels
+    treat the draws of a batch one by one, and the pieces are put back
+    together in index order.
     """
     cache = StreamCache(seed, count, 0 if widest is None else int(np.ceil(widest)))
     chunks = [range(start, min(start + chunk, count)) for start in range(0, count, chunk)]
@@ -94,9 +95,9 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
     return run
 
 
-#: Doubles per block of ``_mc_objective``'s distance temporaries.  A piece
-#: on a helper thread allocates from that thread's malloc arena, which
-#: keeps what it frees, so the blocks are small.
+#: Doubles per block of ``_mc_objective``'s distance temporaries: blocks
+#: that stay in cache.  Whole-batch temporaries made ex1-cubic's training
+#: 13% slower.
 _GAP_BLOCK = 1 << 15
 
 
@@ -110,21 +111,16 @@ def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth,
     axis, so ``d_truth`` is a scalar or holds one distance per parameter.
     f is one sum over the gaps of all draws, divided by ``count``, so its
     value does not depend on ``chunk``.  ``widest`` goes to ``_mc_draws``.
-    The gaps of a batch are computed in pieces (``_in_pieces``), each in
-    blocks of rows, and a draw's gap does not depend on either.
+    The gaps of a batch are computed whole, on the calling thread, in
+    blocks of rows (``_GAP_BLOCK``); a draw's gap does not depend on them.
     """
     def gaps(draws, indices):
         predictions = predict(draws, indices)
         rows = max(1, _GAP_BLOCK // max(1, int(np.prod(predictions.shape[1:]))))
-
-        def gap(part):
-            d = np.concatenate([
-                np.linalg.norm(predictions[start:min(start + rows, part.stop)] - reference,
-                               axis=1)
-                for start in range(part.start, part.stop, rows)])
-            return np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
-
-        return np.concatenate(_in_pieces(gap, len(predictions)))
+        d = np.concatenate([np.linalg.norm(predictions[start:start + rows] - reference,
+                                           axis=1)
+                            for start in range(0, len(predictions), rows)])
+        return np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
 
     values = _mc_draws(scales, k, seed, count, chunk, gaps, widest)
     return lambda beta: float(np.sum(values(beta))) / count
@@ -141,18 +137,14 @@ def _mc_ensembles(scales, k, betas, seed, count, chunk, predict):
 
 
 def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
-    """Reduced static solves for stacked draws, in pieces (``_in_pieces``);
-    returns (count, grid) values."""
-    def solve(part):
-        w = draws[part]
-        ut = w.transpose(0, 2, 1)
-        k_w = np.matmul(np.matmul(ut, stiffness_r), w)
-        f_w = np.matmul(ut, force_r)
-        q = np.linalg.solve(k_w, f_w[:, :, None])
-        rows_w = np.matmul(qoi_rows, w)            # (count, s, k)
-        return np.matmul(rows_w, q)[:, :, 0]
-
-    return np.concatenate(_in_pieces(solve, len(draws)))
+    """Reduced static solves for stacked draws; returns (count, grid) values.
+    The batch runs whole: split over two threads (``_in_pieces``), it ran no faster."""
+    ut = draws.transpose(0, 2, 1)
+    k_w = np.matmul(np.matmul(ut, stiffness_r), draws)
+    f_w = np.matmul(ut, force_r)
+    q = np.linalg.solve(k_w, f_w[:, :, None])
+    rows_w = np.matmul(qoi_rows, draws)            # (count, s, k)
+    return np.matmul(rows_w, q)[:, :, 0]
 
 
 class _NewtonWorkspace:
@@ -729,9 +721,9 @@ class _Upstream:
     def read(self, stem: str, name: str = "primary"):
         """The artifact, if it exists (a ``.bin`` with its JSON sidecar) and
         was made from this config.  One whose config hash cannot be read,
-        or that its reader or check refuses with a ``LookupError``,
-        ``TypeError`` or ``ValueError``, counts as made from another
-        config: ``StaleArtifactError``, naming its files."""
+        or that its reader or check refuses with an ``OSError`` (a directory),
+        ``LookupError``, ``TypeError`` or ``ValueError``, counts as made from
+        another config: ``StaleArtifactError``, naming its files."""
         _, reader, check = _ARTIFACTS[stem]
         path = self.out / artifact_file(stem, name)
         parts = (path, path.with_suffix(".json")) if path.suffix == ".bin" else (path,)
@@ -740,7 +732,7 @@ class _Upstream:
                 raise MissingArtifactError(f"missing artifact: {part}")
         try:
             found = artifact_hash(path)
-        except (ValueError, AttributeError) as exc:
+        except (OSError, ValueError, AttributeError) as exc:
             raise StaleArtifactError(
                 f"stale artifact: {path} has no readable config_hash ({exc})") from exc
         if found != self.chash:
@@ -749,7 +741,7 @@ class _Upstream:
         try:
             content = globals()[reader](path)
             check(content, self)
-        except (LookupError, TypeError, ValueError) as exc:
+        except (OSError, LookupError, TypeError, ValueError) as exc:
             raise StaleArtifactError(
                 f"damaged artifact: {' with '.join(map(str, parts))} "
                 f"({type(exc).__name__}: {exc})") from exc

@@ -21,7 +21,7 @@ generator whose key is ``SeedSequence(master_seed, spawn_key=(index,))
 ``_normals`` derives the keys of all its streams in one vectorized pass
 of that hash (``_philox_keys``): the seed's words are mixed into the pool
 once per call, and only the index's spawn-key words and the output words
-are hashed per stream.  Each stream then re-keys this thread's one Philox
+are hashed per stream.  Each stream then re-keys the call's one Philox
 instead of building a SeedSequence, a Philox and a Generator of its own.
 
 Each stream's Gaussian matrix is filled column by column, so the matrix
@@ -187,39 +187,35 @@ def _philox_keys(seed: int, indices) -> np.ndarray:
     return np.stack(out, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-# each thread's one Philox generator, re-keyed for every keyed stream, so
-# that concurrent callers never draw from each other's streams
-_local = threading.local()
-
-
 @dataclass(frozen=True)
 class _KeyedStream(RandomStream):
-    """A ``RandomStream`` that carries its Philox key, from ``_philox_keys``.
+    """A ``RandomStream`` that carries its Philox key, from ``_philox_keys``,
+    and the one generator of the ``_normals`` call that made it, so that
+    concurrent calls never draw from each other's streams.
 
-    ``generator()`` sets this thread's one Philox to the key at counter 0,
+    ``generator()`` sets that generator's Philox to the key at counter 0,
     the state a fresh ``RandomStream.generator()`` starts from.
     """
 
     key: np.ndarray = field(default=None, compare=False, repr=False)
+    shared: np.random.Generator = field(default=None, compare=False, repr=False)
 
     def generator(self) -> np.random.Generator:
-        gen = getattr(_local, "generator", None)
-        if gen is None:
-            gen = _local.generator = np.random.Generator(np.random.Philox(0))
-        gen.bit_generator.state = {
+        self.shared.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": (0, 0, 0, 0), "key": self.key},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return gen
+        return self.shared
 
 
 def _normals(seed, indices, rank: int, cols: int) -> np.ndarray:
     """The ``normal_matrix(rank, cols)`` of each stream index, (len, rank, cols)."""
     seed = int(seed)
     keys = _philox_keys(seed, indices)
+    shared = np.random.Generator(np.random.Philox(0))
     z = np.empty((len(keys), rank, cols))
     for j, (i, key) in enumerate(zip(map(int, indices), keys)):
-        z[j] = _KeyedStream(seed, i, key).normal_matrix(rank, cols)
+        z[j] = _KeyedStream(seed, i, key, shared).normal_matrix(rank, cols)
     return z
 
 
@@ -245,11 +241,11 @@ def _in_pieces(fn, count):
     over the pieces would raise it.  ``fn`` must not call ``_in_pieces``:
     a helper waiting for the pool it runs on could wait forever.
 
-    The sampler, the batched kernels and the objective's gaps call it
-    inside themselves, so each of them is entered once per batch, on the
-    calling thread: a wrapper that times them by name
-    (``perfbench/tracer.py``, one span stack per process) sees the same
-    calls at any worker count.
+    It is called where the split was measured to pay, inside the sampler's
+    top-k rule and ``pipeline``'s Newton and Newmark kernels.  Each of them
+    is entered once per batch, on the calling thread, so a wrapper that
+    times them by name (``perfbench/tracer.py``, one span stack per
+    process) sees the same calls at any worker count.
     """
     global _helpers
     size = -(-count // _WORKERS) or 1

@@ -19,7 +19,7 @@ real-valued beta with a larger sample budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 # scipy's constants (2.2e-16, not float epsilon), so that every step has its bits
@@ -179,20 +179,18 @@ class BetaSearchResult:
     converged: bool
 
 
-def optimize_beta(config: TrainingConfig, objective: Callable[[float], float],
-                  bounds: tuple[float, float] | None = None,
-                  tolerance: float | None = None,
-                  max_iter: int | None = None) -> BetaSearchResult:
-    """Bounded scalar minimization (``_bounded_brent``).
+def optimize_beta(config: TrainingConfig,
+                  objective: Callable[[float], float]) -> BetaSearchResult:
+    """Minimize ``objective`` over ``config.beta_bounds`` (``_bounded_brent``),
+    to ``config.tolerance`` in at most ``config.max_iter`` queries.
 
     Records every (beta, f) query.  When the minimizer lands within the
     tolerance of an integer, the result snaps to that integer so grid
     minima are reported exactly.  Non-convergence within the iteration
     cap returns the best point found, flagged via ``converged``.
     """
-    lo, hi = bounds if bounds is not None else config.beta_bounds
-    xatol = config.tolerance if tolerance is None else tolerance
-    cap = config.max_iter if max_iter is None else max_iter
+    lo, hi = config.beta_bounds
+    xatol = config.tolerance
     trace: list[tuple[float, float]] = []
 
     def traced(b: float) -> float:
@@ -200,7 +198,7 @@ def optimize_beta(config: TrainingConfig, objective: Callable[[float], float],
         trace.append((float(b), value))
         return value
 
-    beta_star, f_star, converged = _bounded_brent(traced, lo, hi, xatol, cap)
+    beta_star, f_star, converged = _bounded_brent(traced, lo, hi, xatol, config.max_iter)
     snapped = round(beta_star)
     if abs(beta_star - snapped) <= 2.0 * xatol and lo <= snapped <= hi:
         f_snapped = traced(float(snapped))
@@ -259,5 +257,5 @@ def refine_beta_real(beta_int: float, config: TrainingConfig,
         return BetaSearchResult(beta=float(beta_int), value=value,
                                 trace=((float(beta_int), value),),
                                 converged=True)
-    return optimize_beta(config, objective, bounds=(lo, hi),
-                         tolerance=ref.tolerance, max_iter=ref.max_iter)
+    return optimize_beta(replace(config, beta_bounds=(lo, hi), tolerance=ref.tolerance,
+                                 max_iter=ref.max_iter), objective)

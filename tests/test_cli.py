@@ -317,6 +317,11 @@ def _first_cell(text):
     return _last_row(lambda row: text + row[row.index(","):])
 
 
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 @pytest.mark.parametrize("command,name,damage", [
     pytest.param("predict", "ensemble.bin", _cut(100), id="ensemble-bin-cut"),
     pytest.param("predict", "ensemble.bin", _resaved(lambda m: m[:, :m.shape[1] * 3 // 4]),
@@ -338,7 +343,10 @@ def _first_cell(text):
                  id="observations-no-truth"),
     pytest.param("report", "summary.csv", _without_column("upper"), id="summary-no-upper"),
     pytest.param("sample", "observations.csv", _without_last_rows(10),
-                 id="observations-rows-cut")])
+                 id="observations-rows-cut"),
+    # a file that cannot be opened
+    pytest.param("report", "summary.csv", _directory, id="summary-is-a-directory"),
+    pytest.param("sample", "model.json", _directory, id="model-json-is-a-directory")])
 def test_damaged_artifact_exit_code_3(tiny_config, tmp_path, capsys, command, name, damage):
     # an artifact with this config's hash that its stage cannot read, or
     # whose content does not fit the run, is refused like a stale one,

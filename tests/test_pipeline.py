@@ -292,6 +292,32 @@ def test_worker_count_changes_no_artifact(make_config, refine, tmp_path, monkeyp
             assert runs[workers][name] == data, (workers, name)
 
 
+# the names that perfbench/tracer.py wraps and the pipeline calls, by owner
+_TRACED_NAMES = {
+    pipeline: ("stage_train", "stage_sample", "stage_predict", "stage_report",
+               "compact_svd", "train_integer_beta", "refine_beta_real",
+               "summarize_matrix", "save_matrix", "write_csv", "write_json",
+               "load_matrix", "read_csv", "read_json", "batch_fractional_draws",
+               "_cubic_newton_batch", "_linear_qoi_predictions",
+               "_dynamic_qoi_predictions"),
+    **{driver: ("snapshots", "references", "draw_ensembles", "integer_evaluator")
+       for driver in pipeline._DRIVERS.values()},
+    rom: ("solve_nonlinear_cubic", "newmark_integrate", "galerkin_reduce"),
+    sp.RandomStream: ("normal_matrix",),
+}
+
+
+# the traced names that a problem kind's run does not call
+_UNREACHED = {
+    "cubic-parametric": {"_linear_qoi_predictions", "_dynamic_qoi_predictions",
+                         "newmark_integrate", "galerkin_reduce"},
+    "linear-static-experiment": {"_cubic_newton_batch", "_dynamic_qoi_predictions",
+                                 "solve_nonlinear_cubic", "newmark_integrate"},
+    "surrogate-dynamics": {"_cubic_newton_batch", "_linear_qoi_predictions",
+                           "solve_nonlinear_cubic"},
+}
+
+
 @pytest.mark.parametrize("make_config", [tiny_ex1_config, tiny_ex2_config,
                                          tiny_ex3_config])
 def test_only_the_calling_thread_enters_the_traced_names(make_config, tmp_path,
@@ -299,21 +325,27 @@ def test_only_the_calling_thread_enters_the_traced_names(make_config, tmp_path,
     # the benchmark's tracer wraps these names and keeps one span stack per
     # process: a call from a helper thread would corrupt its counts
     monkeypatch.setattr(sampling, "_WORKERS", 3)
-    threads = set()
+    threads = {}        # name -> the threads that entered it
 
-    def recorded(fn):
+    def recorded(name, fn):
         def wrapper(*args, **kwargs):
-            threads.add(threading.get_ident())
+            threads.setdefault(name, set()).add(threading.get_ident())
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("batch_fractional_draws", "_cubic_newton_batch",
-                 "_linear_qoi_predictions", "_dynamic_qoi_predictions"):
-        monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name)))
-    monkeypatch.setattr(sp.RandomStream, "normal_matrix",
-                        recorded(sp.RandomStream.normal_matrix))
-    pipeline.run_pipeline(make_config(), tmp_path)
-    assert threads == {threading.get_ident()}
+    def objectives(name, fn):
+        # the tracer times the objective that integer_evaluator returns
+        return lambda *args, **kwargs: recorded(name, fn(*args, **kwargs))
+
+    for owner, names in _TRACED_NAMES.items():
+        for name in names:
+            wrap = objectives if name == "integer_evaluator" else recorded
+            monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
+    cfg = refined(make_config())
+    pipeline.run_pipeline(cfg, tmp_path)
+    assert set(threads) == ({n for names in _TRACED_NAMES.values() for n in names}
+                            - _UNREACHED[cfg.problem["kind"]])
+    assert all(entered == {threading.get_ident()} for entered in threads.values()), threads
 
 
 # ---------------------------------------------------------------------------
