@@ -5,8 +5,9 @@ Subcommands mirror the pipeline stages: ``run`` executes everything,
 slice given the upstream artifacts on disk.
 
 Exit codes: 0 success, 2 config/usage error, 3 a missing or unreadable
-artifact, one made from a different config or one whose content does not
-fit the run, 4 numerical failure or out of memory.
+artifact, one made from a different config, one whose content does not
+fit the run or an artifact that cannot be written, 4 numerical failure or
+out of memory.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ def main(argv=None) -> int:
                               "mean_pi_width": report["mean_pi_width"]}))
     except pipeline.MissingArtifactError as exc:
         print(f"error: {exc} (run the upstream stage first)", file=sys.stderr)
+        return EXIT_MISSING
+    except OSError as exc:          # a stage's write: the path is in the message
+        print(f"error: cannot write the run's output: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (ConvergenceError, GapError, np.linalg.LinAlgError, MemoryError) as exc:
         _record_failure(config, exc)

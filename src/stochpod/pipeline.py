@@ -316,12 +316,13 @@ def _dynamic_rows(draws, reduced, modes, dt, steps, series, out):
 # ---------------------------------------------------------------------------
 # problem drivers
 #
-# Each driver sets up its batched kernel and hands one ``predict`` closure
-# to the shared Monte-Carlo loop: ``integer_evaluator`` returns
-# ``_mc_objective`` of it with the driver's reference and the truth's
-# distance to it, f(beta) at real beta (integer training and refinement
-# both use it); ``draw_ensembles`` returns ``_mc_ensembles`` of it, one
-# (count, grid) sample matrix per named beta.
+# Each driver sets up its batched kernel in one method (``_kernel``, the
+# cubic's ``_solve_draws``) and hands one ``predict`` closure to the shared
+# Monte-Carlo loop: ``integer_evaluator`` returns ``_mc_objective`` of it
+# with the driver's reference and the truth's distance to it, f(beta) at
+# real beta (integer training and refinement both use it);
+# ``draw_ensembles`` returns ``_mc_ensembles`` of it, one (count, grid)
+# sample matrix per named beta.
 # ``references`` solves the deterministic ROM with the same kernel at the
 # identity draw (``_mode_draw``); only the train stage calls it, and
 # sampling reads its observations artifact.
@@ -481,10 +482,14 @@ class ExperimentDriver:
             x[:, j] = perturbed.solve(force)
         return x
 
-    def references(self, modes, k, snapshots) -> dict:
+    def _kernel(self, modes, qoi_rows):
+        """``predict(draws, indices)``: the reduced static solves at ``qoi_rows``."""
         red = rom.galerkin_reduce(self.system, modes)
-        x_rom = _linear_qoi_predictions(_mode_draw(modes, k), red.stiffness,
-                                        red.force, modes)[0]
+        return lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
+                                                              red.force, qoi_rows)
+
+    def references(self, modes, k, snapshots) -> dict:
+        x_rom = self._kernel(modes, modes)(_mode_draw(modes, k), ["rom"])[0]
         return {
             "grid": self.grid,
             "rom": x_rom,
@@ -498,20 +503,12 @@ class ExperimentDriver:
         idx = refs["sensor_indices"]
         reference = refs["rom"][idx]
         d_truth = np.linalg.norm(refs["observed_noisy"] - reference)
-        red = rom.galerkin_reduce(self.system, modes)
-        qoi_rows = modes[idx]
-        return _mc_objective(
-            scales, k, seed, mc_samples, chunk,
-            lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
-                                                           red.force, qoi_rows),
-            reference, d_truth, widest)
+        return _mc_objective(scales, k, seed, mc_samples, chunk,
+                             self._kernel(modes, modes[idx]), reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
-        red = rom.galerkin_reduce(self.system, modes)
-        return _mc_ensembles(
-            scales, k, betas, seed, count, chunk,
-            lambda draws, indices: _linear_qoi_predictions(draws, red.stiffness,
-                                                           red.force, modes))
+        return _mc_ensembles(scales, k, betas, seed, count, chunk,
+                             self._kernel(modes, modes))
 
 
 class SurrogateDriver:
@@ -558,12 +555,16 @@ class SurrogateDriver:
                 **{name: (getattr(self, attr), order)
                    for name, (attr, order) in self.extra_series.items()}}
 
+    def _kernel(self, modes, series):
+        """``predict(draws, indices)``: the ``series`` of the reduced Newmark runs."""
+        reduced = rom.galerkin_reduce(self.system, modes)
+        return lambda draws, indices: _dynamic_qoi_predictions(draws, reduced, modes,
+                                                               self.dt, self.steps, series)
+
     def references(self, modes, k, snapshots) -> dict:
         traj = self._hdm_trajectory()
         spec = self.series_spec()
-        reduced = rom.galerkin_reduce(self.system, modes)
-        series = _dynamic_qoi_predictions(_mode_draw(modes, k), reduced, modes,
-                                          self.dt, self.steps, list(spec.values()))[0]
+        series = self._kernel(modes, list(spec.values()))(_mode_draw(modes, k), ["rom"])[0]
         refs = {"grid": self.times}
         fields = {0: "states", 1: "velocities", 2: "accelerations"}
         for j, (name, (dof, order)) in enumerate(spec.items()):
@@ -573,23 +574,17 @@ class SurrogateDriver:
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
                           chunk=512, widest=None):
-        reduced = rom.galerkin_reduce(self.system, modes)
         reference = refs["rom"]
         d_truth = np.linalg.norm(refs["truth"] - reference)
-        primary = [self.series_spec()["primary"]]
-        return _mc_objective(
-            scales, k, seed, mc_samples, chunk,
-            lambda draws, indices: _dynamic_qoi_predictions(
-                draws, reduced, modes, self.dt, self.steps, primary)[:, 0],
-            reference, d_truth, widest)
+        predict = self._kernel(modes, [self.series_spec()["primary"]])
+        return _mc_objective(scales, k, seed, mc_samples, chunk,
+                             lambda draws, indices: predict(draws, indices)[:, 0],
+                             reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
-        reduced = rom.galerkin_reduce(self.system, modes)
-        series = list(self.series_spec().values())     # primary, then the extras
-        stacked = _mc_ensembles(
-            scales, k, betas, seed, count, chunk,
-            lambda draws, indices: _dynamic_qoi_predictions(draws, reduced, modes,
-                                                            self.dt, self.steps, series))
+        # the primary series, then the extras
+        stacked = _mc_ensembles(scales, k, betas, seed, count, chunk,
+                                self._kernel(modes, list(self.series_spec().values())))
         out = {name: values[:, 0] for name, values in stacked.items()}
         for j, name in enumerate(self.extra_series, 1):
             out[name] = stacked["primary"][:, j]

@@ -203,20 +203,15 @@ def surrogate_dynamics(spec: SurrogateSpec) -> LinearDynamicSystem:
     if not 0 <= heavy < n:
         raise ValueError("heavy_dof out of range")
     gen = RandomStream(spec.structure_seed).generator()
-    springs = spec.stiffness_scale * (1.0 + 0.4 * gen.random(n - 1))
     k = np.zeros((n, n))
-    for i, s in enumerate(springs):
-        k[i, i] += s
-        k[i + 1, i + 1] += s
-        k[i, i + 1] -= s
-        k[i + 1, i] -= s
-    # second-neighbour springs at a quarter of the nearest-neighbour scale
-    second = 0.25 * spec.stiffness_scale * (1.0 + 0.4 * gen.random(n - 2))
-    for i, s in enumerate(second):
-        k[i, i] += s
-        k[i + 2, i + 2] += s
-        k[i, i + 2] -= s
-        k[i + 2, i] -= s
+    # nearest-neighbour springs, then second-neighbour ones at a quarter of their scale
+    for gap, scale in ((1, 1.0), (2, 0.25)):
+        springs = scale * spec.stiffness_scale * (1.0 + 0.4 * gen.random(n - gap))
+        for i, s in enumerate(springs):
+            k[i, i] += s
+            k[i + gap, i + gap] += s
+            k[i, i + gap] -= s
+            k[i + gap, i] -= s
     m = np.ones(n)              # unit masses, then the heavy one
     m[heavy] *= spec.mass_ratio
     mass = np.diag(m)

@@ -163,16 +163,13 @@ def solve_linear_static(system) -> Array:
 
 def _newton(residual, jacobian, guess, tol, max_iter):
     x = np.array(guess, dtype=float)
-    res = residual(x)
-    norm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if norm <= tol:
-            return x
-        x = x - np.linalg.solve(jacobian(x), res)
+    for iteration in range(max_iter + 1):
         res = residual(x)
         norm = float(np.max(np.abs(res)))
-    if norm <= tol:
-        return x
+        if norm <= tol:
+            return x
+        if iteration < max_iter:
+            x = x - np.linalg.solve(jacobian(x), res)
     raise ConvergenceError(
         f"Newton did not reach tol={tol:g} in {max_iter} iterations "
         f"(last residual {norm:.3e})", residual=norm, iterations=max_iter)

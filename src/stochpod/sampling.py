@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class StochasticSubspaceModel:
     """Spectrum-scaled random subspace model.
 
     ``scales`` are the square roots of the covariance eigenvalues
-    (strictly positive, non-increasing), ``k`` the subspace dimension,
-    ``beta`` the concentration (resample size), real-valued, >= k.
+    (finite, strictly positive, non-increasing), ``k`` the subspace
+    dimension, ``beta`` the concentration (resample size), finite, >= k.
     """
 
     scales: np.ndarray
@@ -71,14 +71,14 @@ class StochasticSubspaceModel:
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "beta", float(self.beta))
-        if np.any(s <= 0):
-            raise ValueError("scales must be strictly positive")
+        if not np.all((s > 0) & (s < np.inf)):
+            raise ValueError(f"scales must be finite and strictly positive, got {s}")
         if np.any(np.diff(s) > 0):
             raise ValueError("scales must be non-increasing")
         if not 1 <= self.k <= s.shape[0]:
             raise ValueError(f"k must lie in [1, {s.shape[0]}], got {self.k}")
-        if self.beta < self.k:
-            raise ValueError(f"beta must be >= k={self.k}, got {self.beta}")
+        if not self.k <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= k={self.k}, got {self.beta}")
 
     @property
     def rank(self) -> int:
@@ -100,7 +100,7 @@ class RandomStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.Philox(seq))
 
-    def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
+    def normal_matrix(self, rows: int, cols: int, generator=None) -> np.ndarray:
         """Standard normal matrix filled column by column.
 
         Column-major fill means widening the matrix extends the draw
@@ -108,8 +108,11 @@ class RandomStream:
         ``normal_matrix(rows, c + m)`` are ``normal_matrix(rows, c)``, bit
         for bit.  Paired-seed comparisons across nearby beta values rely
         on it, and ``StreamCache`` slices narrower draws out of wider ones.
+        ``generator``, if given, must be in the state ``generator()``
+        starts from; ``_normals`` passes one it has keyed itself.
         """
-        flat = self.generator().standard_normal(rows * cols)
+        generator = self.generator() if generator is None else generator
+        flat = generator.standard_normal(rows * cols)
         return flat.reshape(cols, rows).T
 
 
@@ -187,35 +190,21 @@ def _philox_keys(seed: int, indices) -> np.ndarray:
     return np.stack(out, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-@dataclass(frozen=True)
-class _KeyedStream(RandomStream):
-    """A ``RandomStream`` that carries its Philox key, from ``_philox_keys``,
-    and the one generator of the ``_normals`` call that made it, so that
-    concurrent calls never draw from each other's streams.
-
-    ``generator()`` sets that generator's Philox to the key at counter 0,
-    the state a fresh ``RandomStream.generator()`` starts from.
-    """
-
-    key: np.ndarray = field(default=None, compare=False, repr=False)
-    shared: np.random.Generator = field(default=None, compare=False, repr=False)
-
-    def generator(self) -> np.random.Generator:
-        self.shared.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": self.key},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return self.shared
-
-
 def _normals(seed, indices, rank: int, cols: int) -> np.ndarray:
-    """The ``normal_matrix(rank, cols)`` of each stream index, (len, rank, cols)."""
+    """The ``normal_matrix(rank, cols)`` of each stream index, (len, rank, cols).
+
+    The call's one Philox is set to each stream's key at counter 0, the
+    state a fresh ``RandomStream.generator()`` starts from; each call keys
+    its own, so concurrent calls never draw from each other's streams.
+    """
     seed = int(seed)
-    keys = _philox_keys(seed, indices)
-    shared = np.random.Generator(np.random.Philox(0))
-    z = np.empty((len(keys), rank, cols))
-    for j, (i, key) in enumerate(zip(map(int, indices), keys)):
-        z[j] = _KeyedStream(seed, i, key, shared).normal_matrix(rank, cols)
+    philox = np.random.Philox(0)
+    generator = np.random.Generator(philox)
+    z = np.empty((len(indices), rank, cols))
+    for j, (i, key) in enumerate(zip(map(int, indices), _philox_keys(seed, indices))):
+        philox.state = {"bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": key},
+                        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        z[j] = RandomStream(seed, i).normal_matrix(rank, cols, generator)
     return z
 
 

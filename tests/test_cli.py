@@ -359,6 +359,26 @@ def test_damaged_artifact_exit_code_3(tiny_config, tmp_path, capsys, command, na
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,name", [
+    pytest.param("train", None, id="out-is-a-file"),
+    pytest.param("sample", "ensemble.bin", id="ensemble-bin-is-a-directory"),
+    pytest.param("report", "report.json", id="report-json-is-a-directory")])
+def test_unwritable_artifact_exit_code_3(tiny_config, tmp_path, capsys, command, name):
+    # a stage that cannot write its output directory or an artifact exits
+    # 3, naming the path
+    out = tmp_path / "out"
+    if name is None:
+        out.write_text("")
+        path = out
+    else:
+        assert run_cli("run", "--config", tiny_config) == 0
+        path = out / name
+        _directory(path)
+    capsys.readouterr()
+    assert run_cli(command, "--config", tiny_config, "--out", out) == 3
+    assert str(path) in capsys.readouterr().err
+
+
 def test_sample_count_flag_is_refused(tiny_config, tmp_path, capsys):
     # the ensemble size is the config's: an override would write an
     # ensemble under the hash of a config that names another count

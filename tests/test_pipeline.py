@@ -602,9 +602,9 @@ def test_objective_generates_each_stream_once(monkeypatch):
     calls = []
     normal_matrix = sp.RandomStream.normal_matrix
 
-    def counted(stream, rows, cols):
+    def counted(stream, *args):
         calls.append(stream.stream_index)
-        return normal_matrix(stream, rows, cols)
+        return normal_matrix(stream, *args)
 
     monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted)
     count = 23
@@ -627,9 +627,9 @@ def test_refinement_generates_each_stream_once(tmp_path, monkeypatch):
     refine = pipeline.refine_beta_real
     seen = {}
 
-    def counted(stream, rows, cols):
+    def counted(stream, *args):
         calls.append(stream.stream_index)
-        return normal_matrix(stream, rows, cols)
+        return normal_matrix(stream, *args)
 
     def counted_refine(*args):
         start = len(calls)

@@ -47,6 +47,18 @@ def test_model_validation():
         sp.StochasticSubspaceModel(np.array([2.0, -1.0]), 1, 1)  # nonpositive
 
 
+@pytest.mark.parametrize("scales,beta", [
+    pytest.param([1.0, np.nan], 2.5, id="scales-nan"),
+    pytest.param([np.inf, 1.0], 2.5, id="scales-inf"),
+    pytest.param([2.0, 1.0], np.nan, id="beta-nan"),
+    pytest.param([2.0, 1.0], np.inf, id="beta-inf")])
+def test_model_refuses_non_finite_values(scales, beta):
+    # a NaN scale would make every draw NaN, and a non-finite beta has no
+    # column count
+    with pytest.raises(ValueError, match="finite"):
+        sp.StochasticSubspaceModel(scales, 1, beta)
+
+
 def test_angle_density_matches_analytic_acg():
     """r=2, k=1: the subspace angle follows the angular central Gaussian law.
 
