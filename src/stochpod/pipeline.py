@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rom
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .ensemble import PredictionSummary, coverage, summarize_matrix
 from .errors import ConvergenceError
 from .matrixio import (artifact_hash, save_matrix, write_csv, write_json,
@@ -126,16 +126,6 @@ def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth,
     return lambda beta: float(np.sum(values(beta))) / count
 
 
-def _mc_ensembles(scales, k, betas, seed, count, chunk, predict):
-    """name -> (count, ...) predictions, one ensemble per named beta.
-
-    ``predict(draws, indices)`` returns the predictions of a batch of draws.
-    The named betas share one stream cache.
-    """
-    predictions = _mc_draws(scales, k, seed, count, chunk, predict)
-    return {name: predictions(beta) for name, beta in betas.items()}
-
-
 def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
     """Reduced static solves for stacked draws; returns (count, grid) values.
     The batch runs whole: split over two threads (``_in_pieces``), it ran no faster."""
@@ -153,8 +143,8 @@ class _NewtonWorkspace:
     They are sized at the first call, and a call with fewer draws (a
     loop's tail chunk) uses their leading [:D] slices, so a loop faults
     their pages in once instead of at every chunk.  One workspace serves
-    one loop, whose calls share n, k and P; the kernel's results never
-    alias it.
+    one loop, whose calls share n, k and P (``CubicDriver._kernel`` holds
+    one); the kernel's results never alias it.
     """
 
     def __init__(self):
@@ -169,7 +159,7 @@ class _NewtonWorkspace:
 
 
 def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indices,
-                        workspace=None):
+                        workspace):
     """Newton over a batch of draws, each with a batch of right-hand sides.
 
     Draw d has basis w[d] (n, k) and residual rows
@@ -183,12 +173,10 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
     ``_newton_rows`` on its own slices of the buffers of ``workspace``, a
     ``_NewtonWorkspace`` that the calling loop holds across its chunks, so
     their pages are not returned to the system and faulted in again at
-    every call.  Without one, the call makes a workspace of its own.
+    every call.
     """
     q = np.array(q0, dtype=float)
     count, n, k = w.shape
-    if workspace is None:
-        workspace = _NewtonWorkspace()
     buffers = workspace.buffers(count, n, k, q.shape[1])
 
     def solve(part):
@@ -316,14 +304,14 @@ def _dynamic_rows(draws, reduced, modes, dt, steps, series, out):
 # ---------------------------------------------------------------------------
 # problem drivers
 #
-# Each driver sets up its batched kernel in one method (``_kernel``, the
-# cubic's ``_solve_draws``) and hands one ``predict`` closure to the shared
-# Monte-Carlo loop: ``integer_evaluator`` returns ``_mc_objective`` of it
-# with the driver's reference and the truth's distance to it, f(beta) at
-# real beta (integer training and refinement both use it);
-# ``draw_ensembles`` returns ``_mc_ensembles`` of it, one (count, grid)
-# sample matrix per named beta.
-# ``references`` solves the deterministic ROM with the same kernel at the
+# Each driver sets up its batched kernel in one method, ``_kernel(modes,
+# ...)``, that returns one ``predict(draws, indices)`` closure and holds
+# its set-up (a reduction, or the cubic's Newton workspace) for one loop.
+# ``integer_evaluator`` returns ``_mc_objective`` of it with the driver's
+# reference and the truth's distance to it, f(beta) at real beta (integer
+# training and refinement both use it); ``draw_ensembles`` runs one
+# ``_mc_draws`` of it at each named beta, one (count, grid) matrix each.
+# ``references`` solves the deterministic ROM with its own kernel at the
 # identity draw (``_mode_draw``); only the train stage calls it, and
 # sampling reads its observations artifact.
 # The stages read what a driver writes from its class attributes, so that
@@ -376,8 +364,8 @@ class CubicDriver:
         # every training parameter and mu_test, each solved from zero
         forces = np.stack([self.system.force_map(mu)
                            for mu in (*self.params, self.mu_test)])
-        solved = self._solve_draws(modes, _mode_draw(modes, k), forces,
-                                   np.zeros_like(forces), ["rom"])[0]
+        solved = self._kernel(modes, forces, np.zeros_like(forces))(
+            _mode_draw(modes, k), ["rom"])[0]
         rom_train, rom_test = solved[:, :-1], solved[:, -1]
         hdm_test = rom.solve_nonlinear_cubic(self.system, self.mu_test,
                                              guess=rom_test,
@@ -391,21 +379,23 @@ class CubicDriver:
             "train_rom": rom_train,
         }
 
-    def _solve_draws(self, modes, draws, forces, guesses, indices, workspace=None):
-        """Reduced Newton solves on the bases modes @ draws.
-
-        ``forces`` and ``guesses`` are (P, n): one right-hand side per row,
-        each warm-started from the projection of its guess.  Returns the
-        lifted solutions, shape (D, n, P), a new array.  ``workspace`` is
-        the Newton kernel's, held by the calling loop.
+    def _kernel(self, modes, forces, guesses):
+        """``predict(draws, indices)``: reduced Newton solves on the bases modes @ draws,
+        one per row of ``forces`` (P, n), each warm-started from the projection
+        of that row of ``guesses``.  ``predict`` returns the lifted solutions
+        (D, n, P), a new array.  One ``_NewtonWorkspace`` serves the kernel's one loop.
         """
-        w = np.matmul(modes, draws)
-        stiffness_r = np.matmul(w.transpose(0, 2, 1),
-                                np.matmul(self.system.stiffness, w))
-        q = _cubic_newton_batch(w, stiffness_r, self.alpha, np.matmul(forces, w),
-                                np.matmul(guesses, w), self.newton_tol,
-                                self.newton_max_iter, indices, workspace)
-        return np.matmul(w, q.transpose(0, 2, 1))
+        workspace = _NewtonWorkspace()
+
+        def predict(draws, indices):
+            w = np.matmul(modes, draws)
+            stiffness_r = np.matmul(w.transpose(0, 2, 1), np.matmul(self.system.stiffness, w))
+            q = _cubic_newton_batch(w, stiffness_r, self.alpha, np.matmul(forces, w),
+                                    np.matmul(guesses, w), self.newton_tol,
+                                    self.newton_max_iter, indices, workspace)
+            return np.matmul(w, q.transpose(0, 2, 1))
+
+        return predict
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed, chunk=32,
                           widest=None):
@@ -416,22 +406,17 @@ class CubicDriver:
         # pooled: one distance over all parameters; else one per parameter
         d_truth = np.linalg.norm(truth - rom_train, axis=None if pooled else 0)
         shape = (-1,) if pooled else rom_train.shape
-        workspace = _NewtonWorkspace()          # the loop's, across its chunks
-        return _mc_objective(
-            scales, k, seed, mc_samples, chunk,
-            lambda draws, indices: self._solve_draws(
-                modes, draws, forces, rom_train.T, indices,
-                workspace).reshape(len(draws), *shape),
-            rom_train.reshape(shape), d_truth, widest)
+        predict = self._kernel(modes, forces, rom_train.T)
+        return _mc_objective(scales, k, seed, mc_samples, chunk,
+                             lambda u, indices: predict(u, indices).reshape(len(u), *shape),
+                             rom_train.reshape(shape), d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
-        force = self.system.force_map(self.mu_test)[None]
-        guess = refs["rom"][None]
-        workspace = _NewtonWorkspace()
-        return _mc_ensembles(
-            scales, k, betas, seed, count, chunk,
-            lambda draws, indices: self._solve_draws(modes, draws, force, guess,
-                                                     indices, workspace)[:, :, 0])
+        predict = self._kernel(modes, self.system.force_map(self.mu_test)[None],
+                               refs["rom"][None])
+        draws = _mc_draws(scales, k, seed, count, chunk,
+                          lambda u, indices: predict(u, indices)[:, :, 0])
+        return {name: draws(beta) for name, beta in betas.items()}
 
 
 class ExperimentDriver:
@@ -458,21 +443,29 @@ class ExperimentDriver:
         self.system = rom.LinearStaticSystem(stiffness=self.stiff.matrix, force=self.force)
         self.grid = self.grid_of(p)
 
-        truth_stiff = perturb_stiffness(
-            self.stiff, self.ratio, RandomStream(derive_seed(self.seed, _SEED_TRUTH)))
+        truth_stiff = self._perturbed(RandomStream(derive_seed(self.seed, _SEED_TRUTH)),
+                                      "the truth")
         self.truth_response = truth_stiff.solve(self.force)
         self.sensor_indices, clean = observe_sparse(self.truth_response,
                                                     self.sensor_count)
         self.observed_noisy, _ = add_noise(
             clean, self.noise_level, RandomStream(derive_seed(self.seed, _SEED_NOISE)))
 
+    def _perturbed(self, stream, draw):
+        """A perturbed stiffness, refused unless it is positive definite."""
+        stiff = perturb_stiffness(self.stiff, self.ratio, stream)
+        bad = int(np.sum(stiff.eigvals <= 0.0))
+        if bad:
+            raise ConfigError("problem.perturbation_ratio", f"the perturbed stiffness of "
+                              f"{draw} has {bad} eigenvalue(s) <= 0")
+        return stiff
+
     def snapshots(self) -> np.ndarray:
         snap_seed = derive_seed(self.seed, _SEED_SNAPSHOTS)
         force_seed = derive_seed(self.seed, _SEED_FORCES)
         x = np.empty((self.n, self.snapshot_count))
         for j in range(self.snapshot_count):
-            perturbed = perturb_stiffness(self.stiff, self.ratio,
-                                          RandomStream(snap_seed, j))
+            perturbed = self._perturbed(RandomStream(snap_seed, j), f"snapshot {j}")
             if self.snapshot_force == "perturbed":
                 weights = RandomStream(force_seed, j).generator().random(
                     self.force_weights.shape[0])
@@ -507,8 +500,8 @@ class ExperimentDriver:
                              self._kernel(modes, modes[idx]), reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
-        return _mc_ensembles(scales, k, betas, seed, count, chunk,
-                             self._kernel(modes, modes))
+        draws = _mc_draws(scales, k, seed, count, chunk, self._kernel(modes, modes))
+        return {name: draws(beta) for name, beta in betas.items()}
 
 
 class SurrogateDriver:
@@ -583,8 +576,9 @@ class SurrogateDriver:
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
         # the primary series, then the extras
-        stacked = _mc_ensembles(scales, k, betas, seed, count, chunk,
-                                self._kernel(modes, list(self.series_spec().values())))
+        draws = _mc_draws(scales, k, seed, count, chunk,
+                          self._kernel(modes, list(self.series_spec().values())))
+        stacked = {name: draws(beta) for name, beta in betas.items()}
         out = {name: values[:, 0] for name, values in stacked.items()}
         for j, name in enumerate(self.extra_series, 1):
             out[name] = stacked["primary"][:, j]

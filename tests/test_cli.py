@@ -199,6 +199,22 @@ def test_beta_max_refusal_writes_no_file(tiny_config, tmp_path):
     assert list((tmp_path / "out").glob("*")) == []
 
 
+@pytest.mark.parametrize("ratio,draw", [(0.5, "the truth"), (0.31, "snapshot 7")])
+def test_indefinite_perturbed_stiffness_exit_code_2(tiny_config, tmp_path, capsys,
+                                                    ratio, draw):
+    # at seed 5, a ratio of 0.5 gives the truth two eigenvalues <= 0; at 0.31
+    # the truth's stiffness stays positive definite, and snapshot 7's is the
+    # first of the snapshots' that does not
+    doc = json.loads(tiny_config.read_text())
+    doc["problem"]["perturbation_ratio"] = ratio
+    tiny_config.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", tiny_config) == 2
+    err = capsys.readouterr().err
+    assert "'problem.perturbation_ratio'" in err
+    assert f"the perturbed stiffness of {draw} has" in err
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 def test_missing_config_file_exit_code_2(tmp_path):
     assert run_cli("run", "--config", tmp_path / "nope.json") == 2
 

@@ -475,7 +475,7 @@ def kernel_at_mode(driver, modes, k):
     if isinstance(driver, pipeline.CubicDriver):
         forces = np.stack([driver.system.force_map(mu)
                            for mu in (*driver.params, driver.mu_test)])
-        x = driver._solve_draws(modes, draw, forces, np.zeros_like(forces), [0])[0]
+        x = driver._kernel(modes, forces, np.zeros_like(forces))(draw, [0])[0]
         return {"train_rom": x[:, :-1], "rom": x[:, -1]}
     if isinstance(driver, pipeline.ExperimentDriver):
         red = rom.galerkin_reduce(driver.system, modes)
@@ -559,6 +559,54 @@ def test_ensemble_is_prefix_of_larger_count(make_config, k):
         assert np.array_equal(shorter[name], longer[name][:9]), name
 
 
+# the set-up of each kind's kernel, and the batched kernel it serves
+_KERNEL_SETUP = {
+    "cubic-parametric": ((pipeline, "_NewtonWorkspace"), "_cubic_newton_batch"),
+    "linear-static-experiment": ((rom, "galerkin_reduce"), "_linear_qoi_predictions"),
+    "surrogate-dynamics": ((rom, "galerkin_reduce"), "_dynamic_qoi_predictions"),
+}
+
+
+@pytest.mark.parametrize("make_config", [tiny_ex1_config, tiny_ex2_config,
+                                         tiny_ex3_config])
+def test_each_loop_sets_up_its_kernel_once(make_config, tmp_path, monkeypatch):
+    # every loop runs in chunks of 7 draws, far fewer than its count: a
+    # workspace or a reduction made per chunk would be counted per chunk
+    cfg = refined(make_config())
+    (owner, setup_name), kernel_name = _KERNEL_SETUP[cfg.problem["kind"]]
+    driver = pipeline._DRIVERS[cfg.problem["kind"]]
+    entered = []                # the driver methods, in call order
+    setups, kernels = [], []    # per set-up or kernel call, the method it ran in
+
+    def counted(fn, into):
+        def wrapper(*args, **kwargs):
+            into.append(entered[-1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def entry(name, method):
+        chunk = {} if name == "references" else {"chunk": 7}
+
+        def wrapper(self, *args, **kwargs):
+            entered.append(name)
+            return method(self, *args, **kwargs, **chunk)
+        return wrapper
+
+    monkeypatch.setattr(owner, setup_name, counted(getattr(owner, setup_name), setups))
+    monkeypatch.setattr(pipeline, kernel_name,
+                        counted(getattr(pipeline, kernel_name), kernels))
+    for name in ("references", "integer_evaluator", "draw_ensembles"):
+        monkeypatch.setattr(driver, name, entry(name, getattr(driver, name)))
+    pipeline.run_pipeline(cfg, tmp_path)
+    # the integer loop, then the refinement's; the sample stage draws both betas
+    assert entered == ["references", "integer_evaluator", "integer_evaluator",
+                       "draw_ensembles"]
+    assert setups == entered
+    assert kernels.count("draw_ensembles") == 2 * math.ceil(cfg.ensemble.count / 7)
+    assert kernels.count("integer_evaluator") > 2 * math.ceil(
+        cfg.training["refinement"]["mc_samples"] / 7)
+
+
 # ---------------------------------------------------------------------------
 # one stream cache per Monte-Carlo loop
 
@@ -592,8 +640,9 @@ def test_cached_objective_matches_fresh_draws():
 def test_cached_ensembles_match_fresh_draws():
     count, chunk, seed = 23, 5, 29
     betas = {f"b{j}": float(beta) for j, beta in enumerate(CACHE_WALK)}
-    got = pipeline._mc_ensembles(CACHE_SCALES, 2, betas, seed, count, chunk,
-                                 lambda draws, indices: draws.copy())
+    ensembles = pipeline._mc_draws(CACHE_SCALES, 2, seed, count, chunk,
+                                   lambda draws, indices: draws.copy())
+    got = {name: ensembles(beta) for name, beta in betas.items()}
     for name, beta in betas.items():
         assert np.array_equal(got[name], fresh_draws(beta, seed, count)), name
 
@@ -659,7 +708,7 @@ def test_per_parameter_objective_is_mean_of_parameter_gaps():
     forces = np.stack([driver.system.force_map(mu) for mu in driver.params])
     model = sp.StochasticSubspaceModel(scales, k, beta)
     draws = sp.batch_fractional_draws(model, seed, range(count))
-    pred = driver._solve_draws(modes, draws, forces, rom_train.T, range(count))
+    pred = driver._kernel(modes, forces, rom_train.T)(draws, range(count))
     gaps = [[(np.linalg.norm(pred[d, :, p] - rom_train[:, p])
               - np.linalg.norm(truth[:, p] - rom_train[:, p]))**2
              for p in range(rom_train.shape[1])] for d in range(count)]
@@ -786,8 +835,7 @@ def test_tracing_entry_points_stay_looked_up_by_name(monkeypatch):
     pipeline._mc_objective(CACHE_SCALES, 2, 5, 7, 3, lambda draws, indices: draws[:, 0],
                            np.zeros(2), 0.0)(4.5)
     assert seen == {"streams": 7, "batches": 3}
-    pipeline._mc_ensembles(CACHE_SCALES, 2, {"primary": 4.5}, 5, 7, 4,
-                           lambda draws, indices: draws)
+    pipeline._mc_draws(CACHE_SCALES, 2, 5, 7, 4, lambda draws, indices: draws)(4.5)
     assert seen == {"streams": 14, "batches": 5}
 
 
