@@ -25,8 +25,8 @@ from .matrixio import (artifact_hash, save_matrix, write_csv, write_json,
 from .problems import (SpectralStiffness, SurrogateSpec, add_noise,
                        build_cubic_problem, lhs_sample, observe_sparse,
                        perturb_stiffness, surrogate_dynamics)
-from .sampling import (RandomStream, StochasticSubspaceModel, StreamCache,
-                       _in_pieces, batch_fractional_draws)
+from .sampling import (RandomStream, StochasticSubspaceModel, _in_pieces, _normals,
+                       batch_fractional_draws)
 from .subspace import center, compact_svd, select_rank
 from .training import refine_beta_real, refinement_bounds, train_integer_beta
 
@@ -68,10 +68,13 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
 
     The draws go to ``fn`` in consecutive batches of at most ``chunk``,
     which bounds the kernels' temporaries without changing any draw.
-    Every beta draws from the same streams (common random numbers), held
-    in one ``StreamCache`` that lives as long as the returned function.
-    ``widest``, the largest beta the caller will ask for if it knows it,
-    makes the cache's first fill wide enough for every later beta.
+    Every beta draws from the same streams (common random numbers): the
+    returned function holds their Gaussian matrices in one (count, rank,
+    width) block, filled whole by one ``sampling._normals`` call at the
+    first beta, and each chunk's rows go to the sampler, which slices the
+    beta's columns.  ``widest``, the largest beta the caller will ask for
+    if it knows it, makes that first fill wide enough for every later
+    beta; otherwise a wider beta fills the block again at its own width.
 
     Each chunk is one call of the sampler and one of ``fn``, on the
     calling thread.  Inside them, three sites split the chunk into one
@@ -84,13 +87,20 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
     treat the draws of a batch one by one, and the pieces are put back
     together in index order.
     """
-    cache = StreamCache(seed, count, 0 if widest is None else int(np.ceil(widest)))
     chunks = [range(start, min(start + chunk, count)) for start in range(0, count, chunk)]
+    held = None
 
     def run(beta):
+        nonlocal held
         model = StochasticSubspaceModel(scales, k, beta)
-        return np.concatenate([fn(batch_fractional_draws(model, cache, indices), indices)
-                               for indices in chunks])
+        cols = int(np.ceil(beta))
+        if held is None or cols > held.shape[2]:
+            held = None                         # free the narrower block first
+            held = _normals(seed, range(count), model.rank,
+                            max(cols, int(np.ceil(widest or 0))))
+        return np.concatenate([
+            fn(batch_fractional_draws(model, held[indices.start:indices.stop], indices), indices)
+            for indices in chunks])
 
     return run
 
@@ -619,7 +629,7 @@ _SUMMARY_COLUMNS = ("grid", "mean", "std", "lower", "upper", "rom", "truth")
 
 
 def _outdir(config: RunConfig, outdir) -> Path:
-    """The output directory; only ``stage_train``, the first writer, creates it."""
+    """The output directory; only ``stage_train`` creates it, once the config is accepted."""
     return Path(outdir if outdir is not None else (config.output_dir or "."))
 
 
@@ -746,7 +756,6 @@ class _Upstream:
 def stage_train(config: RunConfig, outdir=None) -> dict:
     """Steps 1-4: snapshots, POD, deterministic references, beta training."""
     out = _outdir(config, outdir)
-    out.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash()
     driver = make_driver(config)
 
@@ -757,14 +766,15 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     if config.pod.k is not None:
         k = config.pod.k
         if k > pod.rank:
-            raise ValueError(f"pod.k={k} exceeds snapshot rank {pod.rank}")
+            raise ConfigError("pod.k", f"{k} exceeds the snapshot rank {pod.rank}")
     else:
         k = select_rank(pod.singular_values, config.pod.energy_threshold)
-    # refuse the training settings before the first artifact is written
+    # refuse the training settings before the output directory is made
     tcfg = config.training_config(k, pod.rank)
     m = snapshots.shape[1]
     scales = pod.singular_values / np.sqrt(m)
     modes = pod.modes
+    out.mkdir(parents=True, exist_ok=True)
     save_matrix(out / artifact_file("snapshots"), snapshots, chash)
     save_matrix(out / artifact_file("pod_modes"), modes, chash)
     write_csv(out / artifact_file("pod_spectrum"),
@@ -836,9 +846,10 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
     """Step 5: draw the SROM prediction ensemble(s) at the trained beta.
 
     ``threads`` is accepted for compatibility and has no effect.  The
-    ensembles are drawn in chunks, and the draws of each chunk are split
-    over the CPUs this process may use (``_mc_draws``); a draw depends
-    only on its stream index, so the number of CPUs moves no bit.
+    ensembles are drawn in chunks (``_mc_draws``), and the sampler's top-k
+    rule and the Newton and Newmark kernels split each chunk over the CPUs
+    this process may use; a draw depends only on its stream index, so the
+    number of CPUs moves no bit.
     """
     up = _Upstream(config, outdir)
     model_doc = up.read("model")

@@ -26,12 +26,10 @@ instead of building a SeedSequence, a Philox and a Generator of its own.
 
 Each stream's Gaussian matrix is filled column by column, so the matrix
 of a smaller beta is a prefix of the matrix of a larger one.  This is
-load-bearing: a ``StreamCache`` holds streams 0..count-1 at the widest
-beta asked for so far and every narrower beta slices them, bit for bit.
-A loop that knows the widest beta it can reach (the refinement's window
-top) has its streams filled once, at that beta's width, on its first
-request; otherwise a wider beta generates every stream again at its own
-width.
+load-bearing: ``pipeline._mc_draws`` holds the matrices of its streams
+0..count-1 at the widest beta asked for so far, hands each chunk its
+rows to ``batch_fractional_draws``, and every narrower beta slices them,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .subspace import SubspaceBasis, _top_k
 __all__ = [
     "StochasticSubspaceModel",
     "RandomStream",
-    "StreamCache",
     "sample_fractional",
     "batch_fractional_draws",
 ]
@@ -107,9 +104,10 @@ class RandomStream:
         instead of permuting it: the first c columns of
         ``normal_matrix(rows, c + m)`` are ``normal_matrix(rows, c)``, bit
         for bit.  Paired-seed comparisons across nearby beta values rely
-        on it, and ``StreamCache`` slices narrower draws out of wider ones.
-        ``generator``, if given, must be in the state ``generator()``
-        starts from; ``_normals`` passes one it has keyed itself.
+        on it, and ``pipeline._mc_draws`` slices narrower draws out of
+        wider ones.  ``generator``, if given, must be in the state
+        ``generator()`` starts from; ``_normals`` passes one it has keyed
+        itself.
         """
         generator = self.generator() if generator is None else generator
         flat = generator.standard_normal(rows * cols)
@@ -256,43 +254,6 @@ def _in_pieces(fn, count):
     return [first, *(future.result() for future in futures)]
 
 
-class StreamCache:
-    """The Gaussian matrices of streams 0..count-1 of one master seed.
-
-    They are held in one (count, rank, width) block, filled whole on the
-    first request, at that request's width or at ``width``, whichever is
-    wider.  A loop that knows the widest beta it can reach passes its
-    ceiling as ``width``, and its streams are generated once.  Asking for
-    more columns than are held regenerates every stream at the new width;
-    fewer columns slice the held block (the column-major prefix of
-    ``normal_matrix``).
-    """
-
-    def __init__(self, master_seed: int, count: int, width: int = 0):
-        self.master_seed = int(master_seed)
-        self.count = int(count)
-        self.width = int(width)
-        self._z = None
-
-    def normals(self, rank: int, cols: int, indices: range) -> np.ndarray:
-        """The first ``cols`` columns of streams ``indices``: a view, (len, rank, cols).
-
-        ``indices`` is a unit-step range inside [0, count).
-        """
-        if not (isinstance(indices, range) and indices.step == 1
-                and 0 <= indices.start <= indices.stop <= self.count):
-            raise IndexError(f"streams {indices!r} are not a unit-step range "
-                             f"inside [0, {self.count})")
-        if self._z is not None and self._z.shape[1] != rank:
-            raise ValueError(f"cache holds {self._z.shape[1]}-row matrices, not {rank}")
-        if self._z is None or cols > self._z.shape[2]:
-            self._z = None                      # free the narrower block first
-            # past the first fill, cols exceeds the held width >= self.width
-            self._z = _normals(self.master_seed, range(self.count), rank,
-                               max(cols, self.width))
-        return self._z[indices.start:indices.stop, :, :cols]
-
-
 def sample_fractional(model: StochasticSubspaceModel, stream: RandomStream) -> SubspaceBasis:
     """One draw: the one-row view of ``batch_fractional_draws``.
 
@@ -304,7 +265,7 @@ def sample_fractional(model: StochasticSubspaceModel, stream: RandomStream) -> S
         model, stream.master_seed, [stream.stream_index])[0])
 
 
-def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
+def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_normals,
                            indices) -> np.ndarray:
     """Stacked reduced draws, one per stream index, shape (len, r, k).
 
@@ -316,22 +277,22 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_cache,
     the exact SVD only for draws whose gap is in doubt, the same gap check
     and sign convention.
 
-    ``seed_or_cache`` is a master seed, for any list of stream indices,
-    or a ``StreamCache`` of one, for a unit-step range of its streams;
-    the draws are the same either way.  The streams are generated or
-    sliced, and scaled, on the calling thread, and the top-k rule runs in
-    pieces (``_in_pieces``).  Scaled on a helper thread, a piece's block
-    would stay in that thread's malloc arena: 12 MB more peak memory on
-    the ex3-dynamics benchmark workload.
+    ``seed_or_normals`` is a master seed, or the streams' Gaussian
+    matrices, (len(indices), r, >= ceil(beta)) as ``_normals`` makes them,
+    which are sliced to ceil(beta) columns; the draws are the same either
+    way.  The streams are generated or sliced, and scaled, on the calling
+    thread, and the top-k rule runs in pieces (``_in_pieces``).  Scaled on
+    a helper thread, a piece's block would stay in that thread's malloc
+    arena: 12 MB more peak memory on the ex3-dynamics benchmark workload.
     """
     r, k, beta = model.rank, model.k, model.beta
     cols = int(np.ceil(beta))
     weights = np.ones(cols)
     weights[-1] = beta - (cols - 1)     # the fractional part; 1 at integer beta
-    if isinstance(seed_or_cache, StreamCache):
-        z = seed_or_cache.normals(r, cols, indices)
+    if isinstance(seed_or_normals, np.ndarray):
+        z = seed_or_normals[:, :, :cols]
     else:
-        z = _normals(seed_or_cache, indices, r, cols)
+        z = _normals(seed_or_normals, indices, r, cols)
     # two products on the Gaussian block, in the order of a fresh draw's
     scaled = z * weights
     scaled *= model.scales[:, None]

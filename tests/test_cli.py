@@ -224,11 +224,23 @@ def test_sample_before_train_exit_code_3(tiny_config, capsys):
     assert "upstream" in capsys.readouterr().err
 
 
-def test_refused_stage_creates_no_output_directory(tiny_config, tmp_path):
-    # only train, the first writer, creates the output directory
+def test_refused_stage_creates_no_output_directory(tiny_config, tmp_path, capsys):
+    # only train, the first writer, creates the output directory, and only
+    # once the config is accepted
     for command in ("sample", "predict", "report"):
         assert run_cli(command, "--config", tiny_config, "--out", tmp_path / "nowhere") == 3
     assert not (tmp_path / "nowhere").exists()
+    capsys.readouterr()
+    # refused at the driver's set-up, by the training settings and by the POD
+    accepted = tiny_config.read_text()
+    for section, field, value in (("problem", "perturbation_ratio", 0.5),
+                                  ("training", "beta_max", 2.0), ("pod", "k", 30)):
+        doc = json.loads(accepted)
+        doc[section][field] = value
+        tiny_config.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", tiny_config, "--out", tmp_path / "nowhere") == 2
+        assert f"'{section}.{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "nowhere").exists(), field
 
 
 @pytest.mark.parametrize("field,value", [

@@ -141,9 +141,15 @@ def test_bad_problem_kind_rejected():
 
 
 def test_bad_parametric_aggregation_rejected():
-    with pytest.raises(ConfigError) as err:
-        parse_config(base_document(training={"parametric_aggregation": "mixed"}))
-    assert err.value.field_path == "training.parametric_aggregation"
+    # and the other string-choice fields
+    for section, field, value in (("training", "parametric_aggregation", "mixed"),
+                                  ("pod", "source", "centre"),
+                                  ("problem", "snapshot_force", "sometimes")):
+        doc = base_document()
+        doc[section] = {**doc[section], field: value}
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.field_path == f"{section}.{field}"
 
 
 def test_seed_is_mandatory():

@@ -9,7 +9,7 @@ import pytest
 import stochpod as sp
 from stochpod import config, pipeline, rom, sampling
 from stochpod.config import DEFAULT_PARAMETRIC_AGGREGATION, parse_config
-from stochpod.matrixio import read_csv
+from stochpod.matrixio import load_matrix, read_csv
 from stochpod.problems import SurrogateSpec, surrogate_dynamics
 
 
@@ -608,7 +608,7 @@ def test_each_loop_sets_up_its_kernel_once(make_config, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one stream cache per Monte-Carlo loop
+# one block of streams per Monte-Carlo loop
 
 # widening, narrowing, repeated, integer and fractional
 CACHE_WALK = (4, 7.5, 3.25, 9, 9, 5.5, 11.75, 2, 6)
@@ -666,6 +666,26 @@ def test_objective_generates_each_stream_once(monkeypatch):
     # a wider beta regenerates every held stream once more
     objective(12)
     assert sorted(calls[count:]) == list(range(count))
+
+
+def test_first_fill_at_the_widest_beta_serves_narrower_betas(monkeypatch):
+    # a loop that knows its widest beta fills its block once, at that width
+    count, walk = 10, (4.5, 6.25, 3, 7, 7.5)
+    expected = {beta: fresh_draws(beta, 42, count) for beta in walk}
+    calls = []
+    normal_matrix = sp.RandomStream.normal_matrix
+
+    def counted(stream, *args):
+        calls.append(stream.stream_index)
+        return normal_matrix(stream, *args)
+
+    monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted)
+    draws = pipeline._mc_draws(CACHE_SCALES, 2, 42, count, 4,
+                               lambda draws, indices: draws.copy(), widest=7)
+    for beta in walk:
+        assert np.array_equal(draws(beta), expected[beta]), beta
+        fills = 1 if beta <= 7 else 2
+        assert sorted(calls) == sorted(list(range(count)) * fills), beta
 
 
 def test_refinement_generates_each_stream_once(tmp_path, monkeypatch):
@@ -803,6 +823,20 @@ def test_energy_threshold_picks_the_smallest_rank_that_reaches_it(tmp_path):
     reached = [k for k in range(1, energy.size + 1) if energy[k - 1] >= 0.99 * energy[-1]]
     assert model["k"] == reached[0]
     assert 1 < model["k"] < energy.size
+
+
+def test_raw_pod_source_overrides_the_centered_default(tmp_path):
+    # the experiment's POD is of the centered snapshots unless pod.source says
+    doc = tiny_ex2_config().canonical_dict()
+    doc["pod"] = {**doc["pod"], "source": "raw"}
+    model = pipeline.stage_train(parse_config(doc), tmp_path)
+    assert model["pod_source"] == "raw"
+    assert json.loads((tmp_path / "model.json").read_text())["pod_source"] == "raw"
+    snapshots = load_matrix(tmp_path / "snapshots.bin")
+    modes = load_matrix(tmp_path / "pod_modes.bin")
+    assert np.array_equal(modes, sp.compact_svd(snapshots).modes)
+    centered = sp.compact_svd(sp.center(snapshots)).modes
+    assert not np.allclose(np.abs(modes[:, :3]), np.abs(centered[:, :3]))
 
 
 def test_tracing_entry_points_stay_looked_up_by_name(monkeypatch):

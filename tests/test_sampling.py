@@ -9,7 +9,7 @@ import scipy.stats
 
 import stochpod as sp
 from stochpod.errors import GapError
-from stochpod.sampling import StreamCache, _normals, _philox_keys
+from stochpod.sampling import _normals, _philox_keys
 
 
 def random_modes(n, r, seed=5):
@@ -277,7 +277,7 @@ def test_batched_draws_match_sequential():
 
 @pytest.mark.parametrize("rows,cols,more", [(1, 1, 1), (5, 3, 9), (44, 11, 250)])
 def test_normal_matrix_narrower_is_prefix_of_wider(rows, cols, more):
-    # the stream cache slices narrower draws out of wider ones
+    # the Monte-Carlo loop slices narrower draws out of wider ones
     for index in (0, 3, 12345):
         stream = sp.RandomStream(2718, index)
         narrow = stream.normal_matrix(rows, cols)
@@ -287,41 +287,18 @@ def test_normal_matrix_narrower_is_prefix_of_wider(rows, cols, more):
 
 @pytest.mark.parametrize("chunk", [1, 4, 7, 10])
 def test_cache_serves_every_chunking_like_fresh_draws(chunk):
-    # empty, full and last partial chunks, at a widening and a narrowing beta
+    # empty, full and last partial chunks of one block of streams, at
+    # betas that need fewer and all of its columns
     count = 10
-    cache = StreamCache(42, count)
+    held = _normals(42, range(count), 4, 7)
     chunks = [range(0, 0), *(range(s, min(s + chunk, count))
                              for s in range(0, count, chunk)), range(count, count)]
-    for beta in (4.5, 6.25, 3):
+    for beta in (4.5, 6.25, 3, 7):
         model = sp.StochasticSubspaceModel(np.array([3.0, 1.0, 0.5, 0.2]), 2, beta)
         for indices in chunks:
-            assert np.array_equal(sp.batch_fractional_draws(model, cache, indices),
-                                  sp.batch_fractional_draws(model, 42, indices))
-
-
-def test_cache_first_fill_at_its_width_serves_narrower_betas():
-    # a loop that passes the width of its widest beta fills the block once
-    scales = np.array([3.0, 1.0, 0.5, 0.2])
-    cache = StreamCache(42, 10, width=7)
-    held = None
-    for beta in (4.5, 6.25, 3, 7, 7.5):
-        model = sp.StochasticSubspaceModel(scales, 2, beta)
-        assert np.array_equal(sp.batch_fractional_draws(model, cache, range(2, 9)),
-                              sp.batch_fractional_draws(model, 42, range(2, 9)))
-        if held is None:
-            held = cache._z
-        assert (cache._z is held) == (beta <= 7), beta
-    assert cache._z.shape == (10, 4, 8)
-
-
-def test_cache_refuses_streams_outside_a_unit_step_range():
-    cache = StreamCache(42, 10)
-    for outside in (range(-1, 3), range(8, 11), range(0, 10, 2), [3], [3, 4]):
-        with pytest.raises(IndexError):
-            cache.normals(4, 3, outside)
-    cache.normals(4, 3, range(10))
-    with pytest.raises(ValueError):
-        cache.normals(5, 3, range(3))
+            assert np.array_equal(
+                sp.batch_fractional_draws(model, held[indices.start:indices.stop], indices),
+                sp.batch_fractional_draws(model, 42, indices))
 
 
 def test_seed_serves_any_index_list_like_per_stream_generation():
