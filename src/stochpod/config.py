@@ -89,7 +89,7 @@ class RunConfig:
         beta_max = t.get("beta_max")
         if beta_max is None:
             beta_max = 10.0 * rank
-        _require(beta_max > k, "training.beta_max", f"must exceed k = {k}")
+        _require(beta_max >= k + 1, "training.beta_max", f"must be at least k + 1 = {k + 1}")
         return TrainingConfig(
             beta_bounds=(float(k), float(beta_max)),
             refinement=RefinementConfig(**_given(t.get("refinement", {}),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -147,27 +148,6 @@ def _linear_qoi_predictions(draws, stiffness_r, force_r, qoi_rows):
     return np.matmul(rows_w, q)[:, :, 0]
 
 
-class _NewtonWorkspace:
-    """The buffers of ``_cubic_newton_batch``, kept across a loop's chunks.
-
-    They are sized at the first call, and a call with fewer draws (a
-    loop's tail chunk) uses their leading [:D] slices, so a loop faults
-    their pages in once instead of at every chunk.  One workspace serves
-    one loop, whose calls share n, k and P (``CubicDriver._kernel`` holds
-    one); the kernel's results never alias it.
-    """
-
-    def __init__(self):
-        self._held = None
-
-    def buffers(self, count, n, k, p):
-        """(D, n, k, k) for the outer products and three (D, n, P) arrays."""
-        if self._held is None or len(self._held[0]) < count:
-            self._held = (np.empty((count, n, k, k)),
-                          *(np.empty((count, n, p)) for _ in range(3)))
-        return [a[:count] for a in self._held]
-
-
 def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indices,
                         workspace):
     """Newton over a batch of draws, each with a batch of right-hand sides.
@@ -180,14 +160,16 @@ def _cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, tol, max_iter, indi
     draw of the batch, whichever piece it is in.
 
     The draws are solved in pieces (``_in_pieces``), each by
-    ``_newton_rows`` on its own slices of the buffers of ``workspace``, a
-    ``_NewtonWorkspace`` that the calling loop holds across its chunks, so
-    their pages are not returned to the system and faulted in again at
-    every call.
+    ``_newton_rows`` on its own slices of the arrays in ``workspace``, a
+    list that one loop (same n, k and P) keeps across its chunks, filled at
+    its first call or one with more draws: their pages are faulted in once.
     """
     q = np.array(q0, dtype=float)
     count, n, k = w.shape
-    buffers = workspace.buffers(count, n, k, q.shape[1])
+    if not workspace or len(workspace[0]) < count:
+        workspace[:] = [np.empty((count, n, k, k)),
+                        *(np.empty((count, n, q.shape[1])) for _ in range(3))]
+    buffers = [b[:count] for b in workspace]
 
     def solve(part):
         stalled, worst = _newton_rows(w[part], stiffness_r[part], alpha, forces_r[part],
@@ -316,7 +298,7 @@ def _dynamic_rows(draws, reduced, modes, dt, steps, series, out):
 #
 # Each driver sets up its batched kernel in one method, ``_kernel(modes,
 # ...)``, that returns one ``predict(draws, indices)`` closure and holds
-# its set-up (a reduction, or the cubic's Newton workspace) for one loop.
+# its set-up (a reduction, or the cubic's Newton buffers) for one loop.
 # ``integer_evaluator`` returns ``_mc_objective`` of it with the driver's
 # reference and the truth's distance to it, f(beta) at real beta (integer
 # training and refinement both use it); ``draw_ensembles`` runs one
@@ -393,9 +375,9 @@ class CubicDriver:
         """``predict(draws, indices)``: reduced Newton solves on the bases modes @ draws,
         one per row of ``forces`` (P, n), each warm-started from the projection
         of that row of ``guesses``.  ``predict`` returns the lifted solutions
-        (D, n, P), a new array.  One ``_NewtonWorkspace`` serves the kernel's one loop.
+        (D, n, P), a new array.  ``workspace`` holds the Newton buffers of its one loop.
         """
-        workspace = _NewtonWorkspace()
+        workspace = []
 
         def predict(draws, indices):
             w = np.matmul(modes, draws)
@@ -541,15 +523,13 @@ class SurrogateDriver:
         self.system, self.times = rom.on_time_grid(surrogate_dynamics(self.spec),
                                                    self.dt, self.t_end)
         self.steps = self.times.size - 1
-        self._hdm = None
 
-    def _hdm_trajectory(self) -> rom.Trajectory:
-        if self._hdm is None:
-            self._hdm = rom.newmark_integrate(self.system, self.dt, self.t_end)
-        return self._hdm
+    @cached_property
+    def _hdm(self) -> rom.Trajectory:
+        return rom.newmark_integrate(self.system, self.dt, self.t_end)
 
     def snapshots(self) -> np.ndarray:
-        traj = self._hdm_trajectory()
+        traj = self._hdm
         return traj.states[:, ::self.stride].copy()
 
     def series_spec(self) -> dict:
@@ -565,7 +545,7 @@ class SurrogateDriver:
                                                                self.dt, self.steps, series)
 
     def references(self, modes, k, snapshots) -> dict:
-        traj = self._hdm_trajectory()
+        traj = self._hdm
         spec = self.series_spec()
         series = self._kernel(modes, list(spec.values()))(_mode_draw(modes, k), ["rom"])[0]
         refs = {"grid": self.times}

@@ -12,8 +12,8 @@ column by the fractional part.
 Draws are deterministic functions of (master_seed, stream_index) through
 a counter-based generator, so draw i of an ensemble is the same however
 the ensemble is split into batches.  ``batch_fractional_draws`` is the
-one sampler; ``sample_fractional`` is its one-row view.  ``_normals`` is
-the one loop that generates the streams' Gaussian matrices.
+one sampler; ``sample_fractional`` is its one-row view.  ``_normals``
+generates the Gaussian matrices of a batch of streams.
 
 ``RandomStream.generator`` is the definition of a stream: a Philox
 generator whose key is ``SeedSequence(master_seed, spawn_key=(index,))
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subspace import SubspaceBasis, _top_k
+from .subspace import SubspaceBasis, _fix_signs, _top_k
 
 __all__ = [
     "StochasticSubspaceModel",
@@ -257,12 +257,14 @@ def _in_pieces(fn, count):
 def sample_fractional(model: StochasticSubspaceModel, stream: RandomStream) -> SubspaceBasis:
     """One draw: the one-row view of ``batch_fractional_draws``.
 
-    The r-by-k basis in spectral coordinates; lift it with ``modes @`` to
-    the ambient space, where it inherits every linear constraint the
-    modes satisfy.
+    The r-by-k basis in spectral coordinates, signed as by
+    ``principal_subspace_map``; lift it with ``modes @`` to the ambient
+    space, where it inherits every linear constraint the modes satisfy.
+    The stream comes from its own generator: ``_normals``'s keys cost more.
     """
-    return SubspaceBasis(batch_fractional_draws(
-        model, stream.master_seed, [stream.stream_index])[0])
+    z = stream.normal_matrix(model.rank, int(np.ceil(model.beta)))
+    return SubspaceBasis(_fix_signs(
+        batch_fractional_draws(model, z[None], [stream.stream_index])[0]))
 
 
 def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_normals,
@@ -274,8 +276,9 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_normals,
     is weighted by beta - floor(beta) (integer beta appends no column).
     The stack goes through ``principal_subspace_map``'s top-k rule
     (``subspace._top_k``): batched ``eigh`` of the r-by-r Gram matrices,
-    the exact SVD only for draws whose gap is in doubt, the same gap check
-    and sign convention.
+    the exact SVD only for draws whose gap is in doubt, and the same gap
+    check.  A draw's columns keep LAPACK's signs: ``_fix_signs`` of it is
+    that map's basis.
 
     ``seed_or_normals`` is a master seed, or the streams' Gaussian
     matrices, (len(indices), r, >= ceil(beta)) as ``_normals`` makes them,

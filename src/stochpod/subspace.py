@@ -172,7 +172,7 @@ def principal_subspace_map(m, k: int) -> SubspaceBasis:
     m = _as_matrix(m)
     if not 1 <= k <= min(m.shape):
         raise ValueError(f"k={k} out of range for shape {m.shape}")
-    return SubspaceBasis(_top_k(m, k))
+    return SubspaceBasis(_fix_signs(_top_k(m, k)))
 
 
 #: Gram-route singular-value gap (relative to sigma_1) above which a draw
@@ -188,7 +188,7 @@ def _no_gap(s, k, tolerance):
 
 
 def _top_k(a, k, labels=None):
-    """The sign-fixed left singular vectors of the k largest singular values.
+    """Left singular vectors of the k largest singular values, LAPACK's signs kept.
 
     ``a`` (r-by-c, or a stack of them) goes through its r-by-r Gram matrix
     A A^T: its ``eigh`` in descending order gives the vectors, and
@@ -197,6 +197,7 @@ def _top_k(a, k, labels=None):
     A matrix whose k-th Gram gap is within ``_GRAM_MARGIN`` sigma_1 is
     decided by the exact SVD instead: ``_check_gap`` refuses it, naming
     its label, unless sigma_k - sigma_{k+1} > DEFAULT_GAP_TOLERANCE * sigma_1.
+    Returned as a contiguous copy: a strided view moves the kernels' bits.
     """
     batch = a.reshape((-1,) + a.shape[-2:])
     w, v = np.linalg.eigh(batch @ batch.transpose(0, 2, 1))
@@ -207,7 +208,7 @@ def _top_k(a, k, labels=None):
         exact, s_exact, _ = np.linalg.svd(batch[doubt], full_matrices=False)
         _check_gap(s_exact, k, None if labels is None else [labels[j] for j in doubt])
         u[doubt] = exact[:, :, :k]
-    return _fix_signs(u).reshape(a.shape[:-1] + (k,))
+    return np.ascontiguousarray(u).reshape(a.shape[:-1] + (k,))
 
 
 def _check_gap(s, k, labels=None):

@@ -221,13 +221,15 @@ def train_integer_beta(config: TrainingConfig,
                        evaluator: Callable[[int], float]) -> IntegerTrainingResult:
     """Integer training stage: minimize the interpolated Monte-Carlo objective.
 
-    Each integer is evaluated at most once (cache discipline); the
-    returned beta is the best evaluated integer, which for a piecewise
+    The search runs on [lo, floor(hi)], so no integer above the bounds is
+    evaluated.  Each integer is evaluated at most once (cache discipline);
+    the returned beta is the best evaluated integer, which for a piecewise
     linear interpolant is its global minimizer over the searched region.
     """
+    lo, hi = config.beta_bounds
     cache = ObjectiveCache()
-    result = optimize_beta(
-        config, lambda b: interpolated_objective(b, cache, evaluator))
+    result = optimize_beta(replace(config, beta_bounds=(lo, float(math.floor(hi)))),
+                           lambda b: interpolated_objective(b, cache, evaluator))
     beta_best, value_best = cache.best()
     return IntegerTrainingResult(beta=int(beta_best), value=value_best,
                                  cache=cache, trace=result.trace,

@@ -45,6 +45,23 @@ def test_run_completes_and_writes_report(tiny_config, tmp_path, capsys):
     assert "coverage" in stdout
 
 
+@pytest.mark.parametrize("command,line", [("run", "beta*="),
+                                          ("train", "trained beta_integer="),
+                                          ("sample", "ensembles: ")])
+def test_verbose_logs_one_line_and_leaves_stdout(tiny_config, capsys, command, line):
+    if command == "sample":
+        assert run_cli("train", "--config", tiny_config) == 0
+        capsys.readouterr()
+    outputs = []
+    for flags in ((), ("--verbose",)):
+        assert run_cli(command, "--config", tiny_config, *flags) == 0
+        outputs.append(capsys.readouterr())
+    quiet, verbose = outputs
+    assert quiet.err == ""
+    assert verbose.err.startswith(line) and verbose.err.count("\n") == 1
+    assert json.loads(verbose.out) == json.loads(quiet.out)
+
+
 def test_module_entry_point_runs_from_source(tiny_config, tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -234,7 +251,8 @@ def test_refused_stage_creates_no_output_directory(tiny_config, tmp_path, capsys
     # refused at the driver's set-up, by the training settings and by the POD
     accepted = tiny_config.read_text()
     for section, field, value in (("problem", "perturbation_ratio", 0.5),
-                                  ("training", "beta_max", 2.0), ("pod", "k", 30)):
+                                  ("training", "beta_max", 2.0), ("training", "beta_max", 3.5),
+                                  ("pod", "k", 30)):
         doc = json.loads(accepted)
         doc[section][field] = value
         tiny_config.write_text(json.dumps(doc))

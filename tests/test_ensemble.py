@@ -94,7 +94,7 @@ def test_cubic_newton_error_names_stalled_draws():
     with pytest.raises(ConvergenceError, match=r"in draw\(s\) \[41\]$"):
         pipeline._cubic_newton_batch(w, stiffness_r, 1e3, forces_r,
                                      np.zeros((3, 1, k)), 1e-10, 2,
-                                     range(40, 43), pipeline._NewtonWorkspace())
+                                     range(40, 43), [])
 
 
 def cubic_batch(n=30, k=3, alpha=1e3):
@@ -115,10 +115,10 @@ def test_cubic_newton_batch_has_the_exact_jacobian():
     alpha = system.cubic_coeff
     q0 = np.zeros_like(forces_r)
     q = pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, 1e-10, 9,
-                                     range(4), pipeline._NewtonWorkspace())
+                                     range(4), [])
     with pytest.raises(ConvergenceError):
         pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0, 1e-10, 8,
-                                     range(4), pipeline._NewtonWorkspace())
+                                     range(4), [])
     expected = np.array([[rom.solve_rom_nonlinear(basis, system, p, tol=1e-10)
                           for p in range(3)] for basis in w])
     np.testing.assert_allclose(q, expected, rtol=0, atol=1e-12)
@@ -128,17 +128,16 @@ def test_cubic_newton_batch_rows_do_not_couple():
     system, w, stiffness_r, forces_r = cubic_batch()
     alpha = system.cubic_coeff
     solved = pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r,
-                                          np.zeros_like(forces_r), 1e-10, 20, range(4),
-                                          pipeline._NewtonWorkspace())
+                                          np.zeros_like(forces_r), 1e-10, 20, range(4), [])
     # draw 0 and row (2, 1) start converged, the other rows from zero
     q0 = np.zeros_like(forces_r)
     q0[0] = solved[0]
     q0[2, 1] = solved[2, 1]
     batch = pipeline._cubic_newton_batch(w, stiffness_r, alpha, forces_r, q0,
-                                         1e-10, 20, range(4), pipeline._NewtonWorkspace())
+                                         1e-10, 20, range(4), [])
     alone = np.concatenate([pipeline._cubic_newton_batch(
         w[d:d + 1], stiffness_r[d:d + 1], alpha, forces_r[d:d + 1], q0[d:d + 1],
-        1e-10, 20, [d], pipeline._NewtonWorkspace()) for d in range(4)])
+        1e-10, 20, [d], []) for d in range(4)])
     assert np.array_equal(batch, alone)
     assert np.array_equal(batch[0], solved[0])
     assert np.array_equal(batch[2, 1], solved[2, 1])
@@ -162,7 +161,7 @@ def test_newton_workspace_chunks_equal_fresh_calls():
     # chunk runs on the leading slices of buffers sized for 32 draws
     w, stiffness_r, forces_r = cubic_draws(72)
     q0 = np.zeros_like(forces_r)
-    workspace = pipeline._NewtonWorkspace()
+    workspace = []
     results, copies = [], []
     for c in LOOP_CHUNKS:
         part = slice(c.start, c.stop)
@@ -173,13 +172,12 @@ def test_newton_workspace_chunks_equal_fresh_calls():
     for c, q, copy in zip(LOOP_CHUNKS, results, copies):
         part = slice(c.start, c.stop)
         fresh = pipeline._cubic_newton_batch(w[part], stiffness_r[part], 1e3,
-                                             forces_r[part], q0[part], 1e-10, 20, c,
-                                             pipeline._NewtonWorkspace())
+                                             forces_r[part], q0[part], 1e-10, 20, c, [])
         assert np.array_equal(q, fresh), c
         # the later calls left an earlier chunk's result as it was
         assert np.array_equal(q, copy), c
-        assert not any(np.shares_memory(q, buffer) for buffer in workspace._held)
-    assert all(buffer.shape[0] == 32 for buffer in workspace._held)
+        assert not any(np.shares_memory(q, buffer) for buffer in workspace)
+    assert all(buffer.shape[0] == 32 for buffer in workspace)
 
 
 def test_newton_workspace_names_the_same_stalled_draws():
@@ -190,12 +188,12 @@ def test_newton_workspace_names_the_same_stalled_draws():
     scale = np.zeros(72)
     scale[[5, 17, 40, 66]] = 1e4
     forces_r = np.matmul(np.ones(n)[None], w) * scale[:, None, None]
-    workspace = pipeline._NewtonWorkspace()
+    workspace = []
     named = []
     for c in LOOP_CHUNKS:
         part = slice(c.start, c.stop)
         messages = []
-        for held in (workspace, pipeline._NewtonWorkspace()):
+        for held in (workspace, []):
             with pytest.raises(ConvergenceError) as err:
                 pipeline._cubic_newton_batch(w[part], stiffness_r[part], 1e3,
                                              forces_r[part], np.zeros((len(c), 1, k)),
@@ -219,7 +217,7 @@ def test_stalled_draws_are_named_whichever_piece_holds_them(monkeypatch, loaded,
     forces_r = np.matmul(np.ones(n)[None], w) * scale[:, None, None]
     with pytest.raises(ConvergenceError) as err:
         pipeline._cubic_newton_batch(w, stiffness_r, 1e3, forces_r, np.zeros((32, 1, k)),
-                                     1e-10, 2, range(32), pipeline._NewtonWorkspace())
+                                     1e-10, 2, range(32), [])
     assert str(err.value).endswith(f" in draw(s) {named}")
 
 
@@ -230,7 +228,7 @@ def test_more_threads_than_cores_solve_as_one_thread(monkeypatch):
     q0 = np.zeros_like(forces_r)
 
     def loop():
-        workspace = pipeline._NewtonWorkspace()
+        workspace = []
         return [pipeline._cubic_newton_batch(w[c.start:c.stop], stiffness_r[c.start:c.stop],
                                              1e3, forces_r[c.start:c.stop],
                                              q0[c.start:c.stop], 1e-10, 20, c, workspace)

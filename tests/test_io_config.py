@@ -279,7 +279,7 @@ def test_beta_max_at_or_below_k_names_the_field(beta_max):
     with pytest.raises(ConfigError) as err:
         cfg.training_config(k=3, rank=12)
     assert err.value.field_path == "training.beta_max"
-    assert cfg.training_config(k=2, rank=12).beta_bounds == (2.0, float(beta_max))
+    assert cfg.training_config(k=1, rank=12).beta_bounds == (1.0, float(beta_max))
 
 
 def cubic_document(**problem):

@@ -193,6 +193,16 @@ def test_trace_has_expected_columns(tmp_path):
     assert model["integer_evaluations"] <= len(valid)
 
 
+def test_integer_training_stays_below_a_fractional_beta_max(tmp_path):
+    # k = 3 and beta_max 4.2: the integer search never evaluates 5
+    doc = tiny_ex2_config().canonical_dict()
+    doc["training"]["beta_max"] = 4.2
+    model = pipeline.stage_train(parse_config(doc), tmp_path)
+    assert model["beta_integer"] <= 4
+    trace = read_csv(tmp_path / "training_trace.csv")
+    assert np.ceil(trace["beta"]).max() <= 4
+
+
 def test_cubic_pipeline_completes_and_is_consistent(tmp_path):
     # the quantified mean-tracks-ROM soft check lives in the acceptance
     # suite at desk scale; here just sanity-check the tiny-scale run
@@ -559,9 +569,36 @@ def test_ensemble_is_prefix_of_larger_count(make_config, k):
         assert np.array_equal(shorter[name], longer[name][:9]), name
 
 
+@pytest.mark.parametrize("make_config,k", [(tiny_ex1_config, 4), (tiny_ex2_config, 3),
+                                           (tiny_ex3_config, 6)])
+def test_kernels_ignore_the_signs_of_a_draws_columns(make_config, k, monkeypatch):
+    # a draw is a subspace: flipping the signs of its basis columns moves
+    # no bit of any kernel's predictions, in training or in sampling
+    driver, scales, modes, refs = ensemble_inputs(make_config(), k)
+    signs = np.random.default_rng(8).choice([-1.0, 1.0], size=(40, 1, k))
+    sampler, batches = pipeline.batch_fractional_draws, []
+
+    def flipped_sampler(model, z, indices):
+        batches.append(indices)
+        return sampler(model, z, indices) * signs[list(indices)]
+
+    def outputs():
+        objective = driver.integer_evaluator(scales, k, modes, refs, 40, 77)
+        return ([objective(beta) for beta in (k, k + 1.5)],
+                driver.draw_ensembles(scales, k, modes, refs, {"primary": k + 2.5}, 40, 77))
+
+    plain = outputs()
+    monkeypatch.setattr(pipeline, "batch_fractional_draws", flipped_sampler)
+    flipped = outputs()
+    assert batches
+    assert plain[0] == flipped[0]
+    for name in plain[1]:
+        assert np.array_equal(plain[1][name], flipped[1][name]), name
+
+
 # the set-up of each kind's kernel, and the batched kernel it serves
 _KERNEL_SETUP = {
-    "cubic-parametric": ((pipeline, "_NewtonWorkspace"), "_cubic_newton_batch"),
+    "cubic-parametric": ((pipeline.CubicDriver, "_kernel"), "_cubic_newton_batch"),
     "linear-static-experiment": ((rom, "galerkin_reduce"), "_linear_qoi_predictions"),
     "surrogate-dynamics": ((rom, "galerkin_reduce"), "_dynamic_qoi_predictions"),
 }
@@ -571,16 +608,19 @@ _KERNEL_SETUP = {
                                          tiny_ex3_config])
 def test_each_loop_sets_up_its_kernel_once(make_config, tmp_path, monkeypatch):
     # every loop runs in chunks of 7 draws, far fewer than its count: a
-    # workspace or a reduction made per chunk would be counted per chunk
+    # set-up made per chunk would be counted per chunk
     cfg = refined(make_config())
     (owner, setup_name), kernel_name = _KERNEL_SETUP[cfg.problem["kind"]]
     driver = pipeline._DRIVERS[cfg.problem["kind"]]
     entered = []                # the driver methods, in call order
     setups, kernels = [], []    # per set-up or kernel call, the method it ran in
+    holders = []                # per kernel call, its loop and its last argument
 
     def counted(fn, into):
         def wrapper(*args, **kwargs):
             into.append(entered[-1])
+            if into is kernels:
+                holders.append((len(entered), args[-1]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -605,6 +645,12 @@ def test_each_loop_sets_up_its_kernel_once(make_config, tmp_path, monkeypatch):
     assert kernels.count("draw_ensembles") == 2 * math.ceil(cfg.ensemble.count / 7)
     assert kernels.count("integer_evaluator") > 2 * math.ceil(
         cfg.training["refinement"]["mc_samples"] / 7)
+    if kernel_name == "_cubic_newton_batch":
+        # one holder of the Newton buffers per loop, kept across its chunks
+        per_loop = {}
+        for loop, holder in holders:
+            assert per_loop.setdefault(loop, holder) is holder, loop
+        assert len({id(holder) for holder in per_loop.values()}) == len(entered)
 
 
 # ---------------------------------------------------------------------------
