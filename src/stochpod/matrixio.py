@@ -14,11 +14,12 @@ def save_matrix(path, array, config_hash: str | None = None) -> None:
     """Write a float64 matrix as a column-major blob plus a JSON sidecar.
 
     ``path`` should carry the .bin suffix; the sidecar sits next to it
-    with .json.
+    with .json.  The blob is written from the contiguous transpose itself,
+    with no second, bytes copy of it.
     """
     path = Path(path)
     a = np.ascontiguousarray(np.atleast_2d(np.asarray(array, dtype=np.float64)).T)
-    path.write_bytes(a.tobytes())   # contiguous transpose == column-major original
+    path.write_bytes(a.data)   # contiguous transpose == column-major original
     sidecar = {
         "rows": int(a.shape[1]),
         "cols": int(a.shape[0]),

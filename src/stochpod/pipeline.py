@@ -64,11 +64,12 @@ class RunReport:
 # batched Monte-Carlo kernels shared by training and prediction
 
 
-def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
-    """beta -> ``fn(draws, indices)`` over stream indices 0..count-1, concatenated.
+def _mc_draws(scales, k, seed, count, chunk, fn, shape, widest=None):
+    """beta -> one (count, *shape) result, whose rows ``fn(draws, indices, out)`` writes.
 
-    The draws go to ``fn`` in consecutive batches of at most ``chunk``,
-    which bounds the kernels' temporaries without changing any draw.
+    The draws of streams 0..count-1 go to ``fn`` in consecutive batches of
+    at most ``chunk``, with ``out`` the batch's rows of the result, which
+    bounds the kernels' temporaries without changing any draw.
     Every beta draws from the same streams (common random numbers): the
     returned function holds their Gaussian matrices in one (count, rank,
     width) block, filled whole by one ``sampling._normals`` call at the
@@ -82,11 +83,10 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
     piece per CPU this process may use (``sampling._in_pieces``), so no
     more draws are in flight than in one chunk: the sampler's top-k rule,
     the Newton kernel and the Newmark kernel.  The linear kernel and
-    ``_mc_objective``'s gaps run whole, and the streams are generated,
-    scaled or sliced before the pieces start.  The bits do not move: a
-    draw depends only on its stream index, the sampler and the kernels
-    treat the draws of a batch one by one, and the pieces are put back
-    together in index order.
+    ``_mc_objective``'s gaps run whole, and the streams are generated or
+    sliced before the pieces start.  The bits do not move: a draw depends
+    only on its stream index, the sampler and the kernels treat the draws
+    of a batch one by one, and every piece writes its own rows.
     """
     chunks = [range(start, min(start + chunk, count)) for start in range(0, count, chunk)]
     held = None
@@ -99,9 +99,11 @@ def _mc_draws(scales, k, seed, count, chunk, fn, widest=None):
             held = None                         # free the narrower block first
             held = _normals(seed, range(count), model.rank,
                             max(cols, int(np.ceil(widest or 0))))
-        return np.concatenate([
-            fn(batch_fractional_draws(model, held[indices.start:indices.stop], indices), indices)
-            for indices in chunks])
+        out = np.empty((count, *shape))
+        for indices in chunks:
+            rows = slice(indices.start, indices.stop)
+            fn(batch_fractional_draws(model, held[rows], indices), indices, out[rows])
+        return out
 
     return run
 
@@ -123,17 +125,17 @@ def _mc_objective(scales, k, seed, count, chunk, predict, reference, d_truth,
     f is one sum over the gaps of all draws, divided by ``count``, so its
     value does not depend on ``chunk``.  ``widest`` goes to ``_mc_draws``.
     The gaps of a batch are computed whole, on the calling thread, in
-    blocks of rows (``_GAP_BLOCK``); a draw's gap does not depend on them.
+    blocks of rows (``_GAP_BLOCK``) written into the loop's (count,)
+    result; a draw's gap does not depend on them.
     """
-    def gaps(draws, indices):
+    def gaps(draws, indices, out):
         predictions = predict(draws, indices)
         rows = max(1, _GAP_BLOCK // max(1, int(np.prod(predictions.shape[1:]))))
-        d = np.concatenate([np.linalg.norm(predictions[start:start + rows] - reference,
-                                           axis=1)
-                            for start in range(0, len(predictions), rows)])
-        return np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
+        for start in range(0, len(predictions), rows):
+            d = np.linalg.norm(predictions[start:start + rows] - reference, axis=1)
+            out[start:start + rows] = np.mean((d - d_truth)**2, axis=tuple(range(1, d.ndim)))
 
-    values = _mc_draws(scales, k, seed, count, chunk, gaps, widest)
+    values = _mc_draws(scales, k, seed, count, chunk, gaps, (), widest)
     return lambda beta: float(np.sum(values(beta))) / count
 
 
@@ -224,15 +226,16 @@ def _newton_rows(w, stiffness_r, alpha, forces_r, q, tol, max_iter, buffers):
 _FREE_ROWS = 64
 
 
-def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series):
+def _dynamic_qoi_predictions(draws, reduced, modes, dt, steps, series, out=None):
     """Batched reduced Newmark integration extracting QoI series.
 
     ``reduced`` is the rank-r reduced dynamic system with a precomputed
     load matrix (steps+1, r).  ``series`` lists (dof, derivative order)
-    pairs.  Returns a (count, len(series), steps+1) array, which
-    ``_dynamic_rows`` fills in pieces (``_in_pieces``).
+    pairs.  Returns a (count, len(series), steps+1) array, ``out`` if given
+    (a chunk's rows of a loop's result), which ``_dynamic_rows`` fills in
+    pieces (``_in_pieces``).
     """
-    out = np.empty((len(draws), len(series), steps + 1))
+    out = np.empty((len(draws), len(series), steps + 1)) if out is None else out
     _in_pieces(lambda part: _dynamic_rows(draws[part], reduced, modes, dt, steps,
                                           series, out[part]), len(draws))
     return out
@@ -407,7 +410,8 @@ class CubicDriver:
         predict = self._kernel(modes, self.system.force_map(self.mu_test)[None],
                                refs["rom"][None])
         draws = _mc_draws(scales, k, seed, count, chunk,
-                          lambda u, indices: predict(u, indices)[:, :, 0])
+                          lambda u, indices, out: np.copyto(out, predict(u, indices)[:, :, 0]),
+                          (self.n,))
         return {name: draws(beta) for name, beta in betas.items()}
 
 
@@ -492,7 +496,9 @@ class ExperimentDriver:
                              self._kernel(modes, modes[idx]), reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=128):
-        draws = _mc_draws(scales, k, seed, count, chunk, self._kernel(modes, modes))
+        predict = self._kernel(modes, modes)
+        draws = _mc_draws(scales, k, seed, count, chunk,
+                          lambda u, indices, out: np.copyto(out, predict(u, indices)), (self.n,))
         return {name: draws(beta) for name, beta in betas.items()}
 
 
@@ -539,10 +545,10 @@ class SurrogateDriver:
                    for name, (attr, order) in self.extra_series.items()}}
 
     def _kernel(self, modes, series):
-        """``predict(draws, indices)``: the ``series`` of the reduced Newmark runs."""
+        """``predict(draws, indices, out=None)``: the ``series`` of the reduced Newmark runs."""
         reduced = rom.galerkin_reduce(self.system, modes)
-        return lambda draws, indices: _dynamic_qoi_predictions(draws, reduced, modes,
-                                                               self.dt, self.steps, series)
+        return lambda draws, indices, out=None: _dynamic_qoi_predictions(
+            draws, reduced, modes, self.dt, self.steps, series, out)
 
     def references(self, modes, k, snapshots) -> dict:
         traj = self._hdm
@@ -565,9 +571,9 @@ class SurrogateDriver:
                              reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
-        # the primary series, then the extras
-        draws = _mc_draws(scales, k, seed, count, chunk,
-                          self._kernel(modes, list(self.series_spec().values())))
+        series = list(self.series_spec().values())      # the primary, then the extras
+        draws = _mc_draws(scales, k, seed, count, chunk, self._kernel(modes, series),
+                          (len(series), self.steps + 1))
         stacked = {name: draws(beta) for name, beta in betas.items()}
         out = {name: values[:, 0] for name, values in stacked.items()}
         for j, name in enumerate(self.extra_series, 1):
@@ -775,6 +781,7 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     evaluator = driver.integer_evaluator(scales, k, modes, refs,
                                          tcfg.mc_samples, train_seed)
     integer_result = train_integer_beta(tcfg, evaluator)
+    del evaluator                   # its stream block, before the refinement fills its own
     trace_rows = [(b, f, tcfg.mc_samples) for b, f in integer_result.trace]
 
     beta_star = float(integer_result.beta)

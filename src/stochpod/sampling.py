@@ -206,6 +206,8 @@ def _normals(seed, indices, rank: int, cols: int) -> np.ndarray:
     return z
 
 
+#: Doubles per block of ``batch_fractional_draws``'s scaled Gaussian matrices
+_SCALED_BLOCK = 1 << 17
 #: Threads that share one batch of draws: the calling thread and
 #: ``_WORKERS - 1`` helpers, one per CPU this process may use (every CPU
 #: where the platform cannot tell which).
@@ -283,10 +285,12 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_normals,
     ``seed_or_normals`` is a master seed, or the streams' Gaussian
     matrices, (len(indices), r, >= ceil(beta)) as ``_normals`` makes them,
     which are sliced to ceil(beta) columns; the draws are the same either
-    way.  The streams are generated or sliced, and scaled, on the calling
-    thread, and the top-k rule runs in pieces (``_in_pieces``).  Scaled on
-    a helper thread, a piece's block would stay in that thread's malloc
-    arena: 12 MB more peak memory on the ex3-dynamics benchmark workload.
+    way.  The top-k rule runs in pieces (``_in_pieces``), each scaling its
+    draws in blocks of at most ``_SCALED_BLOCK`` doubles, not one scaled
+    copy; a GapError names the failing draws of the first failing block.
+    Helper threads' malloc arenas keep their blocks: within 1 MB of peak
+    memory on the ex3-dynamics benchmark workload (against one arena,
+    ``MALLOC_ARENA_MAX=1``).
     """
     r, k, beta = model.rank, model.k, model.beta
     cols = int(np.ceil(beta))
@@ -296,8 +300,15 @@ def batch_fractional_draws(model: StochasticSubspaceModel, seed_or_normals,
         z = seed_or_normals[:, :, :cols]
     else:
         z = _normals(seed_or_normals, indices, r, cols)
-    # two products on the Gaussian block, in the order of a fresh draw's
-    scaled = z * weights
-    scaled *= model.scales[:, None]
-    return np.concatenate(_in_pieces(
-        lambda part: _top_k(scaled[part], k, labels=indices[part]), len(indices)))
+    out = np.empty((len(indices), r, k))
+    step = max(1, _SCALED_BLOCK // (r * cols))
+
+    def draws(part):
+        for start in range(part.start, part.stop, step):
+            block = slice(start, min(start + step, part.stop))
+            # two products on the Gaussian block, in the order of a fresh draw's
+            out[block] = _top_k(z[block] * weights * model.scales[:, None], k,
+                                labels=indices[block])
+
+    _in_pieces(draws, len(indices))
+    return out

@@ -84,13 +84,15 @@ def interpolated_objective(beta: float, cache: ObjectiveCache,
     """Objective at real beta via linear interpolation of integer estimates.
 
     Integer queries return the cached value directly (no new evaluation).
+    The ceiling comes first, so that a loop holding its widest streams so
+    far (``pipeline._mc_draws``) fills once per new ceiling of a rising search.
     """
     lo = int(math.floor(beta))
     hi = int(math.ceil(beta))
-    f_lo = cache.get_or_compute(lo, evaluator)
-    if hi == lo:
-        return f_lo
     f_hi = cache.get_or_compute(hi, evaluator)
+    if hi == lo:
+        return f_hi
+    f_lo = cache.get_or_compute(lo, evaluator)
     t = beta - lo
     return (1.0 - t) * f_lo + t * f_hi
 

@@ -41,6 +41,10 @@ def test_matrix_blob_is_column_major(tmp_path):
     save_matrix(tmp_path / "m.bin", a)
     flat = np.frombuffer((tmp_path / "m.bin").read_bytes(), dtype=np.float64)
     assert np.array_equal(flat, [1.0, 3.0, 5.0, 2.0, 4.0, 6.0])
+    # one series of a stacked ensemble (a strided view), and a vector
+    for b in (np.arange(24.0).reshape(2, 3, 4)[:, 1], np.arange(5.0)):
+        save_matrix(tmp_path / "b.bin", b)
+        assert (tmp_path / "b.bin").read_bytes() == np.atleast_2d(b).T.copy().tobytes()
 
 
 def test_matrix_size_mismatch_detected(tmp_path):

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -687,7 +689,7 @@ def test_cached_ensembles_match_fresh_draws():
     count, chunk, seed = 23, 5, 29
     betas = {f"b{j}": float(beta) for j, beta in enumerate(CACHE_WALK)}
     ensembles = pipeline._mc_draws(CACHE_SCALES, 2, seed, count, chunk,
-                                   lambda draws, indices: draws.copy())
+                                   lambda draws, indices, out: np.copyto(out, draws), (6, 2))
     got = {name: ensembles(beta) for name, beta in betas.items()}
     for name, beta in betas.items():
         assert np.array_equal(got[name], fresh_draws(beta, seed, count)), name
@@ -727,11 +729,52 @@ def test_first_fill_at_the_widest_beta_serves_narrower_betas(monkeypatch):
 
     monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted)
     draws = pipeline._mc_draws(CACHE_SCALES, 2, 42, count, 4,
-                               lambda draws, indices: draws.copy(), widest=7)
+                               lambda draws, indices, out: np.copyto(out, draws), (6, 2),
+                               widest=7)
     for beta in walk:
         assert np.array_equal(draws(beta), expected[beta]), beta
         fills = 1 if beta <= 7 else 2
         assert sorted(calls) == sorted(list(range(count)) * fills), beta
+
+
+def test_loop_holds_one_result_and_one_chunks_temporaries():
+    # each chunk writes its rows of the loop's one result: no list of
+    # chunk outputs and no concatenated copy of them
+    count, chunk = 2000, 250
+    lift = np.random.default_rng(0).normal(size=(2, 40))
+    draws = pipeline._mc_draws(CACHE_SCALES, 2, 3, count, chunk,
+                               lambda u, indices, out: np.copyto(out, np.matmul(u, lift)),
+                               (6, 40))
+    draws(2.5)                                   # fills the stream block
+    tracemalloc.start()
+    try:
+        result = draws(2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_rows = result[:chunk].nbytes           # the kernel's one temporary
+    assert peak <= result.nbytes + 2 * chunk_rows
+
+
+def test_integer_loop_streams_are_freed_before_the_refinement(tmp_path, monkeypatch):
+    blocks = []
+    alive = []
+    normals = pipeline._normals
+    refine = pipeline.refine_beta_real
+
+    def recorded(*args):
+        block = normals(*args)
+        blocks.append(weakref.ref(block))
+        return block
+
+    def checked_refine(*args):
+        alive.extend(ref() is not None for ref in blocks)
+        return refine(*args)
+
+    monkeypatch.setattr(pipeline, "_normals", recorded)
+    monkeypatch.setattr(pipeline, "refine_beta_real", checked_refine)
+    pipeline.stage_train(refined(tiny_ex2_config()), tmp_path)
+    assert alive and not any(alive)
 
 
 def test_refinement_generates_each_stream_once(tmp_path, monkeypatch):
@@ -915,7 +958,8 @@ def test_tracing_entry_points_stay_looked_up_by_name(monkeypatch):
     pipeline._mc_objective(CACHE_SCALES, 2, 5, 7, 3, lambda draws, indices: draws[:, 0],
                            np.zeros(2), 0.0)(4.5)
     assert seen == {"streams": 7, "batches": 3}
-    pipeline._mc_draws(CACHE_SCALES, 2, 5, 7, 4, lambda draws, indices: draws)(4.5)
+    pipeline._mc_draws(CACHE_SCALES, 2, 5, 7, 4,
+                       lambda draws, indices, out: np.copyto(out, draws), (6, 2))(4.5)
     assert seen == {"streams": 14, "batches": 5}
 
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.stats
 
 import stochpod as sp
 from stochpod.errors import GapError
+from stochpod import sampling
 from stochpod.sampling import _normals, _philox_keys
 from stochpod.subspace import _fix_signs
 
@@ -300,6 +302,37 @@ def test_cache_serves_every_chunking_like_fresh_draws(chunk):
             assert np.array_equal(
                 sp.batch_fractional_draws(model, held[indices.start:indices.stop], indices),
                 sp.batch_fractional_draws(model, 42, indices))
+
+
+@pytest.mark.parametrize("block", [1, 120, 1 << 15])
+def test_scaled_blocks_move_no_bit(monkeypatch, block):
+    # blocks of one draw, of two draws and of the whole batch; an empty
+    # index list still has the stack's shape
+    model = sp.StochasticSubspaceModel(np.array([3.0, 1.0, 0.5, 0.2]), 2, 14.5)
+    held = _normals(42, range(9), 4, 15)
+    want = sp.batch_fractional_draws(model, held, range(9))
+    monkeypatch.setattr(sampling, "_SCALED_BLOCK", block)
+    assert np.array_equal(sp.batch_fractional_draws(model, held, range(9)), want)
+    assert sp.batch_fractional_draws(model, held[:0], range(0)).shape == (0, 4, 2)
+
+
+def test_batch_makes_no_scaled_copy_of_its_block(monkeypatch):
+    # numpy reports its buffers to tracemalloc: the draws are scaled in
+    # cache-sized blocks, not into a second (count, r, cols) array; each
+    # piece holds its own block, so the pieces are fixed at two, and the
+    # blocks at 40 draws (2.7 MB peak; 5.9 MB at the default 163)
+    monkeypatch.setattr(sampling, "_WORKERS", 2)
+    monkeypatch.setattr(sampling, "_SCALED_BLOCK", 1 << 15)
+    model = sp.StochasticSubspaceModel(np.geomspace(10.0, 0.1, 20), 3, 39.5)
+    held = np.random.default_rng(1).normal(size=(2000, 20, 40))
+    tracemalloc.start()
+    try:
+        draws = sp.batch_fractional_draws(model, held, range(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (2000, 20, 3)
+    assert peak < held.nbytes / 2
 
 
 def test_seed_serves_any_index_list_like_per_stream_generation():

@@ -86,6 +86,28 @@ def test_integer_query_hits_cache():
     assert cache.hits == 1 and cache.misses == 1
 
 
+def test_ceiling_is_asked_for_before_the_floor(monkeypatch):
+    asked = []
+    sp.interpolated_objective(3.5, ObjectiveCache(), lambda b: asked.append(b) or 0.0)
+    assert asked == [4, 3]
+    # so a loop that holds its streams at the widest beta so far fills once
+    # per new ceiling of an upward walk, not once per new integer
+    filled = []
+    normal_matrix = sp.RandomStream.normal_matrix
+
+    def counted(stream, *args):
+        filled.append(stream.stream_index)
+        return normal_matrix(stream, *args)
+
+    monkeypatch.setattr(sp.RandomStream, "normal_matrix", counted)
+    count, cache = 6, ObjectiveCache()
+    objective = _mc_objective(SCALES, 2, 3, count, 4, lambda draws, indices: draws[:, 0],
+                              np.zeros(2), 0.0)
+    for beta in (2.5, 3.5, 4.25, 5.75):         # ceilings 3, 4, 5, 6
+        sp.interpolated_objective(beta, cache, objective)
+    assert sorted(filled) == sorted(list(range(count)) * 4)
+
+
 def test_interpolant_is_convex_combination():
     cache = ObjectiveCache()
     table = {7: 2.0, 8: 9.0}
