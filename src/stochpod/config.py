@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .problems import SurrogateSpec
+from .rom import NEWTON_MAX_ITER, NEWTON_TOL
 from .training import RefinementConfig, TrainingConfig
 
 
@@ -151,7 +152,8 @@ def _problem_fields(kind: str, n: int) -> dict:
             "alpha": (*_POSITIVE, _REQUIRED), "snapshot_count": (*_count(2), _REQUIRED),
             "mu_test": (list, lambda v: len(v) == 5 and all(map(_is_number, v)) and any(v),
                         "a list of 5 numbers, not all zero", _REQUIRED),
-            "newton_tol": (*_POSITIVE, 1e-10), "newton_max_iter": (*_count(1), 50)},
+            "newton_tol": (*_POSITIVE, NEWTON_TOL),
+            "newton_max_iter": (*_count(1), NEWTON_MAX_ITER)},
         "linear-static-experiment": {
             "perturbation_ratio": (*_NONNEGATIVE, 0.15), "noise_level": (*_NONNEGATIVE, 0.05),
             # observe_sparse places at most one sensor on each interior node

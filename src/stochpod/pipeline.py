@@ -325,7 +325,7 @@ class CubicDriver:
     # the raw snapshot matrix is the decomposition operand: its mean state
     # is load-bearing and must stay inside the reduced basis
     pod_source = "raw"
-    extra_series = {}
+    series = {"primary": None}          # one series: the whole field
     writes_sensors = False
     grid_of = staticmethod(lambda p: np.arange(p["n"]) / (p["n"] - 1))   # n nodes on [0, 1]
 
@@ -420,7 +420,7 @@ class ExperimentDriver:
 
     kind = "linear-static-experiment"
     pod_source = "centered"
-    extra_series = {}
+    series = CubicDriver.series
     writes_sensors = True
     grid_of = staticmethod(CubicDriver.grid_of)
 
@@ -507,9 +507,9 @@ class SurrogateDriver:
 
     kind = "surrogate-dynamics"
     pod_source = "centered"
-    # name -> (DoF attribute, derivative order); the primary is qoi_dof's velocity
-    extra_series = {"acceleration": ("qoi_dof", 2), "displacement": ("qoi_dof", 0),
-                    "velocity_alt": ("alt_dof", 1)}
+    # name -> (DoF attribute, derivative order), the primary first
+    series = {"primary": ("qoi_dof", 1), "acceleration": ("qoi_dof", 2),
+              "displacement": ("qoi_dof", 0), "velocity_alt": ("alt_dof", 1)}
     writes_sensors = False
     grid_of = staticmethod(lambda p: rom.time_grid(float(p["dt"]), float(p["t_end"])))
 
@@ -523,7 +523,6 @@ class SurrogateDriver:
         self.alt_dof = (self.qoi_dof + self.n // 3) % self.n if alt is None else int(alt)
         self.stride = int(p["snapshot_stride"])
         self.spec = SurrogateSpec(**{f.name: p[f.name] for f in dataclass_fields(SurrogateSpec)})
-        self.seed = config.seed
         # the load sampled once on the time grid, for the full model and
         # every reduction
         self.system, self.times = rom.on_time_grid(surrogate_dynamics(self.spec),
@@ -539,10 +538,9 @@ class SurrogateDriver:
         return traj.states[:, ::self.stride].copy()
 
     def series_spec(self) -> dict:
-        """name -> (DoF, derivative order): the primary series, then the extras."""
-        return {"primary": (self.qoi_dof, 1),
-                **{name: (getattr(self, attr), order)
-                   for name, (attr, order) in self.extra_series.items()}}
+        """name -> (DoF, derivative order) of each series of ``series``, in its order."""
+        return {name: (getattr(self, attr), order)
+                for name, (attr, order) in self.series.items()}
 
     def _kernel(self, modes, series):
         """``predict(draws, indices, out=None)``: the ``series`` of the reduced Newmark runs."""
@@ -571,14 +569,12 @@ class SurrogateDriver:
                              reference, d_truth, widest)
 
     def draw_ensembles(self, scales, k, modes, refs, betas, count, seed, chunk=512):
-        series = list(self.series_spec().values())      # the primary, then the extras
+        series = list(self.series_spec().values())
         draws = _mc_draws(scales, k, seed, count, chunk, self._kernel(modes, series),
                           (len(series), self.steps + 1))
         stacked = {name: draws(beta) for name, beta in betas.items()}
-        out = {name: values[:, 0] for name, values in stacked.items()}
-        for j, name in enumerate(self.extra_series, 1):
-            out[name] = stacked["primary"][:, j]
-        return out
+        return {**{name: values[:, 0] for name, values in stacked.items()},
+                **{name: stacked["primary"][:, j] for j, name in enumerate(self.series)}}
 
 
 _DRIVERS = {d.kind: d for d in (CubicDriver, ExperimentDriver, SurrogateDriver)}
@@ -595,14 +591,14 @@ def _named(stem: str, name: str) -> str:
 
 def _series(model_doc: dict) -> list:
     """Series of a trained run: primary, integer if beta was refined, the extras."""
-    refined = model_doc["objective_refined"] is not None
-    return ["primary", *(["integer"] if refined else []),
-            *_DRIVERS[model_doc["problem_kind"]].extra_series]
+    primary, *extras = _DRIVERS[model_doc["problem_kind"]].series
+    return [primary, *(["integer"] if model_doc["objective_refined"] is not None else []),
+            *extras]
 
 
 def _observation_columns(driver) -> list:
     """The observations' columns: grid, then rom and truth of each series."""
-    return ["grid", *(_named(stem, name) for name in ("primary", *driver.extra_series)
+    return ["grid", *(_named(stem, name) for name in driver.series
                       for stem in ("rom", "truth"))]
 
 
@@ -778,25 +774,18 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
             refs["rom"][idx]))), chash)
 
     train_seed = derive_seed(config.seed, _SEED_TRAINING)
-    evaluator = driver.integer_evaluator(scales, k, modes, refs,
-                                         tcfg.mc_samples, train_seed)
-    integer_result = train_integer_beta(tcfg, evaluator)
-    del evaluator                   # its stream block, before the refinement fills its own
+    # each loop is an argument only: its streams are freed when its search returns
+    integer_result = train_integer_beta(tcfg, driver.integer_evaluator(
+        scales, k, modes, refs, tcfg.mc_samples, train_seed))
     trace_rows = [(b, f, tcfg.mc_samples) for b, f in integer_result.trace]
 
-    beta_star = float(integer_result.beta)
-    objective_refined = None
-    refined_converged = None
+    refined = None
     if tcfg.refinement.enabled:
         # the refinement asks for no beta above its window's top, so its
         # streams are generated once, at that beta's width
-        objective = driver.integer_evaluator(
+        refined = refine_beta_real(integer_result.beta, tcfg, driver.integer_evaluator(
             scales, k, modes, refs, tcfg.refinement.mc_samples, train_seed,
-            widest=refinement_bounds(integer_result.beta, tcfg)[1])
-        refined = refine_beta_real(integer_result.beta, tcfg, objective)
-        beta_star = float(refined.beta)
-        objective_refined = float(refined.value)
-        refined_converged = bool(refined.converged)
+            widest=refinement_bounds(integer_result.beta, tcfg)[1]))
         trace_rows += [(b, f, tcfg.refinement.mc_samples) for b, f in refined.trace]
 
     write_csv(out / artifact_file("training_trace"), {
@@ -817,11 +806,11 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
         "k": int(k),
         "scales": [float(s) for s in scales],
         "beta_integer": int(integer_result.beta),
-        "beta_star": beta_star,
+        "beta_star": float((refined or integer_result).beta),
         "objective_integer": float(integer_result.value),
-        "objective_refined": objective_refined,
+        "objective_refined": None if refined is None else float(refined.value),
         "integer_converged": bool(integer_result.converged),
-        "refined_converged": refined_converged,
+        "refined_converged": None if refined is None else bool(refined.converged),
         "training_seed": int(train_seed),
         "integer_evaluations": len(integer_result.cache.entries),
     }
@@ -836,22 +825,22 @@ def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
     ensembles are drawn in chunks (``_mc_draws``), and the sampler's top-k
     rule and the Newton and Newmark kernels split each chunk over the CPUs
     this process may use; a draw depends only on its stream index, so the
-    number of CPUs moves no bit.
+    number of CPUs moves no bit.  The driver is held only through its
+    ``draw_ensembles`` call: its operators are freed before the writes.
     """
     up = _Upstream(config, outdir)
     model_doc = up.read("model")
     modes = up.read("pod_modes")
     # the references solved by the train stage (its rom is the cubic warm start)
     refs = up.read("observations")
-    driver = make_driver(config)
 
     betas = {"primary": float(model_doc["beta_star"])}
     if model_doc["objective_refined"] is not None:
         betas["integer"] = float(model_doc["beta_integer"])
     scales = np.asarray(model_doc["scales"])
-    ensembles = driver.draw_ensembles(scales, model_doc["k"], modes, refs, betas,
-                                      config.ensemble.count,
-                                      derive_seed(config.seed, _SEED_ENSEMBLE))
+    ensembles = make_driver(config).draw_ensembles(
+        scales, model_doc["k"], modes, refs, betas, config.ensemble.count,
+        derive_seed(config.seed, _SEED_ENSEMBLE))
     for name in _series(model_doc):
         save_matrix(up.out / artifact_file("ensemble", name), ensembles[name], up.chash)
     return {name: ensembles[name].shape for name in _series(model_doc)}
@@ -885,7 +874,6 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     """Coverage and sharpness of the prediction intervals; write the report."""
     up = _Upstream(config, outdir)
     model_doc = up.read("model")
-    driver = up.driver
     level = config.ensemble.level
     up.read("observations")             # for the checks of the summaries and sensors
     tables = {name: up.read("summary", name) for name in _series(model_doc)}
@@ -909,7 +897,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     }
 
     # only a run with sensors reports on its integer-beta intervals
-    if driver.writes_sensors:
+    if up.driver.writes_sensors:
         sensors = up.read("sensors")
         idx = sensors["index"].astype(int)
         noisy = _coverage(tables["primary"], sensors["observed_noisy"], level, idx)
@@ -921,17 +909,15 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
             report["coverage_noisy_integer"] = _coverage(
                 tables["integer"], sensors["observed_noisy"], level, idx).coverage
 
-    extras = {}
-    for name in driver.extra_series:
+    _, *extras = up.driver.series
+    for name in extras:
         bands = np.stack([tables[name]["lower"], tables[name]["upper"]])
-        extras[name] = {
+        report.setdefault("extra_qois", {})[name] = {
             "coverage": cov[name].coverage,
             "mean_pi_width": cov[name].mean_pi_width,
             "finite": bool(np.all(np.isfinite(bands))),
             "max_width": float(np.max(bands[1] - bands[0])),
         }
-    if extras:
-        report["extra_qois"] = extras
 
     write_json(up.out / artifact_file("report"), report)
     return report

@@ -161,6 +161,10 @@ def solve_linear_static(system) -> Array:
 # ---------------------------------------------------------------------------
 # Newton for the cubic system
 
+#: Newton defaults of the cubic solves and configs: residual max-norm, iterations
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 50
+
+
 def _newton(residual, jacobian, guess, tol, max_iter):
     x = np.array(guess, dtype=float)
     for iteration in range(max_iter + 1):
@@ -176,7 +180,7 @@ def _newton(residual, jacobian, guess, tol, max_iter):
 
 
 def solve_nonlinear_cubic(system: NonlinearCubicSystem, mu, guess=None,
-                          tol: float = 1e-10, max_iter: int = 50) -> Array:
+                          tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> Array:
     """Newton solve of K x + a x^3 = f(mu) with Jacobian K + 3a diag(x^2)."""
     k = system.stiffness
     a = system.cubic_coeff
@@ -197,7 +201,7 @@ def solve_nonlinear_cubic(system: NonlinearCubicSystem, mu, guess=None,
 
 
 def solve_rom_nonlinear(basis, system: NonlinearCubicSystem, mu, guess=None,
-                        tol: float = 1e-10, max_iter: int = 50) -> Array:
+                        tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> Array:
     """Reduced Newton solve; the cubic term is lifted, cubed, projected back."""
     w = basis_matrix(basis)
     kr = _project_operator(system.stiffness, w)

@@ -175,10 +175,13 @@ def _bounded_brent(func: Callable[[float], float], lo: float, hi: float,
 
 @dataclass(frozen=True)
 class BetaSearchResult:
+    """A beta search's minimizer, value, queries and convergence; ``cache``
+    is an integer search's ``ObjectiveCache`` (``train_integer_beta``)."""
     beta: float
     value: float
     trace: tuple          # ((beta, f) per objective query, in call order)
     converged: bool
+    cache: ObjectiveCache | None = None
 
 
 def optimize_beta(config: TrainingConfig,
@@ -210,32 +213,22 @@ def optimize_beta(config: TrainingConfig,
                             converged=converged)
 
 
-@dataclass(frozen=True)
-class IntegerTrainingResult:
-    beta: int
-    value: float
-    cache: ObjectiveCache
-    trace: tuple
-    converged: bool
-
-
 def train_integer_beta(config: TrainingConfig,
-                       evaluator: Callable[[int], float]) -> IntegerTrainingResult:
+                       evaluator: Callable[[int], float]) -> BetaSearchResult:
     """Integer training stage: minimize the interpolated Monte-Carlo objective.
 
     The search runs on [lo, floor(hi)], so no integer above the bounds is
     evaluated.  Each integer is evaluated at most once (cache discipline);
-    the returned beta is the best evaluated integer, which for a piecewise
-    linear interpolant is its global minimizer over the searched region.
+    the returned beta is the best evaluated integer (an int), which for a
+    piecewise linear interpolant is its global minimizer over the searched
+    region, and ``cache`` holds every evaluated integer.
     """
     lo, hi = config.beta_bounds
     cache = ObjectiveCache()
     result = optimize_beta(replace(config, beta_bounds=(lo, float(math.floor(hi)))),
                            lambda b: interpolated_objective(b, cache, evaluator))
     beta_best, value_best = cache.best()
-    return IntegerTrainingResult(beta=int(beta_best), value=value_best,
-                                 cache=cache, trace=result.trace,
-                                 converged=result.converged)
+    return replace(result, beta=int(beta_best), value=value_best, cache=cache)
 
 
 def refinement_bounds(beta_int: float, config: TrainingConfig) -> tuple[float, float]:

@@ -1,9 +1,11 @@
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stochpod import rom
 from stochpod.config import ConfigError, load_config, parse_config
 from stochpod.matrixio import (load_matrix, read_csv, read_json, save_matrix,
                                write_csv, write_json)
@@ -375,6 +377,19 @@ def test_problem_fields_are_checked(document, field):
     with pytest.raises(ConfigError) as err:
         parse_config(document)
     assert err.value.field_path == field
+
+
+def test_cubic_newton_defaults_are_the_solvers_defaults():
+    # one definition: a cubic config that omits both Newton fields gets
+    # the constants that the cubic solvers default to
+    settings = parse_config(cubic_document()).problem_settings
+    assert (settings["newton_tol"], settings["newton_max_iter"]) == (rom.NEWTON_TOL,
+                                                                      rom.NEWTON_MAX_ITER)
+    assert type(settings["newton_tol"]) is float and type(settings["newton_max_iter"]) is int
+    for solver in (rom.solve_nonlinear_cubic, rom.solve_rom_nonlinear):
+        params = inspect.signature(solver).parameters
+        assert (params["tol"].default, params["max_iter"].default) == (rom.NEWTON_TOL,
+                                                                        rom.NEWTON_MAX_ITER)
 
 
 def test_every_problem_field_parses():

@@ -804,6 +804,34 @@ def test_refinement_generates_each_stream_once(tmp_path, monkeypatch):
     assert seen["streams"] == list(range(cfg.training["refinement"]["mc_samples"]))
 
 
+@pytest.mark.parametrize("make_config", [lambda: refined(tiny_ex2_config()),
+                                         tiny_ex3_config], ids=["ex2-refined", "ex3"])
+def test_sample_stage_frees_its_driver_before_it_writes(tmp_path, monkeypatch,
+                                                       make_config):
+    # the driver's operators are not held while the ensembles are written
+    cfg = make_config()
+    pipeline.stage_train(cfg, tmp_path)
+    drivers = []
+    alive = []
+    make = pipeline.make_driver
+    save = pipeline.save_matrix
+
+    def recorded(config):
+        driver = make(config)
+        drivers.append(weakref.ref(driver))
+        return driver
+
+    def checked_save(*args):
+        alive.extend(ref() is not None for ref in drivers)
+        return save(*args)
+
+    monkeypatch.setattr(pipeline, "make_driver", recorded)
+    monkeypatch.setattr(pipeline, "save_matrix", checked_save)
+    pipeline.stage_sample(cfg, tmp_path)
+    assert len(drivers) == 1
+    assert alive and not any(alive)
+
+
 def test_per_parameter_objective_is_mean_of_parameter_gaps():
     # per-parameter aggregation: one distance gap per training parameter,
     # averaged over the parameters and then over the draws
