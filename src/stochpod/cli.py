@@ -82,11 +82,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            report = pipeline.run_pipeline(config, threads=args.threads)
-            _log(args, f"beta*={report.beta_star} coverage={report.coverage:.4f}")
-            print(json.dumps({"beta_star": report.beta_star,
-                              "coverage": report.coverage,
-                              "mean_pi_width": report.mean_pi_width,
+            report = pipeline.run_pipeline(config)
+            _log(args, f"beta*={report['beta_star']} coverage={report['coverage']:.4f}")
+            print(json.dumps({"beta_star": report["beta_star"],
+                              "coverage": report["coverage"],
+                              "mean_pi_width": report["mean_pi_width"],
                               "output_dir": str(pipeline._outdir(config, None))}))
         elif args.command == "train":
             doc = pipeline.stage_train(config)
@@ -95,14 +95,16 @@ def main(argv=None) -> int:
             print(json.dumps({"beta_integer": doc["beta_integer"],
                               "beta_star": doc["beta_star"]}))
         elif args.command == "sample":
-            shapes = pipeline.stage_sample(config, threads=args.threads)
+            shapes = pipeline.stage_sample(config)
             _log(args, f"ensembles: {shapes}")
             print(json.dumps({name: list(shape) for name, shape in shapes.items()}))
         elif args.command == "predict":
             produced = pipeline.stage_predict(config)
+            _log(args, f"summaries: {', '.join(produced.values())}")
             print(json.dumps(produced))
         elif args.command == "report":
             report = pipeline.stage_report(config)
+            _log(args, f"coverage={report['coverage']:.4f}")
             print(json.dumps({"coverage": report["coverage"],
                               "mean_pi_width": report["mean_pi_width"]}))
     except pipeline.MissingArtifactError as exc:

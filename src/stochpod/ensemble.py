@@ -17,12 +17,13 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class PredictionSummary:
+    """Pointwise mean, std and band [lower, upper] on ``grid``; see ``summarize_matrix``."""
+
     grid: Array
     mean: Array
     std: Array
     lower: Array
     upper: Array
-    level: float
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def summarize_matrix(samples, grid, level: float) -> PredictionSummary:
     return PredictionSummary(grid=np.asarray(grid, dtype=float),
                              mean=samples.mean(axis=0),
                              std=samples.std(axis=0, ddof=1),
-                             lower=lower, upper=upper, level=level)
+                             lower=lower, upper=upper)
 
 
 def coverage(summary: PredictionSummary, truth) -> CoverageReport:

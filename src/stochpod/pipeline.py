@@ -11,7 +11,7 @@ config document.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields
 from functools import cached_property
 from pathlib import Path
 
@@ -49,15 +49,6 @@ class StaleArtifactError(MissingArtifactError):
 
 def derive_seed(master: int, purpose: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=(purpose,)).generate_state(1)[0])
-
-
-@dataclass
-class RunReport:
-    beta_star: float
-    coverage: float
-    mean_pi_width: float
-    wall_times: dict
-    details: dict
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +335,7 @@ class CubicDriver:
         self.grid = self.grid_of(p)
         self.params = lhs_sample(5, self.snapshot_count,
                                  RandomStream(derive_seed(self.seed, _SEED_SNAPSHOTS)))
+        self.forces = np.stack([self.system.force_map(mu) for mu in self.params])
 
     def snapshots(self) -> np.ndarray:
         x = np.empty((self.n, self.snapshot_count))
@@ -357,8 +349,7 @@ class CubicDriver:
 
     def references(self, modes, k, snapshots) -> dict:
         # every training parameter and mu_test, each solved from zero
-        forces = np.stack([self.system.force_map(mu)
-                           for mu in (*self.params, self.mu_test)])
+        forces = np.vstack([self.forces, self.system.force_map(self.mu_test)])
         solved = self._kernel(modes, forces, np.zeros_like(forces))(
             _mode_draw(modes, k), ["rom"])[0]
         rom_train, rom_test = solved[:, :-1], solved[:, -1]
@@ -396,12 +387,11 @@ class CubicDriver:
                           widest=None):
         rom_train = refs["train_rom"]
         truth = refs["train_truth"]
-        forces = np.stack([self.system.force_map(mu) for mu in self.params])
         pooled = self.aggregation == "pooled"
         # pooled: one distance over all parameters; else one per parameter
         d_truth = np.linalg.norm(truth - rom_train, axis=None if pooled else 0)
         shape = (-1,) if pooled else rom_train.shape
-        predict = self._kernel(modes, forces, rom_train.T)
+        predict = self._kernel(modes, self.forces, rom_train.T)
         return _mc_objective(scales, k, seed, mc_samples, chunk,
                              lambda u, indices: predict(u, indices).reshape(len(u), *shape),
                              rom_train.reshape(shape), d_truth, widest)
@@ -818,11 +808,10 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
     return model_doc
 
 
-def stage_sample(config: RunConfig, outdir=None, threads: int = 1) -> dict:
+def stage_sample(config: RunConfig, outdir=None) -> dict:
     """Step 5: draw the SROM prediction ensemble(s) at the trained beta.
 
-    ``threads`` is accepted for compatibility and has no effect.  The
-    ensembles are drawn in chunks (``_mc_draws``), and the sampler's top-k
+    The ensembles are drawn in chunks (``_mc_draws``), and the sampler's top-k
     rule and the Newton and Newmark kernels split each chunk over the CPUs
     this process may use; a draw depends only on its stream index, so the
     number of CPUs moves no bit.  The driver is held only through its
@@ -863,10 +852,10 @@ def stage_predict(config: RunConfig, outdir=None) -> dict:
     return produced
 
 
-def _coverage(table: dict, truth, level: float, rows=slice(None)):
-    """Coverage of ``truth`` by the intervals of a summary table, at ``rows``."""
-    fields = _SUMMARY_COLUMNS[:5]               # those of a PredictionSummary
-    return coverage(PredictionSummary(level=level, **{f: table[f][rows] for f in fields}),
+def _coverage(table: dict, truth, rows=slice(None)):
+    """Coverage of ``truth`` by the intervals of a summary table, at ``rows``:
+    the table's first five columns are the fields of a ``PredictionSummary``."""
+    return coverage(PredictionSummary(**{f: table[f][rows] for f in _SUMMARY_COLUMNS[:5]}),
                     truth)
 
 
@@ -874,10 +863,9 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     """Coverage and sharpness of the prediction intervals; write the report."""
     up = _Upstream(config, outdir)
     model_doc = up.read("model")
-    level = config.ensemble.level
     up.read("observations")             # for the checks of the summaries and sensors
     tables = {name: up.read("summary", name) for name in _series(model_doc)}
-    cov = {name: _coverage(t, t["truth"], level) for name, t in tables.items()}
+    cov = {name: _coverage(t, t["truth"]) for name, t in tables.items()}
 
     report = {
         "schema_version": 1,
@@ -889,7 +877,7 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
         "beta_star": model_doc["beta_star"],
         "objective_integer": model_doc["objective_integer"],
         "objective_refined": model_doc["objective_refined"],
-        "level": level,
+        "level": config.ensemble.level,
         "coverage": cov["primary"].coverage,
         "mean_pi_width": cov["primary"].mean_pi_width,
         "points_total": cov["primary"].points_total,
@@ -900,14 +888,14 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     if up.driver.writes_sensors:
         sensors = up.read("sensors")
         idx = sensors["index"].astype(int)
-        noisy = _coverage(tables["primary"], sensors["observed_noisy"], level, idx)
+        noisy = _coverage(tables["primary"], sensors["observed_noisy"], idx)
         report["coverage_noisy"] = noisy.coverage
         report["mean_pi_width_sensors"] = noisy.mean_pi_width
         if "integer" in tables:
             report["coverage_integer"] = cov["integer"].coverage
             report["mean_pi_width_integer"] = cov["integer"].mean_pi_width
             report["coverage_noisy_integer"] = _coverage(
-                tables["integer"], sensors["observed_noisy"], level, idx).coverage
+                tables["integer"], sensors["observed_noisy"], idx).coverage
 
     _, *extras = up.driver.series
     for name in extras:
@@ -923,11 +911,12 @@ def stage_report(config: RunConfig, outdir=None) -> dict:
     return report
 
 
-def run_pipeline(config: RunConfig, outdir=None, threads: int = 1) -> RunReport:
+def run_pipeline(config: RunConfig, outdir=None) -> dict:
     """Execute all stages in order; identical artifacts to stage-wise runs.
 
-    ``threads`` has no effect.  Training and sampling split their
-    Monte-Carlo draws over the CPUs this process may use, and the
+    Returns the report dict that ``stage_report`` writes to ``report.json``;
+    the stage times go to ``timings.json``.  Training and sampling split
+    their Monte-Carlo draws over the CPUs this process may use, and the
     artifacts do not depend on how many there are (see ``_mc_draws``).
     """
     times = {}
@@ -943,6 +932,4 @@ def run_pipeline(config: RunConfig, outdir=None, threads: int = 1) -> RunReport:
     write_json(out / artifact_file("timings"),
                {"config_hash": config.config_hash(),
                 **{k: float(v) for k, v in times.items()}})
-    return RunReport(beta_star=report["beta_star"], coverage=report["coverage"],
-                     mean_pi_width=report["mean_pi_width"], wall_times=times,
-                     details=report)
+    return report

@@ -18,6 +18,7 @@ effective stiffness), so numpy is the only dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Union
 
 import numpy as np
@@ -28,17 +29,8 @@ from .subspace import SubspaceBasis
 Array = np.ndarray
 
 
-class _ProjectionCounter:
-    """Counts full-space operator projections (test instrumentation)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self):
-        self.count += 1
-
-
-projection_counter = _ProjectionCounter()
+#: ``.count``: the full-space operator projections made so far (tests and tracer read it)
+projection_counter = SimpleNamespace(count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +74,7 @@ def basis_matrix(basis) -> Array:
 # reduction
 
 def _project_operator(a: Array, v: Array) -> Array:
-    projection_counter.bump()
+    projection_counter.count += 1
     return v.T @ a @ v
 
 

@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.stats
 
 import stochpod as sp
-from stochpod import pipeline, rom
+from stochpod import pipeline, rom, sampling
 from stochpod.config import load_config, parse_config
 from stochpod.matrixio import read_csv
 
@@ -44,8 +44,7 @@ def ex1_desk(tmp_path_factory):
 
 def test_criterion_1_example1_desk(ex1_desk):
     """Desk-scale parametric cubic reproduction."""
-    config, out, report, elapsed = ex1_desk
-    details = report.details
+    config, out, details, elapsed = ex1_desk
     model = json.loads((out / "model.json").read_text())
     k, rank = model["k"], model["rank"]
     beta_ok = k <= details["beta_integer"] <= 10 * rank
@@ -68,8 +67,7 @@ def test_criterion_1_example1_desk(ex1_desk):
 def test_criterion_2_example1_full_scale(tmp_path):
     """Full-scale run; CI runs it weekly (enable with -m slow)."""
     config = load_config(CONFIGS / "ex1-full.json")
-    report = pipeline.run_pipeline(config, tmp_path)
-    details = report.details
+    details = pipeline.run_pipeline(config, tmp_path)
     coverage_ok = 0.90 <= details["coverage"] <= 0.995
     beta_ok = 10 <= details["beta_integer"] <= 40
     announce("2", coverage_ok and beta_ok,
@@ -92,7 +90,7 @@ def test_criterion_3_example2_two_step_orderings(tmp_path):
                                         "tolerance": 1e-10, "max_iter": 25}},
             "ensemble": {"count": 1000, "level": 0.95, "seed": seed},
         })
-        details = pipeline.run_pipeline(config, tmp_path / str(seed)).details
+        details = pipeline.run_pipeline(config, tmp_path / str(seed))
         ordering_a = details["coverage"] >= details["coverage_integer"]
         ordering_b = details["coverage_noisy"] < details["coverage"]
         passes += ordering_a and ordering_b
@@ -326,7 +324,7 @@ def test_criterion_9_optimizer():
     assert quad_ok and grid_ok
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     config = parse_config({
         "problem": {"kind": "linear-static-experiment", "n": 100,
                     "snapshot_count": 20, "sensor_count": 9},
@@ -335,22 +333,22 @@ def test_criterion_10_determinism(tmp_path):
         "ensemble": {"count": 80, "level": 0.95, "seed": 5},
     })
     runs = {}
-    for name, threads in (("a", 1), ("b", 1), ("c", 3)):
+    for name, workers in (("a", 1), ("b", 1), ("c", 3)):
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
         out = tmp_path / name
-        pipeline.run_pipeline(config, out, threads=threads)
+        pipeline.run_pipeline(config, out)
         runs[name] = {p.name: p.read_bytes() for p in out.iterdir()
                       if p.name != "timings.json"}
     identical = runs["a"] == runs["b"] == runs["c"]
     announce("10", identical,
-             "reruns and 3-thread run byte-identical across "
+             "reruns and 3-worker run byte-identical across "
              f"{len(runs['a'])} artifacts")
     assert identical
 
 
 def test_criterion_11_example3_surrogate(tmp_path):
     config = load_config(CONFIGS / "ex3-desk.json")
-    report = pipeline.run_pipeline(config, tmp_path)
-    details = report.details
+    details = pipeline.run_pipeline(config, tmp_path)
     coverage_ok = details["coverage"] >= 0.80
     extras = details["extra_qois"]
     extras_ok = all(info["finite"] and info["max_width"] > 0.0

@@ -41,17 +41,21 @@ def test_run_completes_and_writes_report(tiny_config, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["coverage"] <= 1.0
     assert report["config_hash"]
-    stdout = capsys.readouterr().out
-    assert "coverage" in stdout
+    assert json.loads(capsys.readouterr().out) == {
+        "beta_star": report["beta_star"], "coverage": report["coverage"],
+        "mean_pi_width": report["mean_pi_width"], "output_dir": str(out)}
 
 
 @pytest.mark.parametrize("command,line", [("run", "beta*="),
                                           ("train", "trained beta_integer="),
-                                          ("sample", "ensembles: ")])
+                                          ("sample", "ensembles: "),
+                                          ("predict", "summaries: summary.csv"),
+                                          ("report", "coverage=")])
 def test_verbose_logs_one_line_and_leaves_stdout(tiny_config, capsys, command, line):
-    if command == "sample":
-        assert run_cli("train", "--config", tiny_config) == 0
-        capsys.readouterr()
+    stages = ("train", "sample", "predict", "report")
+    for stage in stages[:stages.index(command)] if command in stages else ():
+        assert run_cli(stage, "--config", tiny_config) == 0
+    capsys.readouterr()
     outputs = []
     for flags in ((), ("--verbose",)):
         assert run_cli(command, "--config", tiny_config, *flags) == 0

@@ -332,7 +332,7 @@ def test_coverage_of_mean_is_total():
 def test_coverage_half_outside():
     summary = sp.PredictionSummary(grid=np.arange(4.0), mean=np.zeros(4),
                                    std=np.ones(4), lower=-np.ones(4),
-                                   upper=np.ones(4), level=0.9)
+                                   upper=np.ones(4))
     truth = np.array([0.0, 5.0, -0.5, -3.0])
     report = sp.coverage(summary, truth)
     assert report.coverage == 0.5
@@ -342,7 +342,7 @@ def test_coverage_half_outside():
 def test_coverage_boundary_is_inside():
     summary = sp.PredictionSummary(grid=np.arange(2.0), mean=np.zeros(2),
                                    std=np.ones(2), lower=np.array([-1.0, -1.0]),
-                                   upper=np.array([1.0, 1.0]), level=0.9)
+                                   upper=np.array([1.0, 1.0]))
     assert sp.coverage(summary, np.array([1.0, -1.0])).coverage == 1.0
 
 

@@ -69,15 +69,15 @@ def test_tiny_configs_keep_their_hash(make_config, chash):
 
 def test_pipeline_produces_complete_report(tmp_path):
     report = pipeline.run_pipeline(tiny_ex2_config(), tmp_path)
-    assert 0.0 <= report.coverage <= 1.0
-    assert report.mean_pi_width > 0
-    assert report.details["library_version"]
-    assert set(report.wall_times) >= {"train_s", "sample_s", "predict_s",
-                                      "report_s", "total_s"}
-    details = report.details
-    assert details["beta_integer"] >= 3
-    assert details["coverage_noisy"] >= 0.0
-    assert details["points_total"] == 100
+    assert report == json.loads((tmp_path / "report.json").read_text())
+    assert 0.0 <= report["coverage"] <= 1.0
+    assert report["mean_pi_width"] > 0
+    assert report["library_version"]
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert set(timings) >= {"train_s", "sample_s", "predict_s", "report_s", "total_s"}
+    assert report["beta_integer"] >= 3
+    assert report["coverage_noisy"] >= 0.0
+    assert report["points_total"] == 100
 
 
 def test_run_pipeline_calls_the_stages_by_name(tmp_path, monkeypatch):
@@ -168,7 +168,7 @@ def test_integer_ensemble_follows_the_model_not_leftover_files(tmp_path):
     })
     pipeline.run_pipeline(refined, tmp_path)
     leftover = (tmp_path / "summary_integer.csv").read_bytes()
-    report = pipeline.run_pipeline(tiny_ex2_config(), tmp_path).details
+    report = pipeline.run_pipeline(tiny_ex2_config(), tmp_path)
     assert "coverage_integer" not in report
     assert (tmp_path / "summary_integer.csv").read_bytes() == leftover
 
@@ -212,13 +212,13 @@ def test_cubic_pipeline_completes_and_is_consistent(tmp_path):
     report = pipeline.run_pipeline(cfg, tmp_path)
     summary = read_csv(tmp_path / "summary.csv")
     assert np.all(summary["lower"] <= summary["upper"])
-    assert report.details["beta_integer"] >= 4
+    assert report["beta_integer"] >= 4
 
 
 def test_surrogate_pipeline_extra_qois(tmp_path):
     cfg = tiny_ex3_config()
     report = pipeline.run_pipeline(cfg, tmp_path)
-    extras = report.details["extra_qois"]
+    extras = report["extra_qois"]
     assert set(extras) == {"acceleration", "displacement", "velocity_alt"}
     for name, info in extras.items():
         assert info["finite"], name
@@ -237,8 +237,7 @@ def test_two_step_pipeline_reports_both_betas(tmp_path):
                                     "max_iter": 12}},
         "ensemble": {"count": 80, "level": 0.95, "seed": 5},
     })
-    report = pipeline.run_pipeline(cfg, tmp_path)
-    d = report.details
+    d = pipeline.run_pipeline(cfg, tmp_path)
     assert d["objective_refined"] is not None
     assert "coverage_integer" in d and "coverage_noisy_integer" in d
     assert abs(d["beta_star"] - d["beta_integer"]) <= 1.0
@@ -272,7 +271,7 @@ INTEGER_REPORT_KEYS = {"coverage_integer", "mean_pi_width_integer",
     (tiny_ex3_config, EXTRA_ARTIFACTS, {"extra_qois"})])
 def test_artifacts_of_each_problem_kind(make_config, files, keys, refine, tmp_path):
     cfg = refined(make_config()) if refine else make_config()
-    report = pipeline.run_pipeline(cfg, tmp_path).details
+    report = pipeline.run_pipeline(cfg, tmp_path)
     # a refined run also samples and summarizes its integer beta; only the
     # run with sensors reports on those intervals
     files = files | (INTEGER_ARTIFACTS if refine else set())
