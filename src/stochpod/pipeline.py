@@ -298,10 +298,11 @@ def _dynamic_rows(draws, reduced, modes, dt, steps, series, out):
 # training and refinement both use it); ``draw_ensembles`` runs one
 # ``_mc_draws`` of it at each named beta, one (count, grid) matrix each.
 # ``references`` solves the deterministic ROM with its own kernel at the
-# identity draw (``_mode_draw``); only the train stage calls it, and
-# sampling reads its observations artifact.
+# identity draw (``_mode_draw``) and returns curves; only the train stage
+# calls it, and sampling reads its observations artifact.
 # The stages read what a driver writes from its class attributes, so that
-# predict and report construct no driver (``grid_of(problem settings)``).
+# predict and report construct no driver; the grid is ``grid_of(problem
+# settings)``, written by the train stage and checked at every later read.
 
 
 def _mode_draw(modes, k):
@@ -323,18 +324,15 @@ class CubicDriver:
     def __init__(self, config: RunConfig):
         p = config.problem_settings
         self.n = p["n"]
-        self.alpha = float(p["alpha"])
         self.snapshot_count = int(p["snapshot_count"])
         self.mu_test = np.asarray(p["mu_test"], dtype=float)
         self.newton_tol = float(p["newton_tol"])
         self.newton_max_iter = int(p["newton_max_iter"])
         # pooled: one stacked observation vector across training parameters
         self.aggregation = config.parametric_aggregation
-        self.system = build_cubic_problem(self.n, self.alpha)
-        self.seed = config.seed
-        self.grid = self.grid_of(p)
+        self.system = build_cubic_problem(self.n, float(p["alpha"]))
         self.params = lhs_sample(5, self.snapshot_count,
-                                 RandomStream(derive_seed(self.seed, _SEED_SNAPSHOTS)))
+                                 RandomStream(derive_seed(config.seed, _SEED_SNAPSHOTS)))
         self.forces = np.stack([self.system.force_map(mu) for mu in self.params])
 
     def snapshots(self) -> np.ndarray:
@@ -358,7 +356,6 @@ class CubicDriver:
                                              tol=self.newton_tol,
                                              max_iter=self.newton_max_iter)
         return {
-            "grid": self.grid,
             "rom": rom_test,
             "truth": hdm_test,
             "train_truth": snapshots,      # HDM states at training parameters
@@ -376,9 +373,9 @@ class CubicDriver:
         def predict(draws, indices):
             w = np.matmul(modes, draws)
             stiffness_r = np.matmul(w.transpose(0, 2, 1), np.matmul(self.system.stiffness, w))
-            q = _cubic_newton_batch(w, stiffness_r, self.alpha, np.matmul(forces, w),
-                                    np.matmul(guesses, w), self.newton_tol,
-                                    self.newton_max_iter, indices, workspace)
+            q = _cubic_newton_batch(w, stiffness_r, self.system.cubic_coeff,
+                                    np.matmul(forces, w), np.matmul(guesses, w),
+                                    self.newton_tol, self.newton_max_iter, indices, workspace)
             return np.matmul(w, q.transpose(0, 2, 1))
 
         return predict
@@ -425,13 +422,12 @@ class ExperimentDriver:
         self.snapshot_force = p["snapshot_force"]
         self.seed = config.seed
         self.stiff = SpectralStiffness.sine_basis(self.n)
-        self.force = self.stiff.mode_combination_force(self.force_weights)
-        self.system = rom.LinearStaticSystem(stiffness=self.stiff.matrix, force=self.force)
-        self.grid = self.grid_of(p)
+        self.system = rom.LinearStaticSystem(
+            self.stiff.matrix, self.stiff.mode_combination_force(self.force_weights))
 
         truth_stiff = self._perturbed(RandomStream(derive_seed(self.seed, _SEED_TRUTH)),
                                       "the truth")
-        self.truth_response = truth_stiff.solve(self.force)
+        self.truth_response = truth_stiff.solve(self.system.force)
         self.sensor_indices, clean = observe_sparse(self.truth_response,
                                                     self.sensor_count)
         self.observed_noisy, _ = add_noise(
@@ -457,7 +453,7 @@ class ExperimentDriver:
                     self.force_weights.shape[0])
                 force = self.stiff.mode_combination_force(weights)
             else:
-                force = self.force
+                force = self.system.force
             x[:, j] = perturbed.solve(force)
         return x
 
@@ -470,7 +466,6 @@ class ExperimentDriver:
     def references(self, modes, k, snapshots) -> dict:
         x_rom = self._kernel(modes, modes)(_mode_draw(modes, k), ["rom"])[0]
         return {
-            "grid": self.grid,
             "rom": x_rom,
             "truth": self.truth_response,
             "sensor_indices": self.sensor_indices,
@@ -515,17 +510,16 @@ class SurrogateDriver:
         self.spec = SurrogateSpec(**{f.name: p[f.name] for f in dataclass_fields(SurrogateSpec)})
         # the load sampled once on the time grid, for the full model and
         # every reduction
-        self.system, self.times = rom.on_time_grid(surrogate_dynamics(self.spec),
-                                                   self.dt, self.t_end)
-        self.steps = self.times.size - 1
+        self.system, times = rom.on_time_grid(surrogate_dynamics(self.spec),
+                                              self.dt, self.t_end)
+        self.steps = times.size - 1
 
     @cached_property
     def _hdm(self) -> rom.Trajectory:
         return rom.newmark_integrate(self.system, self.dt, self.t_end)
 
     def snapshots(self) -> np.ndarray:
-        traj = self._hdm
-        return traj.states[:, ::self.stride].copy()
+        return self._hdm.states[:, ::self.stride].copy()
 
     def series_spec(self) -> dict:
         """name -> (DoF, derivative order) of each series of ``series``, in its order."""
@@ -542,12 +536,10 @@ class SurrogateDriver:
         traj = self._hdm
         spec = self.series_spec()
         series = self._kernel(modes, list(spec.values()))(_mode_draw(modes, k), ["rom"])[0]
-        refs = {"grid": self.times}
-        fields = {0: "states", 1: "velocities", 2: "accelerations"}
-        for j, (name, (dof, order)) in enumerate(spec.items()):
-            refs[_named("truth", name)] = getattr(traj, fields[order])[dof]
-            refs[_named("rom", name)] = series[j]
-        return refs
+        fields = ("states", "velocities", "accelerations")     # by derivative order
+        return {**{_named("rom", name): row for name, row in zip(spec, series)},
+                **{_named("truth", name): getattr(traj, fields[order])[dof]
+                   for name, (dof, order) in spec.items()}}
 
     def integer_evaluator(self, scales, k, modes, refs, mc_samples, seed,
                           chunk=512, widest=None):
@@ -754,13 +746,15 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
                "singular_value": pod.singular_values},
               chash)
 
+    grid = driver.grid_of(config.problem_settings)
     refs = driver.references(modes, k, snapshots)
+    columns = {"grid": grid, **refs}
     write_csv(out / artifact_file("observations"),
-              {key: refs[key] for key in _observation_columns(driver)}, chash)
+              {key: columns[key] for key in _observation_columns(driver)}, chash)
     if driver.writes_sensors:
         idx = refs["sensor_indices"]
         write_csv(out / artifact_file("sensors"), dict(zip(_SENSOR_COLUMNS, (
-            idx, refs["grid"][idx], refs["observed_noisy"], refs["truth"][idx],
+            idx, grid[idx], refs["observed_noisy"], refs["truth"][idx],
             refs["rom"][idx]))), chash)
 
     train_seed = derive_seed(config.seed, _SEED_TRAINING)
@@ -778,11 +772,12 @@ def stage_train(config: RunConfig, outdir=None) -> dict:
             widest=refinement_bounds(integer_result.beta, tcfg)[1]))
         trace_rows += [(b, f, tcfg.refinement.mc_samples) for b, f in refined.trace]
 
+    betas, values, samples = zip(*trace_rows)
     write_csv(out / artifact_file("training_trace"), {
         "iteration": np.arange(1, len(trace_rows) + 1),
-        "beta": np.asarray([r[0] for r in trace_rows]),
-        "f_estimate": np.asarray([r[1] for r in trace_rows]),
-        "mc_samples": np.asarray([r[2] for r in trace_rows], dtype=int),
+        "beta": np.asarray(betas),
+        "f_estimate": np.asarray(values),
+        "mc_samples": np.asarray(samples, dtype=int),
         "seed": np.full(len(trace_rows), train_seed, dtype=np.int64),
     }, chash)
 

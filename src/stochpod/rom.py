@@ -3,10 +3,10 @@
 Three system classes are supported: linear static, cubic nonlinear
 static, and linear second-order dynamics.  Reduction is plain Galerkin
 projection of a linear system, and a reduced system is a system of the
-same class in basis coordinates.  Projecting the operators once onto
-the rank-r modes with ``galerkin_reduce`` and then cheaply re-projecting
-per k-dimensional inner basis with ``inner_reduce`` is what makes large
-stochastic ensembles affordable.  The cubic system is reduced inside
+same class in basis coordinates.  ``galerkin_reduce`` projects once onto
+the rank-r modes; ``inner_reduce`` re-projects onto one inner basis, the
+per-draw path that tests hold the pipeline's batched kernels (stacked
+``matmul`` over a chunk of draws) against.  The cubic system is reduced inside
 ``solve_rom_nonlinear``, which lifts its cubic term to full space.
 ``newmark_stepper`` is the one Newmark update: ``newmark_integrate``
 steps a full or reduced system with it, and the batched ensemble

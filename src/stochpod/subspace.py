@@ -67,7 +67,8 @@ class CovarianceModel:
 
     ``eigvecs`` is n-by-r orthonormal, ``eigvals`` the retained spectrum
     (non-increasing, each >= ``noise_floor``), ``noise_floor`` the
-    isotropic level filling the remaining n - r directions.
+    isotropic level filling the remaining n - r directions.  ``macg_log_pdf``
+    refuses a C that is not positive definite (an eigenvalue <= 0).
     """
 
     eigvecs: np.ndarray    # (n, r)
@@ -88,23 +89,6 @@ class CovarianceModel:
             raise ValueError("noise_floor must be nonnegative")
         if w.size and w[-1] < self.noise_floor - 1e-12 * max(1.0, w[0]):
             raise ValueError("retained eigvals must dominate the noise floor")
-
-    @property
-    def dim(self) -> int:
-        return self.eigvecs.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.eigvecs.shape[1]
-
-    def full_spectrum(self) -> np.ndarray:
-        """All n eigenvalues: the retained block then the noise floor."""
-        n, r = self.dim, self.rank
-        return np.concatenate([self.eigvals, np.full(n - r, self.noise_floor)])
-
-    def is_positive_definite(self) -> bool:
-        spectrum = self.full_spectrum()
-        return bool(np.all(spectrum > 0))
 
 
 def center(data) -> np.ndarray:
@@ -233,9 +217,10 @@ def macg_log_pdf(subspace, model: CovarianceModel) -> float:
     """
     x = subspace.matrix if isinstance(subspace, SubspaceBasis) else _as_matrix(subspace, "basis")
     n, k = x.shape
-    if model.dim != n:
+    if model.eigvecs.shape[0] != n:
         raise ValueError("subspace and covariance dimensions differ")
-    if not model.is_positive_definite():
+    spectrum = np.concatenate([model.eigvals, np.full(n - model.eigvals.size, model.noise_floor)])
+    if not np.all(spectrum > 0):
         raise np.linalg.LinAlgError("covariance model is singular; regularize first")
     e = model.noise_floor
     g = model.eigvecs.T @ x                      # (r, k)
@@ -247,7 +232,7 @@ def macg_log_pdf(subspace, model: CovarianceModel) -> float:
     sign, log_det_core = np.linalg.slogdet(core)
     if sign <= 0:
         raise np.linalg.LinAlgError("X^T C^-1 X is not positive definite")
-    log_det_cov = float(np.sum(np.log(model.full_spectrum())))
+    log_det_cov = float(np.sum(np.log(spectrum)))
     return -0.5 * n * log_det_core - 0.5 * k * log_det_cov
 
 

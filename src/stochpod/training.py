@@ -49,10 +49,6 @@ class ObjectiveCache:
         self.misses += 1
         return value
 
-    def best(self) -> tuple[int, float]:
-        beta = min(self.entries, key=lambda b: (self.entries[b], b))
-        return beta, self.entries[beta]
-
 
 @dataclass(frozen=True)
 class RefinementConfig:
@@ -227,8 +223,8 @@ def train_integer_beta(config: TrainingConfig,
     cache = ObjectiveCache()
     result = optimize_beta(replace(config, beta_bounds=(lo, float(math.floor(hi)))),
                            lambda b: interpolated_objective(b, cache, evaluator))
-    beta_best, value_best = cache.best()
-    return replace(result, beta=int(beta_best), value=value_best, cache=cache)
+    best = min(cache.entries, key=lambda b: (cache.entries[b], b))     # ties: the smaller beta
+    return replace(result, beta=int(best), value=cache.entries[best], cache=cache)
 
 
 def refinement_bounds(beta_int: float, config: TrainingConfig) -> tuple[float, float]:

@@ -331,6 +331,12 @@ def _without_rows(path):
     path.write_text(json.dumps(doc))
 
 
+def _float32_sidecar(path):
+    doc = json.loads(path.read_text())
+    doc["dtype"] = "float32"
+    path.write_text(json.dumps(doc))
+
+
 def _last_row(edit):
     def damage(path):
         lines = path.read_text().splitlines()
@@ -378,6 +384,8 @@ def _directory(path):
                  id="ensemble-bin-narrow"),
     pytest.param("report", "summary.csv", _without_last_rows(30), id="summary-rows-cut"),
     pytest.param("predict", "ensemble.json", _without_rows, id="ensemble-sidecar-no-rows"),
+    pytest.param("predict", "ensemble.json", _float32_sidecar,
+                 id="ensemble-sidecar-float32"),
     pytest.param("predict", "observations.csv", _first_cell("abc"),
                  id="observations-text-cell"),
     pytest.param("report", "summary.csv", _last_row(lambda row: row.rsplit(",", 1)[0]),

@@ -12,7 +12,7 @@ import stochpod as sp
 from stochpod import config, pipeline, rom, sampling
 from stochpod.config import DEFAULT_PARAMETRIC_AGGREGATION, parse_config
 from stochpod.matrixio import load_matrix, read_csv
-from stochpod.problems import SurrogateSpec, surrogate_dynamics
+from stochpod.problems import SpectralStiffness, SurrogateSpec, surrogate_dynamics
 
 
 def tiny_ex2_config(seed=5, **problem):
@@ -243,6 +243,38 @@ def test_two_step_pipeline_reports_both_betas(tmp_path):
     assert abs(d["beta_star"] - d["beta_integer"]) <= 1.0
     assert (tmp_path / "ensemble_integer.bin").exists()
     assert (tmp_path / "summary_integer.csv").exists()
+
+
+@pytest.mark.parametrize("snapshot_force", ["nominal", "perturbed"])
+def test_snapshot_forces(snapshot_force, tmp_path, monkeypatch):
+    # snapshot j solves its perturbed stiffness at a force: the config's,
+    # or under "perturbed" its own unit max-norm combination of the sine
+    # modes 2..1+len(force_weights) that the config force uses
+    weights = [0.5, 1.0, 0.25]
+    cfg = tiny_ex2_config(snapshot_force=snapshot_force, force_weights=weights)
+    driver = pipeline.make_driver(cfg)
+    stiffnesses = []
+    perturb = pipeline.perturb_stiffness
+    monkeypatch.setattr(pipeline, "perturb_stiffness", lambda *args: stiffnesses.append(
+        perturb(*args)) or stiffnesses[-1])
+    x = driver.snapshots()
+    assert len(stiffnesses) == x.shape[1] == 20
+    forces = np.stack([s.matrix @ x[:, j] for j, s in enumerate(stiffnesses)], axis=1)
+    base = SpectralStiffness.sine_basis(100)
+    if snapshot_force == "nominal":
+        nominal = base.mode_combination_force(weights)
+        assert np.max(np.abs(forces - nominal[:, None])) <= 1e-10
+    else:
+        coefficients = base.modes.T @ forces            # one column per snapshot
+        used = np.s_[1:1 + len(weights)]
+        assert np.max(np.abs(np.delete(coefficients, used, axis=0))) <= 1e-10
+        assert np.all(coefficients[used] > -1e-10)     # uniform [0, 1) weights
+        assert np.max(np.abs(base.modes @ coefficients - forces)) <= 1e-10
+        assert np.allclose(np.max(np.abs(forces), axis=0), 1.0, rtol=0, atol=1e-10)
+        gaps = np.linalg.norm(forces[:, :, None] - forces[:, None, :], axis=0)
+        assert np.min(gaps + np.eye(len(stiffnesses))) > 1e-3
+    report = pipeline.run_pipeline(cfg, tmp_path)
+    assert 0.0 <= report["coverage"] <= 1.0
 
 
 COMMON_ARTIFACTS = {

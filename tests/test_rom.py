@@ -411,6 +411,23 @@ def test_reconstruct_round_trip_full_basis():
     assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
+def test_subspace_basis_reduces_and_lifts_as_its_matrix():
+    w = random_orthonormal(8, 3, seed=57)
+    basis = sp.SubspaceBasis(w)
+    system = rom.LinearStaticSystem(random_spd(8, seed=58), np.arange(8.0))
+    by_basis, by_matrix = sp.galerkin_reduce(system, basis), sp.galerkin_reduce(system, w)
+    assert np.array_equal(by_basis.stiffness, by_matrix.stiffness)
+    assert np.array_equal(by_basis.force, by_matrix.force)
+    q = sp.solve_linear_static(by_matrix)
+    assert np.array_equal(sp.reconstruct(basis, q), sp.reconstruct(w, q))
+    dynamic = rom.LinearDynamicSystem(np.eye(3), np.zeros((3, 3)), by_matrix.stiffness,
+                                      lambda t: by_matrix.force, (q, np.zeros(3)))
+    traj = sp.newmark_integrate(dynamic, 0.01, 0.1)
+    lifted, direct = sp.reconstruct(basis, traj), sp.reconstruct(w, traj)
+    for field in ("times", "states", "velocities", "accelerations"):
+        assert np.array_equal(getattr(lifted, field), getattr(direct, field)), field
+
+
 def test_full_basis_rom_matches_hdm_dynamic():
     gen = np.random.default_rng(54)
     n = 6
